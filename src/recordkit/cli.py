@@ -91,7 +91,12 @@ def cmd_eval(args) -> int:
         assignment = {}
         for item in args.assign.split(","):
             name, _, value = item.partition("=")
-            assignment[name.strip()] = int(value)
+            name = name.strip()
+            if name not in n.inputs:
+                raise ValueError("--assign: %r is not an input" % name)
+            if name in assignment:
+                raise ValueError("--assign sets input %r twice" % name)
+            assignment[name] = int(value)
     else:
         raise ValueError("need --bits or --assign")
     from .netlist import evaluate

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .netlist import Gate, Netlist, UNTRUSTED, validate
+from .netlist import Gate, Netlist, validate
 
 FIXTURE_KINDS = ("aes-sbox", "maj9", "adder4", "and-tree-n")
 

@@ -33,8 +33,10 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .netlist import Evaluator, Gate, Netlist, UNTRUSTED, validate
-from .recordize import PartitionedDesign, RecordConfig, transform
+from .netlist import Evaluator, Gate, Netlist, validate
+from .recordize import (COMPARE_PREFIX, MISCOMPARE_WIRE, SPARE_INPUT_PREFIX,
+                        VOTE_PAIR_PREFIXES, VOTE_PREFIX, PartitionedDesign,
+                        RecordConfig, build_replica, replica_wire, transform)
 from .rng import RngSpec, bit_stream
 from .sim import Stimulus
 
@@ -57,10 +59,6 @@ class FTDesign:
     voter_outputs: Dict[str, str]
     replay_limit: int = REPLAY_LIMIT
 
-    def replica_wires(self, k: int) -> List[str]:
-        return [g.out for g in self.design.netlist.gates
-                if g.zone == UNTRUSTED and g.replica == k]
-
 
 def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
     """Build the spare-augmented design; only single-group configs apply."""
@@ -69,52 +67,39 @@ def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
                          "random bit (got %d groups)" % cfg.groups)
     d = transform(n, cfg)
     gates = list(d.netlist.gates)
-    gate_driven = {g.out for g in n.gates}
 
+    r1 = d.random_wires[0]
     rep0 = d.replica_input_wires(0)
     rep1 = d.replica_input_wires(1)
-    spare_inputs: Dict[str, str] = {}
-    for i in n.inputs:
-        w = "__s_%s" % i
-        gates.append(Gate("MUX2", w, ("__r1", rep0[i], rep1[i])))
-        spare_inputs[i] = w
-
-    for g in n.gates:
-        ins = tuple(spare_inputs[x] if x not in gate_driven else
-                    "__f%d_%s" % (SPARE, x) for x in g.ins)
-        gates.append(Gate(g.kind, "__f%d_%s" % (SPARE, g.out), ins,
-                          UNTRUSTED, SPARE))
-
-    def spare_out(o: str) -> str:
-        return "__f%d_%s" % (SPARE, o) if o in gate_driven else spare_inputs[o]
-
-    spare_outputs = {o: spare_out(o) for o in n.outputs}
+    spare_inputs = {i: SPARE_INPUT_PREFIX + i for i in n.inputs}
+    for i, w in spare_inputs.items():
+        gates.append(Gate("MUX2", w, (r1, rep0[i], rep1[i])))
+    spare_gates, spare_outputs = build_replica(n, SPARE, spare_inputs)
+    gates.extend(spare_gates)
     selected = {o: d.selected_wire(o) for o in n.outputs}
 
-    cmp_wires = []
-    for o in n.outputs:
-        w = "__cmp_%s" % o
+    cmp_wires = tuple(COMPARE_PREFIX + o for o in n.outputs)
+    for o, w in zip(n.outputs, cmp_wires):
         gates.append(Gate("XOR", w, (spare_outputs[o], selected[o])))
-        cmp_wires.append(w)
     if len(cmp_wires) == 1:
-        gates.append(Gate("BUF", "__e", (cmp_wires[0],)))
+        gates.append(Gate("BUF", MISCOMPARE_WIRE, (cmp_wires[0],)))
     else:
-        gates.append(Gate("OR", "__e", tuple(cmp_wires)))
+        gates.append(Gate("OR", MISCOMPARE_WIRE, cmp_wires))
 
     voters: Dict[str, str] = {}
     for o in n.outputs:
         a = d.replica_output_wire(0, o)
         b = d.replica_output_wire(1, o)
         c = spare_outputs[o]
-        gates.append(Gate("AND", "__vab_%s" % o, (a, b)))
-        gates.append(Gate("AND", "__vac_%s" % o, (a, c)))
-        gates.append(Gate("AND", "__vbc_%s" % o, (b, c)))
-        gates.append(Gate("OR", "__v_%s" % o,
-                          ("__vab_%s" % o, "__vac_%s" % o, "__vbc_%s" % o)))
-        voters[o] = "__v_%s" % o
+        terms = tuple(p + o for p in VOTE_PAIR_PREFIXES)
+        for w, ins in zip(terms, ((a, b), (a, c), (b, c))):
+            gates.append(Gate("AND", w, ins))
+        voters[o] = VOTE_PREFIX + o
+        gates.append(Gate("OR", voters[o], terms))
 
     netlist = Netlist(d.netlist.name + "_ft", d.netlist.inputs,
-                      d.netlist.outputs + ("__e",) + tuple(voters.values()),
+                      d.netlist.outputs + (MISCOMPARE_WIRE,)
+                      + tuple(voters.values()),
                       tuple(gates))
     validate(netlist)
     return FTDesign(
@@ -123,7 +108,7 @@ def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
         spare_inputs=spare_inputs,
         spare_outputs=spare_outputs,
         selected_outputs=selected,
-        compare_wire="__e",
+        compare_wire=MISCOMPARE_WIRE,
         voter_outputs=voters,
     )
 
@@ -247,6 +232,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     steps: List[FTStep] = []
     committed: List[Optional[Dict[str, int]]] = [None] * count
     outputs = ft.source.outputs
+    r_wire = ft.design.random_wires[0]
 
     phase = 1
     lc = 0
@@ -260,12 +246,12 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
         inj = faults.at(step)
         force = None
         if inj is not None:
-            force = {"__f%d_%s" % (inj.replica, inj.wire): inj.value}
+            force = {replica_wire(inj.replica, inj.wire): inj.value}
         if phase == 1:
             x = rows[lc]
             r = next(r_bits)
             values = dict(x)
-            values["__r1"] = r
+            values[r_wire] = r
             v = ev.run(values, force=force)
             m = {o: v[ft.selected_outputs[o]] for o in outputs}
             mis = v[ft.compare_wire]
@@ -280,7 +266,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
         else:
             x, r, saved_lc = saved
             values = dict(x)
-            values["__r1"] = r
+            values[r_wire] = r
             v = ev.run(values, force=force)
             vote = {o: v[ft.voter_outputs[o]] for o in outputs}
             committed[saved_lc] = vote

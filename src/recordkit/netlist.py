@@ -29,18 +29,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 WIRE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
-RESERVED_PREFIX = "__"
 
 TRUSTED = "trusted"
 UNTRUSTED = "untrusted"
-
-GATE_KINDS = (
-    "NOT", "BUF", "AND", "OR", "NAND", "NOR", "XOR", "XNOR",
-    "MUX2", "CONST0", "CONST1",
-)
 
 # kind -> (min_arity, max_arity or None for unbounded)
 _ARITY = {
@@ -270,12 +264,6 @@ def evaluate(n: Netlist, assignment: Mapping[str, int]) -> Dict[str, int]:
                                % (w, assignment[w]))
     v = Evaluator(n).run(assignment, mask=1)
     return {w: v[w] for w in n.outputs}
-
-
-def eval_columns(n: Netlist, columns: Mapping[str, int],
-                 count: int) -> Dict[str, int]:
-    """All wires of n over ``count`` packed samples per input."""
-    return Evaluator(n).run(columns, mask=(1 << count) - 1)
 
 
 def parse_netlist(text: str) -> Netlist:

@@ -19,10 +19,16 @@ produces a partitioned design:
 Any full-visibility observer confined to the replica copies sees only
 one-time-padded data; the random wires and the raw S inputs never cross
 into the untrusted zone, which partition_check verifies structurally.
+partition_check is the one closure rule: trojan.tap() refuses a design
+exactly when it reports a violation.
 
 The complemented encoding is emitted as a single xnor per randomized input
 (an inverter folded into the encoder) so the whole harness adds exactly one
 gate level in front of the copies.
+
+This module owns every reserved ("__"-prefixed) wire name, including those
+of the fault-tolerant variant; design_from_netlist parses a serialized
+design back through the same constants.
 """
 
 from __future__ import annotations
@@ -30,9 +36,42 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .netlist import (Gate, Netlist, NetlistError, RESERVED_PREFIX,
-                      UNTRUSTED, validate, gate_lines)
+from .netlist import (Gate, Netlist, NetlistError, UNTRUSTED, validate,
+                      gate_lines)
 from .rng import RngSpec
+
+RESERVED_PREFIX = "__"
+RANDOM_PREFIX = "__r"              # __r<g>: random bit of group g, 1-based
+ENCODE_PREFIX = "__t_"             # x xor r, read by copies with bit 0
+ENCODE_COMPLEMENT_PREFIX = "__tn_"  # x xnor r, read by copies with bit 1
+SELECT_PREFIX = "__m_"             # mux tree over the copies
+ENCODED_OUT_PREFIX = "__y_"        # selected output xor r1, leaves the design
+DECODED_OUT_PREFIX = "__z_"        # encoded output xor r1, plain f(x)
+SPARE_INPUT_PREFIX = "__s_"        # FT: spare copy input selectors
+COMPARE_PREFIX = "__cmp_"          # FT: spare vs selected output
+MISCOMPARE_WIRE = "__e"            # FT: or-reduced miscompare flag
+VOTE_PAIR_PREFIXES = ("__vab_", "__vac_", "__vbc_")  # FT: 2-of-3 terms
+VOTE_PREFIX = "__v_"               # FT: per-output majority vote
+
+def random_wire(g: int) -> str:
+    return "%s%d" % (RANDOM_PREFIX, g)
+
+
+def replica_wire(k: int, w: str) -> str:
+    """Copy k's instance of the source gate output w."""
+    return "__f%d_%s" % (k, w)
+
+
+def selected_wire(o: str, path: str = "") -> str:
+    """Mux-tree node for output o at select-bit path ("" is the root)."""
+    return SELECT_PREFIX + o + ("_b" + path if path else "")
+
+
+def _reject_reserved(n: Netlist) -> None:
+    for w in n.wires():
+        if w.startswith(RESERVED_PREFIX):
+            raise NetlistError("wire %r collides with the reserved '%s' "
+                               "prefix" % (w, RESERVED_PREFIX))
 
 
 @dataclass
@@ -123,38 +162,47 @@ class PartitionedDesign:
         return [g for g in self.netlist.gates if g.zone == UNTRUSTED]
 
     def encode_wire(self, x: str) -> str:
-        return "__t_%s" % x
+        return ENCODE_PREFIX + x
 
     def encode_complement_wire(self, x: str) -> str:
-        return "__tn_%s" % x
+        return ENCODE_COMPLEMENT_PREFIX + x
 
     def selected_wire(self, o: str) -> str:
-        return "__m_%s" % o
+        return selected_wire(o)
 
     def replica_input_wires(self, k: int) -> Dict[str, str]:
         """Wire feeding each source input position of replica k."""
-        s = set(self.config.randomized_inputs)
-        out = {}
-        for i in self.source_inputs:
-            if i in s:
-                bit = (k >> (self.config.group_assignment[i] - 1)) & 1
-                out[i] = (self.encode_complement_wire(i) if bit
-                          else self.encode_wire(i))
-            else:
-                out[i] = i
-        return out
+        return replica_input_map(self.config, self.source_inputs, k)
 
     def replica_output_wire(self, k: int, o: str) -> str:
-        if o in set(self.source_inputs):
-            return self.replica_input_wires(k)[o]
-        return "__f%d_%s" % (k, o)
+        return self.replica_input_wires(k).get(o, replica_wire(k, o))
 
 
-def _reject_reserved(n: Netlist) -> None:
-    for w in n.wires():
-        if w.startswith(RESERVED_PREFIX):
-            raise NetlistError("wire %r collides with the reserved '%s' "
-                               "prefix" % (w, RESERVED_PREFIX))
+def replica_input_map(cfg: RecordConfig, inputs: Sequence[str],
+                      k: int) -> Dict[str, str]:
+    """Wire feeding each source input of copy k: the complemented encoding
+    where bit g(i)-1 of k is set, the plain one otherwise; inputs outside
+    the randomized subset pass through."""
+    s = set(cfg.randomized_inputs)
+    out = {}
+    for i in inputs:
+        if i in s:
+            bit = (k >> (cfg.group_assignment[i] - 1)) & 1
+            out[i] = (ENCODE_COMPLEMENT_PREFIX if bit else ENCODE_PREFIX) + i
+        else:
+            out[i] = i
+    return out
+
+
+def build_replica(n: Netlist, k: int, inputs: Mapping[str, str]
+                  ) -> Tuple[List[Gate], Dict[str, str]]:
+    """Untrusted copy k of n reading inputs[i] in place of source input i:
+    the copy's gates in n's order and the wire carrying each output."""
+    wire = dict(inputs)
+    wire.update((g.out, replica_wire(k, g.out)) for g in n.gates)
+    gates = [Gate(g.kind, wire[g.out], tuple(wire[w] for w in g.ins),
+                  UNTRUSTED, k) for g in n.gates]
+    return gates, {o: wire[o] for o in n.outputs}
 
 
 def transform(n: Netlist, cfg: RecordConfig) -> PartitionedDesign:
@@ -165,54 +213,42 @@ def transform(n: Netlist, cfg: RecordConfig) -> PartitionedDesign:
     g_of = cfg.group_assignment
     s = set(cfg.randomized_inputs)
     big_g = cfg.groups
-    r_wires = tuple("__r%d" % g for g in range(1, big_g + 1))
+    r_wires = tuple(random_wire(g) for g in range(1, big_g + 1))
+    r1 = r_wires[0]
 
     gates: List[Gate] = []
     for i in n.inputs:
         if i in s:
-            r = "__r%d" % g_of[i]
-            gates.append(Gate("XOR", "__t_%s" % i, (i, r)))
-            gates.append(Gate("XNOR", "__tn_%s" % i, (i, r)))
+            r = random_wire(g_of[i])
+            gates.append(Gate("XOR", ENCODE_PREFIX + i, (i, r)))
+            gates.append(Gate("XNOR", ENCODE_COMPLEMENT_PREFIX + i, (i, r)))
 
-    gate_driven = {g.out for g in n.gates}
-    replica_in: List[Dict[str, str]] = []
+    leaves: List[Dict[str, str]] = []
     for c in range(1 << big_g):
-        mapping: Dict[str, str] = {}
-        for i in n.inputs:
-            if i in s:
-                bit = (c >> (g_of[i] - 1)) & 1
-                mapping[i] = ("__tn_%s" if bit else "__t_%s") % i
-            else:
-                mapping[i] = i
-        replica_in.append(mapping)
-        for g in n.gates:
-            ins = tuple(mapping[w] if w not in gate_driven else
-                        "__f%d_%s" % (c, w) for w in g.ins)
-            gates.append(Gate(g.kind, "__f%d_%s" % (c, g.out), ins,
-                              UNTRUSTED, c))
-
-    def leaf(c: int, o: str) -> str:
-        return "__f%d_%s" % (c, o) if o in gate_driven else replica_in[c][o]
+        copy, outs = build_replica(n, c, replica_input_map(cfg, n.inputs, c))
+        gates.extend(copy)
+        leaves.append(outs)
 
     def build_mux(o: str, indices: List[int], level: int, path: str) -> str:
         if len(indices) == 1:
-            return leaf(indices[0], o)
+            return leaves[indices[0]][o]
         lo = [c for c in indices if not (c >> level) & 1]
         hi = [c for c in indices if (c >> level) & 1]
         a0 = build_mux(o, lo, level + 1, path + "0")
         a1 = build_mux(o, hi, level + 1, path + "1")
-        out = "__m_%s" % o if path == "" else "__m_%s_b%s" % (o, path)
-        gates.append(Gate("MUX2", out, ("__r%d" % (level + 1), a0, a1)))
+        out = selected_wire(o, path)
+        gates.append(Gate("MUX2", out, (random_wire(level + 1), a0, a1)))
         return out
 
     encoded: List[str] = []
     decoded: List[str] = []
     for o in n.outputs:
         m = build_mux(o, list(range(1 << big_g)), 0, "")
-        gates.append(Gate("XOR", "__y_%s" % o, (m, "__r1")))
-        gates.append(Gate("XOR", "__z_%s" % o, ("__y_%s" % o, "__r1")))
-        encoded.append("__y_%s" % o)
-        decoded.append("__z_%s" % o)
+        y, z = ENCODED_OUT_PREFIX + o, DECODED_OUT_PREFIX + o
+        gates.append(Gate("XOR", y, (m, r1)))
+        gates.append(Gate("XOR", z, (y, r1)))
+        encoded.append(y)
+        decoded.append(z)
 
     out_netlist = Netlist("%s_record%d" % (n.name, big_g),
                           n.inputs + r_wires,
@@ -252,9 +288,7 @@ def partition_check(d: PartitionedDesign) -> ClosureReport:
     randoms = set(d.random_wires)
     raw = set(d.config.randomized_inputs)
     violations: List[Violation] = []
-    for g in d.netlist.gates:
-        if g.zone != UNTRUSTED:
-            continue
+    for g in d.untrusted_gates():
         for w in g.ins:
             if w in randoms:
                 violations.append(Violation(g.out, w, "random wire"))
@@ -280,10 +314,7 @@ def rekey(d: PartitionedDesign, new_rng: RngSpec) -> PartitionedDesign:
 
 def untrusted_zone_text(d: PartitionedDesign) -> str:
     """Serialization of exactly the untrusted gates, in netlist order."""
-    lines: List[str] = []
-    for g in d.netlist.gates:
-        if g.zone == UNTRUSTED:
-            lines.extend(gate_lines(g))
+    lines = [line for g in d.untrusted_gates() for line in gate_lines(g)]
     return "\n".join(lines) + "\n"
 
 
@@ -296,36 +327,37 @@ def design_from_netlist(n: Netlist, rng: Optional[RngSpec] = None
     gates, __y_/__z_ output pairs, and replica attributes.
     """
     validate(n)
-    r_wires = [w for w in n.inputs if w.startswith("__r")]
+    r_wires = [w for w in n.inputs if w.startswith(RANDOM_PREFIX)]
     for i, w in enumerate(r_wires, start=1):
-        if w != "__r%d" % i:
+        if w != random_wire(i):
             raise NetlistError("random inputs must be __r1..__rG in order, "
                                "found %r" % w)
     if not r_wires:
         raise NetlistError("no __r inputs: not a transformed design")
     groups = len(r_wires)
-    source_inputs = tuple(w for w in n.inputs if not w.startswith("__r"))
+    source_inputs = tuple(w for w in n.inputs
+                          if not w.startswith(RANDOM_PREFIX))
 
-    encoded = tuple(w for w in n.outputs if w.startswith("__y_"))
-    decoded = tuple(w for w in n.outputs if w.startswith("__z_"))
+    encoded = tuple(w for w in n.outputs if w.startswith(ENCODED_OUT_PREFIX))
+    decoded = tuple(w for w in n.outputs if w.startswith(DECODED_OUT_PREFIX))
     if not encoded or len(encoded) != len(decoded):
         raise NetlistError("outputs must pair __y_<o> with __z_<o>")
-    source_outputs = tuple(w[len("__y_"):] for w in encoded)
-    if tuple(w[len("__z_"):] for w in decoded) != source_outputs:
+    source_outputs = tuple(w[len(ENCODED_OUT_PREFIX):] for w in encoded)
+    if tuple(w[len(DECODED_OUT_PREFIX):] for w in decoded) != source_outputs:
         raise NetlistError("encoded and decoded output names disagree")
 
     subset: List[str] = []
     assignment: Dict[str, int] = {}
     by_out = n.drivers()
     for i in source_inputs:
-        g = by_out.get("__t_%s" % i)
+        g = by_out.get(ENCODE_PREFIX + i)
         if g is None:
             continue
-        r_ins = [w for w in g.ins if w.startswith("__r")]
+        r_ins = [w for w in g.ins if w.startswith(RANDOM_PREFIX)]
         if g.kind != "XOR" or len(g.ins) != 2 or i not in g.ins or not r_ins:
             raise NetlistError("unrecognized encode gate for input %r" % i)
         subset.append(i)
-        assignment[i] = int(r_ins[0][len("__r"):])
+        assignment[i] = int(r_ins[0][len(RANDOM_PREFIX):])
 
     cfg = RecordConfig(tuple(subset), groups, assignment)
     d = PartitionedDesign(

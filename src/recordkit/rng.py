@@ -64,9 +64,4 @@ def rng_bits(spec: RngSpec, n: int) -> Bits:
 
 def derive(spec: RngSpec, tag: int) -> RngSpec:
     """Independent sub-stream seed for auxiliary randomness (noise, stimulus)."""
-    state = (spec.seed ^ tag) & MASK64
-    state = (state + _INCREMENT) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return RngSpec(z ^ (z >> 31))
+    return RngSpec(next(words(RngSpec((spec.seed ^ tag) & MASK64))))

@@ -5,8 +5,10 @@ of every wire the untrusted zone touches: the replica gates' outputs and
 whatever feeds them (the encoded t/tn wires and any pass-through inputs).
 It never sees the random wires or the raw randomized inputs; tap() checks
 that on every call because it is the security property everything else
-rests on. Isolation mode restricts the view to a single replica, the
-situation where physically separated copies cannot pool their observations.
+rests on, and takes its verdict from recordize.partition_check so the
+closure rule has a single implementation. Isolation mode restricts the
+view to a single replica, the situation where physically separated copies
+cannot pool their observations.
 
 Leakage is quantified with the plug-in mutual-information estimator over
 the empirical 2x2 joint histogram (log base 2, 0*log0 = 0). For binary
@@ -21,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .bits import Bits
-from .recordize import PartitionedDesign
+from .recordize import PartitionedDesign, partition_check
 from .rng import RngSpec
-from .sim import SimTrace, Stimulus, r_columns, simulate
+from .sim import SimTrace, Stimulus, simulate
 
 
 class LeakError(Exception):
@@ -54,36 +56,27 @@ def tap(d: PartitionedDesign, t: SimTrace,
     """Project a trace onto the implant-visible wires.
 
     replica=None gives the full untrusted view; an index restricts to that
-    replica's gates and boundary wires.
+    replica's gates and boundary wires. Raises LeakError whenever
+    partition_check(d) reports a violation, whichever view is asked for.
     """
     if replica is not None and not 0 <= replica < d.replica_count:
         raise LeakError("no replica %d in a %d-copy design"
                         % (replica, d.replica_count))
-    visible = set()
-    for g in d.netlist.gates:
-        if g.zone != "untrusted":
-            continue
-        if replica is not None and g.replica != replica:
-            continue
-        visible.add(g.out)
-        visible.update(g.ins)
-
-    forbidden = set(d.random_wires) | set(d.config.randomized_inputs)
-    leaked = visible & forbidden
-    if leaked:
+    violations = partition_check(d).violations
+    if violations:
+        leaked = sorted({v.wire for v in violations})
         raise LeakError("partition closure violated: %s visible to the "
-                        "untrusted zone" % sorted(leaked))
+                        "untrusted zone" % leaked)
+    visible = set()
+    for g in d.untrusted_gates():
+        if replica is None or g.replica == replica:
+            visible.add(g.out)
+            visible.update(g.ins)
 
-    source_of = {}
-    s = set(d.config.randomized_inputs)
-    for i in d.source_inputs:
-        w = d.encode_wire(i) if i in s else i
-        if w in visible:
-            source_of[w] = i
+    source_of = {w: i for i, w in d.replica_input_wires(0).items()
+                 if w in visible}
     replica_outputs = {}
-    for k in range(d.replica_count):
-        if replica is not None and k != replica:
-            continue
+    for k in range(d.replica_count) if replica is None else (replica,):
         for o in d.source_outputs:
             w = d.replica_output_wire(k, o)
             if w in visible:
@@ -179,6 +172,7 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
         }
 
     pair_list: List[PairMI] = []
+    gradients: List[StrategyScore] = []
     for a, b in pairs:
         for w in (a, b):
             if w not in lt:
@@ -186,28 +180,22 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
             if w not in lt.source_of:
                 raise LeakError("pair wire %r has no associated source "
                                 "input" % w)
-        guess = lt.stream(a) ^ lt.stream(b)
+        (guess,) = reconstruct(lt, Gradient(((a, b),))).values()
         truth = x_streams[lt.source_of[a]] ^ x_streams[lt.source_of[b]]
         pair_list.append(PairMI(a, b, mutual_information(guess, truth)))
+        gradients.append(StrategyScore("gradient(%s,%s)" % (a, b),
+                                       guess.accuracy(truth)))
 
     strategies: List[StrategyScore] = []
-    for k in range(d.replica_count):
-        for o in d.source_outputs:
-            if (k, o) not in lt.replica_outputs:
-                continue
-            guess = reconstruct(lt, PickReplica(k, o))[o]
-            strategies.append(StrategyScore(
-                "pick-replica(%d,%s)" % (k, o),
-                guess.accuracy(out_streams[o])))
+    for k, o in lt.replica_outputs:
+        guess = reconstruct(lt, PickReplica(k, o))[o]
+        strategies.append(StrategyScore("pick-replica(%d,%s)" % (k, o),
+                                        guess.accuracy(out_streams[o])))
     for w, i in sorted(lt.source_of.items()):
-        strategies.append(StrategyScore(
-            "input-echo(%s)" % w, lt.stream(w).accuracy(x_streams[i])))
-    for a, b in pairs:
-        guess = lt.stream(a) ^ lt.stream(b)
-        truth = x_streams[lt.source_of[a]] ^ x_streams[lt.source_of[b]]
-        strategies.append(StrategyScore("gradient(%s,%s)" % (a, b),
-                                        guess.accuracy(truth)))
-    return LeakReport(wire_mi, pair_list, strategies)
+        guess = reconstruct(lt, InputEcho(w))[i]
+        strategies.append(StrategyScore("input-echo(%s)" % w,
+                                        guess.accuracy(x_streams[i])))
+    return LeakReport(wire_mi, pair_list, strategies + gradients)
 
 
 @dataclass(frozen=True)

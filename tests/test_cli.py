@@ -38,6 +38,16 @@ def test_eval_assign(tmp_path, capsys):
     assert "y=1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("assign, wire", [("a=1,b=1,bogus=1", "'bogus'"),
+                                          ("a=1,b=1,a=0", "'a'")])
+def test_eval_assign_rejects_unknown_and_repeated(tmp_path, capsys, assign,
+                                                  wire):
+    nl = tmp_path / "m.nl"
+    nl.write_text("module m\ninput a b\noutput y\nand y a b\nend")
+    assert run("eval", nl, "--assign", assign) == 1
+    assert wire in capsys.readouterr().err
+
+
 def test_recordize_verify_roundtrip(tmp_path):
     src = tmp_path / "maj9.nl"
     enc = tmp_path / "maj9r2.nl"

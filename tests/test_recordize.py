@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import (Evaluator, Gate, Netlist, NetlistError,
@@ -10,10 +11,11 @@ from recordkit.recordize import (PartitionedDesign, RecordConfig,
                                  design_from_netlist, partition_check, rekey,
                                  transform, untrusted_zone_text, user_view)
 from recordkit.rng import RngSpec
-from recordkit.sim import Stimulus, simulate
+from recordkit.sim import Stimulus, simulate, verify_equivalence
 
 AND2 = parse_netlist("module and2\ninput a b\noutput y\nand y a b\nend")
 INV = parse_netlist("module inv\ninput a\noutput y\nnot y a\nend")
+KINDS = ("NOT", "BUF", "AND", "OR", "NAND", "NOR", "XOR", "XNOR", "MUX2")
 
 
 def brute_force_equivalent(source: Netlist, d: PartitionedDesign) -> bool:
@@ -260,9 +262,8 @@ def _random_dag(rng: random.Random, n_inputs: int, n_gates: int) -> Netlist:
     inputs = tuple("i%d" % k for k in range(n_inputs))
     wires = list(inputs)
     gates = []
-    kinds = ["NOT", "BUF", "AND", "OR", "NAND", "NOR", "XOR", "XNOR", "MUX2"]
     for k in range(n_gates):
-        kind = rng.choice(kinds)
+        kind = rng.choice(KINDS)
         arity = {"NOT": 1, "BUF": 1, "MUX2": 3}.get(kind, 2)
         ins = tuple(rng.choice(wires) for _ in range(arity))
         out = "w%d" % k
@@ -290,3 +291,41 @@ def test_property_random_netlists_closure_and_equivalence():
         d = transform(n, RecordConfig(subset, groups, assignment))
         assert partition_check(d).ok, "trial %d" % trial
         assert brute_force_equivalent(n, d), "trial %d" % trial
+
+
+@st.composite
+def designs(draw):
+    """A random small DAG (at most 10 inputs) and a valid configuration."""
+    inputs = tuple("i%d" % k for k in range(draw(st.integers(1, 10))))
+    wires = list(inputs)
+    gates = []
+    for k in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(KINDS))
+        arity = {"NOT": 1, "BUF": 1, "MUX2": 3}.get(kind, 2)
+        ins = tuple(draw(st.sampled_from(wires)) for _ in range(arity))
+        gates.append(Gate(kind, "w%d" % k, ins))
+        wires.append("w%d" % k)
+    outputs = tuple(draw(st.lists(st.sampled_from(wires), min_size=1,
+                                  max_size=3, unique=True)))
+    n = Netlist("rand", inputs, outputs, tuple(gates))
+    chosen = draw(st.sets(st.sampled_from(inputs), min_size=1))
+    subset = tuple(w for w in inputs if w in chosen)
+    groups = draw(st.integers(1, min(2, len(subset))))
+    order = draw(st.permutations(subset))
+    assignment = {w: (k % groups) + 1 for k, w in enumerate(order)}
+    return n, RecordConfig(subset, groups, assignment)
+
+
+@settings(max_examples=60, deadline=None)
+@given(designs())
+def test_property_roundtrip_closure_equivalence(case):
+    n, cfg = case
+    d = transform(n, cfg)
+    back = design_from_netlist(parse_netlist(write_netlist(d.netlist)))
+    assert back.config == d.config
+    assert back.source_inputs == d.source_inputs
+    assert back.source_outputs == d.source_outputs
+    for k in range(d.replica_count):
+        assert back.replica_input_wires(k) == d.replica_input_wires(k)
+    assert partition_check(d).ok
+    assert verify_equivalence(n, d, mode="exhaustive").passed

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from recordkit.bits import Bits
 from recordkit.fixtures import fixture_generate
-from recordkit.netlist import parse_netlist
+from recordkit.netlist import Gate, parse_netlist
 from recordkit.recordize import RecordConfig, transform
 from recordkit.rng import RngSpec, rng_bits
 from recordkit.sim import Stimulus, simulate
@@ -42,6 +43,20 @@ def test_tap_never_contains_random_or_raw_wires():
             lt = tap(d, t, replica=replica)
             assert all(not w.startswith("__r") for w in lt.wires)
             assert not set(m9.inputs) & set(lt.wires)  # S = all inputs
+
+
+@pytest.mark.parametrize("wire", ["__r1", "x1"])
+def test_tap_rejects_closure_violation_in_every_view(wire):
+    m9, d = _maj9_design()
+    gates = list(d.netlist.gates)
+    k = next(k for k, g in enumerate(gates) if g.replica == 0)
+    g = gates[k]
+    gates[k] = Gate(g.kind, g.out, (wire,) + g.ins[1:], g.zone, g.replica)
+    bad = replace(d, netlist=replace(d.netlist, gates=tuple(gates)))
+    t = simulate(bad, Stimulus.uniform(32, seed=0), RngSpec(0))
+    for replica in [None] + list(range(bad.replica_count)):
+        with pytest.raises(LeakError, match="partition closure violated"):
+            tap(bad, t, replica=replica)
 
 
 def test_tap_unknown_replica():
