@@ -90,8 +90,11 @@ def cmd_eval(args) -> int:
     elif args.assign is not None:
         assignment = {}
         for item in args.assign.split(","):
-            name, _, value = item.partition("=")
+            name, sep, value = item.partition("=")
             name = name.strip()
+            if not sep or value.strip() not in ("0", "1"):
+                raise ValueError("--assign: %r is not of the form name=bit"
+                                 % item)
             if name not in n.inputs:
                 raise ValueError("--assign: %r is not an input" % name)
             if name in assignment:

@@ -17,6 +17,15 @@ ft_simulate() runs the two-phase protocol around that datapath:
             as triple-modular redundancy; the per-output majority vote
             replaces the buffered value, e clears, phase 1 resumes.
 
+Every logical cycle c draws exactly one random bit, stream bit c: phase 1
+draws it and a replay reuses the saved bit. ft_simulate() therefore runs
+phase 1 word-parallel: one packed pass of the source netlist gives the
+reference, and one packed fault-free pass of the FT netlist over all cycles
+gives the selected outputs and the miscompare of every step that has no
+injection. Only a step with an injection, a packed miscompare or a replay is
+evaluated narrowly, one lane with the fault forced, so multi-fault plans,
+replay chains and the replay-limit flag keep the per-step semantics.
+
 Under the single-transient fault assumption the committed stream equals
 the fault-free reference: the selected copy and the spare recompute
 identical correct values on replay, so the vote is decided regardless of
@@ -30,14 +39,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .netlist import Evaluator, Gate, Netlist, validate
 from .recordize import (COMPARE_PREFIX, MISCOMPARE_WIRE, SPARE_INPUT_PREFIX,
                         VOTE_PAIR_PREFIXES, VOTE_PREFIX, PartitionedDesign,
                         RecordConfig, build_replica, replica_wire, transform)
-from .rng import RngSpec, bit_stream
+from .rng import RngSpec, packed_bits
 from .sim import Stimulus
 
 REPLAY_LIMIT = 3
@@ -58,6 +67,13 @@ class FTDesign:
     compare_wire: str
     voter_outputs: Dict[str, str]
     replay_limit: int = REPLAY_LIMIT
+    evaluator: Evaluator = field(init=False, repr=False, compare=False)
+    source_evaluator: Evaluator = field(init=False, repr=False,
+                                        compare=False)
+
+    def __post_init__(self):
+        self.evaluator = Evaluator(self.design.netlist)
+        self.source_evaluator = Evaluator(self.source)
 
 
 def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
@@ -126,9 +142,14 @@ class FaultInjection:
 @dataclass
 class FaultPlan:
     injections: Tuple[FaultInjection, ...] = ()
+    _by_step: Dict[int, FaultInjection] = field(init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         self.injections = tuple(self.injections)
+        self._by_step = {}
+        for inj in self.injections:
+            self._by_step.setdefault(inj.cycle, inj)
 
     def validate(self, ft: FTDesign) -> None:
         seen_cycles = set()
@@ -151,10 +172,7 @@ class FaultPlan:
                 raise FaultPlanError("forced value must be 0 or 1")
 
     def at(self, step: int) -> Optional[FaultInjection]:
-        for inj in self.injections:
-            if inj.cycle == step:
-                return inj
-        return None
+        return self._by_step.get(step)
 
     def to_json(self) -> list:
         return [{"cycle": i.cycle, "replica": i.replica, "wire": i.wire,
@@ -212,51 +230,66 @@ class FTTrace:
                 w.writerow(row)
 
 
+def _lanes(col: int, count: int) -> List[int]:
+    """Lanes 0..count-1 of a packed column as 0/1 ints, in linear time."""
+    return [int(b) for b in format(col, "0%db" % count)[::-1][:count]]
+
+
 def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                 faults: Optional[FaultPlan] = None) -> FTTrace:
     """Run the two-phase detect/replay protocol over a stimulus."""
     faults = faults or FaultPlan()
     faults.validate(ft)
     count, cols = stim.bound(len(ft.source.inputs))
-    rows = [{w: (c >> cyc) & 1 for w, c in zip(ft.source.inputs, cols)}
-            for cyc in range(count)]
-
-    ev = Evaluator(ft.design.netlist)
-    ref_ev = Evaluator(ft.source)
-    reference = []
-    for row in rows:
-        v = ref_ev.run(row)
-        reference.append({o: v[o] for o in ft.source.outputs})
-
-    r_bits = bit_stream(rng)
-    steps: List[FTStep] = []
-    committed: List[Optional[Dict[str, int]]] = [None] * count
+    mask = (1 << count) - 1
     outputs = ft.source.outputs
     r_wire = ft.design.random_wires[0]
+    x_cols = dict(zip(ft.source.inputs, cols))
+
+    ref = ft.source_evaluator.run(x_cols, mask=mask)
+    ref_lanes = [_lanes(ref[o], count) for o in outputs]
+    reference = [dict(zip(outputs, bits)) for bits in zip(*ref_lanes)]
+
+    # logical cycle c draws stream bit c: one fault-free packed pass gives
+    # every phase-1 step that has no injection and no miscompare
+    r_col = packed_bits(rng, count)
+    packed = ft.evaluator.run({**x_cols, r_wire: r_col}, mask=mask)
+    r_lanes = _lanes(r_col, count)
+    e_lanes = _lanes(packed[ft.compare_wire], count)
+    sel_lanes = [_lanes(packed[ft.selected_outputs[o]], count)
+                 for o in outputs]
+    x_lanes = {w: _lanes(c, count) for w, c in x_cols.items()}
+
+    def narrow(lc: int, inj: Optional[FaultInjection]) -> Dict[str, int]:
+        values = {w: bits[lc] for w, bits in x_lanes.items()}
+        values[r_wire] = r_lanes[lc]
+        force = None
+        if inj is not None:
+            force = {replica_wire(inj.replica, inj.wire): inj.value}
+        return ft.evaluator.run(values, force=force)
+
+    steps: List[FTStep] = []
+    committed: List[Optional[Dict[str, int]]] = [None] * count
 
     phase = 1
     lc = 0
     step = 0
-    saved: Optional[Tuple[Dict[str, int], int, int]] = None
     replay_faults = 0
     suspected = False
     suspected_at: Optional[int] = None
 
     while lc < count or phase == 2:
         inj = faults.at(step)
-        force = None
-        if inj is not None:
-            force = {replica_wire(inj.replica, inj.wire): inj.value}
+        r = r_lanes[lc]
         if phase == 1:
-            x = rows[lc]
-            r = next(r_bits)
-            values = dict(x)
-            values[r_wire] = r
-            v = ev.run(values, force=force)
-            m = {o: v[ft.selected_outputs[o]] for o in outputs}
-            mis = v[ft.compare_wire]
+            if inj is None and not e_lanes[lc]:
+                m = {o: bits[lc] for o, bits in zip(outputs, sel_lanes)}
+                mis = 0
+            else:
+                v = narrow(lc, inj)
+                m = {o: v[ft.selected_outputs[o]] for o in outputs}
+                mis = v[ft.compare_wire]
             if mis:
-                saved = (x, r, lc)
                 steps.append(FTStep(step, 1, lc, 1, r, 1, None, m))
                 phase = 2
             else:
@@ -264,12 +297,10 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                 steps.append(FTStep(step, 1, lc, 0, r, 0, m, None))
                 lc += 1
         else:
-            x, r, saved_lc = saved
-            values = dict(x)
-            values[r_wire] = r
-            v = ev.run(values, force=force)
+            # replay of the saved logical cycle lc with its saved bit
+            v = narrow(lc, inj)
             vote = {o: v[ft.voter_outputs[o]] for o in outputs}
-            committed[saved_lc] = vote
+            committed[lc] = vote
             mis = v[ft.compare_wire]
             if mis:
                 replay_faults += 1
@@ -278,10 +309,9 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                     suspected_at = step
             else:
                 replay_faults = 0
-            steps.append(FTStep(step, 2, saved_lc, 0, r, mis, vote, None))
-            saved = None
+            steps.append(FTStep(step, 2, lc, 0, r, mis, vote, None))
             phase = 1
-            lc = saved_lc + 1
+            lc += 1
         step += 1
 
     return FTTrace(steps, committed, reference, suspected, suspected_at)

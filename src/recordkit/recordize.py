@@ -372,7 +372,10 @@ def design_from_netlist(n: Netlist, rng: Optional[RngSpec] = None
     )
     cfg.validate(Netlist(n.name, source_inputs, source_outputs, ()))
     replicas = {g.replica for g in d.untrusted_gates()}
-    if replicas != set(range(1 << groups)):
+    copies = 1 << groups
+    if MISCOMPARE_WIRE in n.outputs:
+        copies += 1  # an FT netlist also carries the spare copy 2^G
+    if replicas != set(range(copies)):
         raise NetlistError("expected replica indices 0..%d, found %s"
-                           % ((1 << groups) - 1, sorted(replicas)))
+                           % (copies - 1, sorted(replicas)))
     return d

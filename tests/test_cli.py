@@ -48,6 +48,16 @@ def test_eval_assign_rejects_unknown_and_repeated(tmp_path, capsys, assign,
     assert wire in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("assign", ["x1", "x1=", "a=1,b"])
+def test_eval_assign_rejects_malformed_item(tmp_path, capsys, assign):
+    nl = tmp_path / "m.nl"
+    nl.write_text("module m\ninput a b\noutput y\nand y a b\nend")
+    assert run("eval", nl, "--assign", assign) == 1
+    err = capsys.readouterr().err
+    assert repr(assign.split(",")[-1]) in err
+    assert "name=bit" in err
+
+
 def test_recordize_verify_roundtrip(tmp_path):
     src = tmp_path / "maj9.nl"
     enc = tmp_path / "maj9r2.nl"
@@ -156,6 +166,19 @@ def test_ft_sim_clean_and_faulted(tmp_path, capsys):
                "--report", report, "--csv", tmp_path / "ft.csv") == 0
     doc = json.loads(report.read_text())
     assert doc["committed_equals_reference"] is True
+
+
+def test_ft_sim_output_loads_in_every_command(tmp_path, capsys):
+    src = tmp_path / "maj9.nl"
+    ft = tmp_path / "m9ft.nl"
+    assert run("fixture", "maj9", "-o", src) == 0
+    assert run("ft-sim", src, "--cycles", "50", "-o", ft) == 0
+    assert run("simulate", ft, "--cycles", "200") == 0
+    assert run("verify", src, ft, "--mode", "exhaustive") == 0
+    assert run("attack", ft, "--cycles", "2000") == 0
+    assert run("trigger", ft, "--pattern", "101010101",
+               "--cycles", "1000") == 0
+    assert run("cost", src, ft) == 0
 
 
 def test_cost_report_cli(tmp_path, capsys):

@@ -1,11 +1,15 @@
+from dataclasses import asdict
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Evaluator, parse_netlist
-from recordkit.recordize import RecordConfig, partition_check
-from recordkit.rng import RngSpec
+from recordkit.recordize import RecordConfig, partition_check, replica_wire
+from recordkit.rng import RngSpec, bit_stream
 from recordkit.ftrecord import (FaultInjection, FaultPlan, FaultPlanError,
-                                ft_simulate, transform_ft)
+                                FTStep, FTTrace, ft_simulate, transform_ft)
 from recordkit.sim import Stimulus
 
 
@@ -116,6 +120,19 @@ def test_repeat_injection_flags_permanent_suspect():
     assert len(replays) >= 3
 
 
+def test_clean_replay_resets_replay_limit_count():
+    _, ft = _ft_and2()
+    stim = Stimulus.from_vectors([(1, 1)] * 30)
+    # two bursts of stuck-at-0 on replica 0's output; with this seed the
+    # replays miscompare 1, 0, 1, 1 times: three in all, never three in a row
+    plan = FaultPlan(tuple(FaultInjection(c, 0, "y", 0)
+                           for c in (0, 1, 2, 3, 10, 11, 12, 13)))
+    trace = ft_simulate(ft, stim, RngSpec(1), plan)
+    assert [s.miscompare for s in trace.steps if s.phase == 2] == \
+        [1, 0, 1, 1]
+    assert not trace.permanent_fault_suspected
+
+
 def test_single_transient_campaign_small():
     n, ft = _ft_and2()
     stim = Stimulus.uniform(40, seed=8)
@@ -154,6 +171,9 @@ def test_fault_plan_json_roundtrip(tmp_path):
     import json
     p.write_text(json.dumps(doc))
     assert FaultPlan.from_file(p) == plan
+    assert FaultPlan(list(plan.injections)) == plan
+    assert plan.at(20) == plan.injections[1]
+    assert plan.at(18) is None
 
 
 def test_fault_at_last_cycle_still_committed():
@@ -201,3 +221,150 @@ def test_trace_csv_export(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("step,phase,logical_cycle,e,r,miscompare")
     assert len(lines) == 1 + len(trace.steps)
+
+
+def _scalar_ft_simulate(ft, stim, rng, faults=None):
+    """Reference stepper: every protocol step is one one-lane evaluation,
+    drawing the random bit from the stream as the step runs."""
+    faults = faults or FaultPlan()
+    faults.validate(ft)
+    count, cols = stim.bound(len(ft.source.inputs))
+    rows = [{w: (c >> cyc) & 1 for w, c in zip(ft.source.inputs, cols)}
+            for cyc in range(count)]
+
+    ev = Evaluator(ft.design.netlist)
+    ref_ev = Evaluator(ft.source)
+    reference = []
+    for row in rows:
+        v = ref_ev.run(row)
+        reference.append({o: v[o] for o in ft.source.outputs})
+
+    r_bits = bit_stream(rng)
+    steps = []
+    committed = [None] * count
+    outputs = ft.source.outputs
+    r_wire = ft.design.random_wires[0]
+
+    phase = 1
+    lc = 0
+    step = 0
+    saved = None
+    replay_faults = 0
+    suspected = False
+    suspected_at = None
+
+    while lc < count or phase == 2:
+        inj = next((i for i in faults.injections if i.cycle == step), None)
+        force = None
+        if inj is not None:
+            force = {replica_wire(inj.replica, inj.wire): inj.value}
+        if phase == 1:
+            x = rows[lc]
+            r = next(r_bits)
+            v = ev.run(dict(x, **{r_wire: r}), force=force)
+            m = {o: v[ft.selected_outputs[o]] for o in outputs}
+            if v[ft.compare_wire]:
+                saved = (x, r, lc)
+                steps.append(FTStep(step, 1, lc, 1, r, 1, None, m))
+                phase = 2
+            else:
+                committed[lc] = m
+                steps.append(FTStep(step, 1, lc, 0, r, 0, m, None))
+                lc += 1
+        else:
+            x, r, saved_lc = saved
+            v = ev.run(dict(x, **{r_wire: r}), force=force)
+            vote = {o: v[ft.voter_outputs[o]] for o in outputs}
+            committed[saved_lc] = vote
+            mis = v[ft.compare_wire]
+            if mis:
+                replay_faults += 1
+                if replay_faults >= ft.replay_limit and not suspected:
+                    suspected = True
+                    suspected_at = step
+            else:
+                replay_faults = 0
+            steps.append(FTStep(step, 2, saved_lc, 0, r, mis, vote, None))
+            saved = None
+            phase = 1
+            lc = saved_lc + 1
+        step += 1
+
+    return FTTrace(steps, committed, reference, suspected, suspected_at)
+
+
+@lru_cache(maxsize=None)
+def _oracle_design(name):
+    if name == "and2":
+        return _ft_and2()
+    n = fixture_generate(name)
+    return n, transform_ft(n, RecordConfig.checkerboard(n, 1))
+
+
+@st.composite
+def _oracle_cases(draw):
+    name = draw(st.sampled_from(["and2", "maj9", "adder4"]))
+    n, ft = _oracle_design(name)
+    cycles = draw(st.integers(1, 60))
+    vectors = draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=len(n.inputs),
+                 max_size=len(n.inputs)),
+        min_size=cycles, max_size=cycles))
+    wires = [g.out for g in n.gates]
+    fault = st.tuples(st.integers(0, 2), st.sampled_from(wires),
+                      st.integers(0, 1))
+    by_step = {}
+    # up to three faults each held over a run of steps (replay chains, the
+    # replay-limit flag and its reset), then scattered transients
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, 2 * cycles))
+        held = draw(fault)
+        for step in range(start, start + draw(st.integers(1, 10))):
+            by_step.setdefault(step, held)
+    for step in draw(st.lists(st.integers(0, 2 * cycles + 4), max_size=10,
+                              unique=True)):
+        by_step.setdefault(step, draw(fault))
+    plan = FaultPlan(tuple(FaultInjection(step, *f)
+                           for step, f in sorted(by_step.items())))
+    seed = draw(st.integers(0, 2 ** 64 - 1))
+    return ft, Stimulus.from_vectors(vectors), RngSpec(seed), plan
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_cases())
+def test_word_parallel_matches_scalar_oracle(case):
+    ft, stim, rng, plan = case
+    got = ft_simulate(ft, stim, rng, plan)
+    want = _scalar_ft_simulate(ft, stim, rng, plan)
+    assert [asdict(s) for s in got.steps] == [asdict(s) for s in want.steps]
+    assert got.committed == want.committed
+    assert got.reference == want.reference
+    assert got.permanent_fault_suspected == want.permanent_fault_suspected
+    assert got.suspected_at_step == want.suspected_at_step
+
+
+def test_phase_one_stays_word_parallel(monkeypatch):
+    _, ft = _ft_maj9()
+    calls = []
+    run = Evaluator.run
+
+    def counted(self, values, mask=1, force=None):
+        calls.append(mask.bit_length())
+        return run(self, values, mask=mask, force=force)
+
+    monkeypatch.setattr(Evaluator, "run", counted)
+    stim = Stimulus.uniform(1000, seed=0)
+    ft_simulate(ft, stim, RngSpec(1))
+    assert calls == [1000, 1000]
+
+    # the reference pass, the packed FT pass, then one lane per injected
+    # or replayed step
+    plan = FaultPlan(tuple(FaultInjection(c, c % 3, "y", (c // 3) % 2)
+                           for c in range(5, 400, 7)))
+    calls.clear()
+    trace = ft_simulate(ft, stim, RngSpec(1), plan)
+    narrow = [s for s in trace.steps
+              if s.phase == 2 or plan.at(s.step) is not None]
+    assert any(s.phase == 2 for s in narrow)
+    assert calls == [1000, 1000] + [1] * len(narrow)
+
