@@ -1,16 +1,46 @@
-"""Packed bit vectors.
+"""Packed bit vectors and the one layer that converts to and from them.
 
 A ``Bits`` value holds a fixed-length 0/1 sequence inside a single Python
 integer, with index i stored at bit position i. Every stream type in this
-package (simulation traces, leak taps, reconstruction guesses) uses this
-representation so that bitwise logic and counting run word-parallel over
-arbitrary lengths.
+package (simulation traces, leak taps, reconstruction guesses, the image
+demo's bitplanes) uses this representation so that bitwise logic and
+counting run word-parallel over arbitrary lengths.
+
+This module owns every list<->packed conversion: ``pack`` (0/1 sequence to
+integer), ``unpack`` (integer to 0/1 list) and ``transpose`` (cycle-major
+stream to per-column integers). Each is a linear pass over one binary
+string, so no other module shifts a packed integer one bit at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, List, Tuple
+
+_DIGIT = {0: "0", 1: "1"}
+
+
+def pack(bits: Iterable[int]) -> int:
+    """Pack a 0/1 sequence, element i at bit position i."""
+    seq = list(bits)
+    try:
+        text = "".join([_DIGIT[b] for b in reversed(seq)])
+    except (KeyError, TypeError):
+        bad = next(b for b in seq if b not in (0, 1))
+        raise ValueError("bit sequence contains %r" % (bad,)) from None
+    return int(text or "0", 2)
+
+
+def unpack(value: int, n: int) -> List[int]:
+    """Bits 0..n-1 of a packed integer as 0/1 ints."""
+    return list(map(int, format(value, "0%db" % n)[::-1][:n]))
+
+
+def transpose(stream: int, count: int, width: int) -> Tuple[int, ...]:
+    """Split a cycle-major stream (bit c*width+i is cycle c of column i)
+    into width packed columns of count bits each."""
+    text = format(stream, "0%db" % (count * width))[::-1][:count * width]
+    return tuple(int(text[i::width][::-1] or "0", 2) for i in range(width))
 
 
 @dataclass(frozen=True)
@@ -26,14 +56,8 @@ class Bits:
 
     @classmethod
     def from_iterable(cls, bits: Iterable[int]) -> "Bits":
-        value = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bit sequence contains %r" % (b,))
-            value |= b << n
-            n += 1
-        return cls(value, n)
+        seq = list(bits)
+        return cls(pack(seq), len(seq))
 
     @classmethod
     def from_str(cls, text: str) -> "Bits":
@@ -69,10 +93,7 @@ class Bits:
         return (self.value >> i) & 1
 
     def __iter__(self) -> Iterator[int]:
-        v = self.value
-        for _ in range(self.n):
-            yield v & 1
-            v >>= 1
+        return iter(unpack(self.value, self.n))
 
     def _same_len(self, other: "Bits") -> None:
         if self.n != other.n:

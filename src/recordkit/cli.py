@@ -34,6 +34,14 @@ def _write_json(path: Optional[str], doc) -> None:
         sys.stdout.write(text)
 
 
+def _bit_flag(flag: str, text: str) -> tuple:
+    """Parse a binary-string flag value such as '0110' into its bits."""
+    if set(text) - {"0", "1"}:
+        raise ValueError("%s: %r is not a string of 0s and 1s"
+                         % (flag, text))
+    return tuple(map(int, text))
+
+
 def _subset(arg: str) -> Optional[list]:
     if arg == "all":
         return None
@@ -83,10 +91,11 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     n = read_netlist(args.netlist)
     if args.bits is not None:
-        if len(args.bits) != len(n.inputs):
+        bits = _bit_flag("--bits", args.bits)
+        if len(bits) != len(n.inputs):
             raise ValueError("--bits needs %d bits for inputs %s"
                              % (len(n.inputs), " ".join(n.inputs)))
-        assignment = {w: int(b) for w, b in zip(n.inputs, args.bits)}
+        assignment = dict(zip(n.inputs, bits))
     elif args.assign is not None:
         assignment = {}
         for item in args.assign.split(","):
@@ -165,7 +174,10 @@ def cmd_attack(args) -> int:
     elif args.pairs:
         pairs = []
         for item in args.pairs.split(","):
-            a, _, b = item.partition(":")
+            a, sep, b = item.partition(":")
+            if not (a and sep and b):
+                raise ValueError("--pairs: %r is not of the form wireA:wireB"
+                                 % item)
             pairs.append((a, b))
     else:
         pairs = []
@@ -178,14 +190,10 @@ def cmd_trigger(args) -> int:
     d = design_from_netlist(read_netlist(args.transformed))
     bus = d.replica_input_wires(0)
     watched = tuple(bus[i] for i in d.source_inputs)
-    pattern = tuple(int(b) for b in args.pattern)
+    pattern = _bit_flag("--pattern", args.pattern)
     trig = TriggerSpec(watched, pattern)
-    if args.x is not None:
-        x_bits = args.x
-    else:
-        x_bits = args.pattern
-    rows = [tuple(int(b) for b in x_bits)] * args.cycles
-    stim = Stimulus.from_vectors(rows)
+    x = pattern if args.x is None else _bit_flag("--x", args.x)
+    stim = Stimulus.from_vectors([x] * args.cycles)
     stats = trigger_experiment(d, trig, stim, RngSpec(args.seed))
     doc = {"cycles": stats.cycles, "fired": stats.count,
            "rate": stats.rate, "analytic_rate": stats.analytic_rate}

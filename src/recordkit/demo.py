@@ -13,8 +13,12 @@ through the chosen variant:
             and its four edge-adjacent neighbors sit in opposite groups.
 
 Windows are processed in raster order with fresh random bits per window.
-The enhanced image is always cross-checked bit for bit against the direct
-median-filter oracle.
+The image is a packed bitplane (pixel r*width+c at bit r*width+c), so the
+nine window inputs are nine shifted copies of that plane and each
+neighbor-difference map is the plane xored with one shifted copy; a shift
+replicates the border with row and column masks. The per-pixel
+median_filter/window_bits pair stays as the independent oracle: the
+enhanced image is always cross-checked bit for bit against it.
 
 The implant runs the gradient strategy: per window it xors the visible
 encoded center against each visible encoded neighbor, an estimate of the
@@ -42,12 +46,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bits import Bits
+from .bits import Bits, pack, unpack
 from .fixtures import make_maj9
 from .netlist import Netlist
 from .pgm import read_pgm, write_pgm
 from .recordize import PartitionedDesign, RecordConfig, transform
-from .rng import RngSpec, bit_stream, derive
+from .rng import RngSpec, derive, words
 from .sim import SimTrace, Stimulus, simulate, simulate_netlist
 from .trojan import mutual_information
 
@@ -103,17 +107,13 @@ def binarize(pixels: Sequence[int], threshold: int) -> List[int]:
 
 
 def salt_pepper(bits: Sequence[int], p: float, rng: RngSpec) -> List[int]:
-    """Flip each pixel independently with probability p (quantized 1/2^16)."""
+    """Flip each pixel independently with probability p (quantized 1/2^16).
+
+    Pixel i draws stream bits 16i..16i+15, so each 64-bit word serves four
+    pixels, low half-word first."""
     cut = int(p * 65536)
-    out = list(bits)
-    stream = bit_stream(rng)
-    for i in range(len(out)):
-        draw = 0
-        for k in range(16):
-            draw |= next(stream) << k
-        if draw < cut:
-            out[i] ^= 1
-    return out
+    draws = ((w >> k) & 0xFFFF for w in words(rng) for k in (0, 16, 32, 48))
+    return [b ^ (draw < cut) for b, draw in zip(bits, draws)]
 
 
 def _clamp(v: int, lo: int, hi: int) -> int:
@@ -141,28 +141,39 @@ def median_filter(img: Sequence[int], width: int, height: int) -> List[int]:
     return out
 
 
+def _shift(plane: int, dr: int, dc: int, width: int, height: int) -> int:
+    """Bitplane whose pixel (r, c) is the plane's pixel (r+dr, c+dc), with
+    dr, dc in {-1, 0, 1} and the border replicated."""
+    full = (1 << (width * height)) - 1
+    first_row = (1 << width) - 1
+    first_col = full // first_row
+    if dc == 1:
+        last_col = first_col << (width - 1)
+        plane = ((plane >> 1) & ~last_col) | (plane & last_col)
+    elif dc == -1:
+        plane = ((plane << 1) & (full ^ first_col)) | (plane & first_col)
+    if dr == 1:
+        last_row = first_row << (width * (height - 1))
+        plane = (plane >> width) | (plane & last_row)
+    elif dr == -1:
+        plane = ((plane << width) & full) | (plane & first_row)
+    return plane
+
+
 def window_stimulus(img: Sequence[int], width: int, height: int) -> Stimulus:
-    rows = [window_bits(img, width, height, r, c)
-            for r in range(height) for c in range(width)]
-    return Stimulus.from_vectors(rows)
+    """One cycle per pixel in raster order; input x(k+1) is the k-th
+    window offset's shifted plane."""
+    plane = pack(img)
+    cols = tuple(_shift(plane, dr, dc, width, height) for dr, dc in _OFFSETS)
+    return Stimulus(count=width * height, width=len(cols), columns=cols)
 
 
 def neighbor_differences(img: Sequence[int], width: int,
                          height: int) -> List[Bits]:
     """For each of the 8 neighbor directions, the per-pixel difference map."""
-    n = width * height
-    maps = []
-    for k in _NEIGHBOR_IDX:
-        dr, dc = _OFFSETS[k]
-        v = 0
-        for r in range(height):
-            for c in range(width):
-                rr = _clamp(r + dr, 0, height - 1)
-                cc = _clamp(c + dc, 0, width - 1)
-                if img[r * width + c] != img[rr * width + cc]:
-                    v |= 1 << (r * width + c)
-        maps.append(Bits(v, n))
-    return maps
+    plane = pack(img)
+    return [Bits(plane ^ _shift(plane, *_OFFSETS[k], width, height),
+                 width * height) for k in _NEIGHBOR_IDX]
 
 
 def geometric_edges(img: Sequence[int], width: int, height: int) -> Bits:
@@ -173,25 +184,15 @@ def geometric_edges(img: Sequence[int], width: int, height: int) -> Bits:
     return acc
 
 
-def edge_prediction(diff_maps: Sequence[Bits], min_votes: int = 2) -> Bits:
-    """Pixels where at least min_votes difference estimates are set."""
+def edge_prediction(diff_maps: Sequence[Bits]) -> Bits:
+    """Pixels where at least two difference estimates are set."""
     if not diff_maps:
         raise ValueError("no difference estimates")
-    n = len(diff_maps[0])
-    counts = [0] * n
+    ones = twos = 0
     for m in diff_maps:
-        v = m.value
-        idx = 0
-        while v:
-            if v & 1:
-                counts[idx] += 1
-            v >>= 1
-            idx += 1
-    out = 0
-    for i, k in enumerate(counts):
-        if k >= min_votes:
-            out |= 1 << i
-    return Bits(out, n)
+        twos |= ones & m.value
+        ones |= m.value
+    return Bits(twos, len(diff_maps[0]))
 
 
 def f1_score(pred: Bits, truth: Bits) -> float:
@@ -251,16 +252,9 @@ def leaked_image(run: _VariantRun, width: int, height: int) -> List[int]:
     """Render difference estimates as gray levels; enhanced image for plain."""
     if run.design is None:
         return [255 * p for p in run.enhanced]
-    n = width * height
-    out = []
     k = len(run.estimates)
-    for i in range(n):
-        if k == 0:
-            out.append(128)
-            continue
-        ones = sum(m[i] for m in run.estimates)
-        out.append((255 * ones) // k)
-    return out
+    planes = (unpack(m.value, width * height) for m in run.estimates)
+    return [(255 * sum(votes)) // k for votes in zip(*planes)]
 
 
 def demo_image(cfg: ImageDemoConfig) -> DemoResult:

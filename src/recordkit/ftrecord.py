@@ -42,10 +42,12 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .bits import unpack
 from .netlist import Evaluator, Gate, Netlist, validate
 from .recordize import (COMPARE_PREFIX, MISCOMPARE_WIRE, SPARE_INPUT_PREFIX,
                         VOTE_PAIR_PREFIXES, VOTE_PREFIX, PartitionedDesign,
-                        RecordConfig, build_replica, replica_wire, transform)
+                        RecordConfig, build_replica, replica_wire,
+                        selected_wire, transform)
 from .rng import RngSpec, packed_bits
 from .sim import Stimulus
 
@@ -92,7 +94,7 @@ def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
         gates.append(Gate("MUX2", w, (r1, rep0[i], rep1[i])))
     spare_gates, spare_outputs = build_replica(n, SPARE, spare_inputs)
     gates.extend(spare_gates)
-    selected = {o: d.selected_wire(o) for o in n.outputs}
+    selected = {o: selected_wire(o) for o in n.outputs}
 
     cmp_wires = tuple(COMPARE_PREFIX + o for o in n.outputs)
     for o, w in zip(n.outputs, cmp_wires):
@@ -230,11 +232,6 @@ class FTTrace:
                 w.writerow(row)
 
 
-def _lanes(col: int, count: int) -> List[int]:
-    """Lanes 0..count-1 of a packed column as 0/1 ints, in linear time."""
-    return [int(b) for b in format(col, "0%db" % count)[::-1][:count]]
-
-
 def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                 faults: Optional[FaultPlan] = None) -> FTTrace:
     """Run the two-phase detect/replay protocol over a stimulus."""
@@ -247,18 +244,18 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     x_cols = dict(zip(ft.source.inputs, cols))
 
     ref = ft.source_evaluator.run(x_cols, mask=mask)
-    ref_lanes = [_lanes(ref[o], count) for o in outputs]
+    ref_lanes = [unpack(ref[o], count) for o in outputs]
     reference = [dict(zip(outputs, bits)) for bits in zip(*ref_lanes)]
 
     # logical cycle c draws stream bit c: one fault-free packed pass gives
     # every phase-1 step that has no injection and no miscompare
     r_col = packed_bits(rng, count)
     packed = ft.evaluator.run({**x_cols, r_wire: r_col}, mask=mask)
-    r_lanes = _lanes(r_col, count)
-    e_lanes = _lanes(packed[ft.compare_wire], count)
-    sel_lanes = [_lanes(packed[ft.selected_outputs[o]], count)
+    r_lanes = unpack(r_col, count)
+    e_lanes = unpack(packed[ft.compare_wire], count)
+    sel_lanes = [unpack(packed[ft.selected_outputs[o]], count)
                  for o in outputs]
-    x_lanes = {w: _lanes(c, count) for w, c in x_cols.items()}
+    x_lanes = {w: unpack(c, count) for w, c in x_cols.items()}
 
     def narrow(lc: int, inj: Optional[FaultInjection]) -> Dict[str, int]:
         values = {w: bits[lc] for w, bits in x_lanes.items()}

@@ -164,12 +164,6 @@ class PartitionedDesign:
     def encode_wire(self, x: str) -> str:
         return ENCODE_PREFIX + x
 
-    def encode_complement_wire(self, x: str) -> str:
-        return ENCODE_COMPLEMENT_PREFIX + x
-
-    def selected_wire(self, o: str) -> str:
-        return selected_wire(o)
-
     def replica_input_wires(self, k: int) -> Dict[str, str]:
         """Wire feeding each source input position of replica k."""
         return replica_input_map(self.config, self.source_inputs, k)

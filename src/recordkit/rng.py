@@ -9,6 +9,7 @@ across implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .bits import Bits
@@ -48,13 +49,9 @@ def packed_bits(spec: RngSpec, n: int) -> int:
     """First n stream bits packed with bit i of the stream at position i."""
     if n < 0:
         raise ValueError("negative bit count")
-    value = 0
-    shift = 0
-    gen = words(spec)
-    while shift < n:
-        value |= next(gen) << shift
-        shift += 64
-    return value & ((1 << n) - 1)
+    data = b"".join(w.to_bytes(8, "little")
+                    for w in islice(words(spec), (n + 63) // 64))
+    return int.from_bytes(data, "little") & ((1 << n) - 1)
 
 
 def rng_bits(spec: RngSpec, n: int) -> Bits:

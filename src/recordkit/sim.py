@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .bits import Bits
+from .bits import Bits, pack, transpose, unpack
 from .netlist import Evaluator, Netlist
 from .recordize import PartitionedDesign
 from .rng import RngSpec, packed_bits, rng_bits
@@ -59,16 +60,14 @@ class Stimulus:
         if not mats:
             raise ValueError("empty stimulus")
         width = len(mats[0])
-        cols = [0] * width
         for c, row in enumerate(mats):
             if len(row) != width:
                 raise ValueError("row %d has width %d, expected %d"
                                  % (c, len(row), width))
-            for i, b in enumerate(row):
-                if b not in (0, 1):
-                    raise ValueError("stimulus bit must be 0 or 1")
-                cols[i] |= b << c
-        return cls(count=len(mats), width=width, columns=tuple(cols))
+            if not {0, 1}.issuperset(row):
+                raise ValueError("stimulus bit must be 0 or 1")
+        return cls(count=len(mats), width=width,
+                   columns=tuple(pack(col) for col in zip(*mats)))
 
     @classmethod
     def from_file(cls, path) -> "Stimulus":
@@ -92,7 +91,7 @@ class Stimulus:
                                       "%d design inputs" % (self.width, width))
             return self.count, self.columns
         stream = packed_bits(RngSpec(self.seed or 0), self.count * width)
-        return self.count, _deinterleave(stream, self.count, width)
+        return self.count, transpose(stream, self.count, width)
 
 
 @dataclass
@@ -122,9 +121,8 @@ class SimTrace:
             w = csv.writer(f)
             w.writerow(["cycle", "wire", "value"])
             for wire in self.netlist.wires():
-                packed = self.wires[wire]
-                for c in range(self.cycles):
-                    w.writerow([c, wire, (packed >> c) & 1])
+                w.writerows(zip(range(self.cycles), repeat(wire),
+                                unpack(self.wires[wire], self.cycles)))
 
     def summary(self) -> dict:
         outputs = {o: Bits(self.wires[o], self.cycles).count()
@@ -135,37 +133,10 @@ class SimTrace:
                 "output_ones": outputs}
 
 
-def _deinterleave(stream: int, count: int, width: int) -> Tuple[int, ...]:
-    """Split a cycle-major bit stream (bit c*width+i is cycle c of column i)
-    into width packed columns. Works chunkwise so the cost stays linear."""
-    if width == 1:
-        return (stream,)
-    chunk_cycles = 4096
-    cols = [0] * width
-    done = 0
-    while done < count:
-        take = min(chunk_cycles, count - done)
-        window = (stream >> (done * width)) & ((1 << (take * width)) - 1)
-        part = [0] * width
-        for c in range(take):
-            row = (window >> (c * width)) & ((1 << width) - 1)
-            i = 0
-            while row:
-                if row & 1:
-                    part[i] |= 1 << c
-                row >>= 1
-                i += 1
-        for i in range(width):
-            cols[i] |= part[i] << done
-        done += take
-    return tuple(cols)
-
-
 def r_columns(rng: RngSpec, cycles: int, groups: int) -> Tuple[int, ...]:
     """Packed per-group random columns; cycle c uses stream bits
     c*groups .. c*groups+groups-1, group 1 first."""
-    stream = packed_bits(rng, cycles * groups)
-    return _deinterleave(stream, cycles, groups)
+    return transpose(packed_bits(rng, cycles * groups), cycles, groups)
 
 
 def simulate(d: PartitionedDesign, stim: Stimulus,

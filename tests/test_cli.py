@@ -58,6 +58,39 @@ def test_eval_assign_rejects_malformed_item(tmp_path, capsys, assign):
     assert "name=bit" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("eval", "{src}", "--bits", "10a010101"), "--bits"),
+    (("trigger", "{enc}", "--pattern", "10101010a"), "--pattern"),
+    (("trigger", "{enc}", "--pattern", "101010101", "--x", "10101010x"),
+     "--x"),
+])
+def test_malformed_bit_string_names_the_flag(tmp_path, capsys, argv, flag):
+    src = tmp_path / "maj9.nl"
+    enc = tmp_path / "enc.nl"
+    run("fixture", "maj9", "-o", src)
+    run("recordize", src, "-o", enc)
+    capsys.readouterr()
+    assert run(*(a.format(src=src, enc=enc) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert "%s: %r" % (flag, argv[-1]) in err
+    assert "0s and 1s" in err
+    assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("pairs", ["__t_x1", "__t_x1:", ":__t_x2",
+                                   "__t_x1:__t_x2,__t_x3"])
+def test_attack_rejects_malformed_pair(tmp_path, capsys, pairs):
+    src = tmp_path / "maj9.nl"
+    enc = tmp_path / "enc.nl"
+    run("fixture", "maj9", "-o", src)
+    run("recordize", src, "-o", enc)
+    capsys.readouterr()
+    assert run("attack", enc, "--cycles", "100", "--pairs", pairs) == 1
+    err = capsys.readouterr().err
+    assert repr(pairs.split(",")[-1]) in err
+    assert "wireA:wireB" in err
+
+
 def test_recordize_verify_roundtrip(tmp_path):
     src = tmp_path / "maj9.nl"
     enc = tmp_path / "maj9r2.nl"

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from recordkit.bits import Bits
 from recordkit.demo import (ImageDemoConfig, demo_image, edge_prediction,
                             f1_score, geometric_edges, median_filter,
-                            salt_pepper, synthetic_scene, window_bits)
+                            neighbor_differences, salt_pepper,
+                            synthetic_scene, window_bits, window_stimulus)
 from recordkit.pgm import read_pgm, write_pgm
 from recordkit.rng import RngSpec
 
@@ -171,3 +173,67 @@ def test_demo_config_validation():
         ImageDemoConfig(out_dir="x", threshold=300)
     with pytest.raises(ValueError, match="noise"):
         ImageDemoConfig(out_dir="x", noise=1.0)
+
+
+# Bitplane layer against per-pixel references. Images range from 1x1 to
+# 9x9; the explicit examples pin the 1-wide and 1-tall cases, where a
+# shift's row and column masks cover the whole plane.
+
+NEIGHBORS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+             if (dr, dc) != (0, 0)]
+
+
+@st.composite
+def _images(draw):
+    w = draw(st.integers(1, 9))
+    h = draw(st.integers(1, 9))
+    img = draw(st.lists(st.integers(0, 1), min_size=w * h, max_size=w * h))
+    return img, w, h
+
+
+def _pixel(img, w, h, r, c):
+    return img[min(max(r, 0), h - 1) * w + min(max(c, 0), w - 1)]
+
+
+def _reference_differences(img, w, h):
+    return [[int(img[r * w + c] != _pixel(img, w, h, r + dr, c + dc))
+             for r in range(h) for c in range(w)] for dr, dc in NEIGHBORS]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_images())
+@example(([1, 0, 1, 1, 0], 1, 5))
+@example(([1, 0, 1, 1, 0], 5, 1))
+@example(([1], 1, 1))
+def test_window_stimulus_matches_window_bits(case):
+    img, w, h = case
+    count, cols = window_stimulus(img, w, h).bound(9)
+    assert count == w * h
+    for r in range(h):
+        for c in range(w):
+            i = r * w + c
+            assert [(col >> i) & 1 for col in cols] \
+                == window_bits(img, w, h, r, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_images())
+@example(([0, 1, 1, 0, 1, 0], 1, 6))
+@example(([0, 1, 1, 0, 1, 0], 6, 1))
+def test_neighbor_differences_match_per_pixel_compare(case):
+    img, w, h = case
+    got = [list(m) for m in neighbor_differences(img, w, h)]
+    assert got == _reference_differences(img, w, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_images(), st.sets(st.integers(0, 7), min_size=1))
+@example(([1, 0, 0, 1, 1, 0, 1], 1, 7), {0, 3, 6})
+@example(([1, 0, 0, 1, 1, 0, 1], 7, 1), {1, 2, 4, 7})
+def test_edge_prediction_matches_vote_counts(case, picked):
+    img, w, h = case
+    maps = neighbor_differences(img, w, h)
+    chosen = [maps[k] for k in sorted(picked)]
+    ref = _reference_differences(img, w, h)
+    votes = [sum(ref[k][i] for k in picked) for i in range(w * h)]
+    assert list(edge_prediction(chosen)) == [int(v >= 2) for v in votes]

@@ -1,22 +1,30 @@
 """Byte-identity guard: SHA-256 digests of the artifacts a refactor must
 not change (transformed netlists, FT netlists and step logs, leak reports,
-derived seeds). The digests were computed before the construction code
-was consolidated; any drift in a reserved name, gate order or report
-field shows up here as a changed digest."""
+derived seeds, bound stimulus columns, trace CSVs, the image demo's PGMs
+and report). Each digest was computed before the code that produces it
+was rewritten; any drift in a reserved name, gate order, bit order or
+report field shows up here as a changed digest."""
 
+import functools
 import hashlib
 import json
+import random
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+from recordkit.demo import (ImageDemoConfig, demo_image, salt_pepper,
+                            synthetic_scene)
 from recordkit.fixtures import fixture_generate
 from recordkit.ftrecord import (FaultInjection, FaultPlan, ft_simulate,
                                 transform_ft)
 from recordkit.netlist import write_netlist
+from recordkit.pgm import write_pgm
 from recordkit.recordize import RecordConfig, transform
 from recordkit.rng import RngSpec, derive
-from recordkit.sim import Stimulus, simulate
+from recordkit.sim import Stimulus, r_columns, simulate
 from recordkit.trojan import leak_report
 
 FIXTURES = {"aes-sbox": {}, "maj9": {}, "adder4": {}, "and-tree-5": {"n": 5}}
@@ -59,7 +67,62 @@ GOLDEN = {
         "03da62f1998824a70edabf81c4b163cd59715fe06835b4902a402ace5fe97078",
     "derive/noise":
         "17654a1757946ccbd6a6e01a2adc90d13d024fcd47a30aea0cc0c4f7556618a6",
+    "demo_image/plain/original.pgm":
+        "b6bf71e82dcc56edc1adb9fdd425e36345c56eeb648ca63affbdcaa732ab35b0",
+    "demo_image/plain/enhanced.pgm":
+        "83a5aed5f3570dc48672a0ed1bb2ed86f411eca3ac90b465e106959046f052e3",
+    "demo_image/plain/leaked.pgm":
+        "83a5aed5f3570dc48672a0ed1bb2ed86f411eca3ac90b465e106959046f052e3",
+    "demo_image/plain/report.json":
+        "e8f864d770edce72293f0705a6f552be7a4b120c0a535fa9eef1957c32f11d6b",
+    "demo_image/record1/original.pgm":
+        "b6bf71e82dcc56edc1adb9fdd425e36345c56eeb648ca63affbdcaa732ab35b0",
+    "demo_image/record1/enhanced.pgm":
+        "83a5aed5f3570dc48672a0ed1bb2ed86f411eca3ac90b465e106959046f052e3",
+    "demo_image/record1/leaked.pgm":
+        "8dca9e36bb3b51acbcce3de4644a942061962d7584ad47d4b3c4d1cd40f93179",
+    "demo_image/record1/report.json":
+        "bce6d6da5aed8830d461f548c578ab612cae6f6ccdc890ceced18d55ddc0e370",
+    "demo_image/record2/original.pgm":
+        "b6bf71e82dcc56edc1adb9fdd425e36345c56eeb648ca63affbdcaa732ab35b0",
+    "demo_image/record2/enhanced.pgm":
+        "83a5aed5f3570dc48672a0ed1bb2ed86f411eca3ac90b465e106959046f052e3",
+    "demo_image/record2/leaked.pgm":
+        "7176148889eb79329c66e501ee4648d099fbb7d45fdfbfd932601fdca7fd871c",
+    "demo_image/record2/report.json":
+        "2c7236016a39125813fea6240f52366f9e9131d2d25c8580aac933ab1c2079e7",
+    "demo_input/plain/original.pgm":
+        "6be8c0f01c83e8e37bfbb0a9e6234f4d808c2c8639c0e5e36317a5b77266bc88",
+    "demo_input/plain/enhanced.pgm":
+        "565037e5546a2a8e2dfc5a690b258037a5728ad61f86eea1ff01a0af8508f07d",
+    "demo_input/plain/leaked.pgm":
+        "565037e5546a2a8e2dfc5a690b258037a5728ad61f86eea1ff01a0af8508f07d",
+    "demo_input/plain/report.json":
+        "553f92ebe7c7e174877ec30d719b094427af8d29c62541bc4f79b4c67dfaf100",
+    "demo_input/record2/original.pgm":
+        "6be8c0f01c83e8e37bfbb0a9e6234f4d808c2c8639c0e5e36317a5b77266bc88",
+    "demo_input/record2/enhanced.pgm":
+        "565037e5546a2a8e2dfc5a690b258037a5728ad61f86eea1ff01a0af8508f07d",
+    "demo_input/record2/leaked.pgm":
+        "1f87d6f01526a6378e3d6bf6066bc559dc5a523152125c9ccfb9a0ed96238d9e",
+    "demo_input/record2/report.json":
+        "6d8a760ab8a880a3389b67cd4d736c70d586cb2e6623c3e99347f9a0f20adbc5",
+    "bound/uniform":
+        "f49908b6e9a26310a7f704570817bcc356c1ea0106735c97ca7f0c1f4a7a8330",
+    "bound/from_vectors":
+        "79e11fad60b58baafd065e5a013c361d5063a8b48808fe763f1e4a311475f125",
+    "r_columns/G1G2":
+        "2dcca180345eaa10d20e975afa20cc4566c487fd575b18f1534cf3ef2b801bed",
+    "salt_pepper/scene":
+        "1fa8edbe134d76bb39c50c8430e13a2568923a0ab8f881ed2e9e19f35dda123f",
+    "to_csv/sim":
+        "cc173c1d4bc31b90306c20d9251de2fa99eb0493e36b26cd7ec7527f6b67d838",
+    "to_csv/ft":
+        "86c6a931212eb171dec2dbbc7e834ac4db0a30fa97563c15b768ea21b30af4be",
 }
+
+
+DEMO_FILES = ("original.pgm", "enhanced.pgm", "leaked.pgm", "report.json")
 
 
 def _fixture(name):
@@ -67,16 +130,71 @@ def _fixture(name):
     return fixture_generate(kind, **FIXTURES[name])
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _digest(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
 
 
 def _json(doc) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _artifact(key: str) -> str:
+@functools.lru_cache(maxsize=None)
+def _demo_files(source: str, variant: str) -> dict:
+    """demo_image at seed 0 on the built-in scene ("demo_image") or on a
+    random 13x7 gray image with 10% noise ("demo_input"): name -> bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        extra = {}
+        if source == "demo_input":
+            rng = random.Random(5)
+            extra = {"input_path": str(out / "in.pgm"), "noise": 0.1}
+            write_pgm(extra["input_path"], 13, 7,
+                      [rng.randrange(256) for _ in range(13 * 7)])
+        demo_image(ImageDemoConfig(out_dir=str(out), variant=variant, seed=0,
+                                   report_path=str(out / "report.json"),
+                                   **extra))
+        return {name: (out / name).read_bytes() for name in DEMO_FILES}
+
+
+def _maj9_ft_trace():
+    n = _fixture("maj9")
+    ft = transform_ft(n, RecordConfig.checkerboard(n, 1))
+    plan = FaultPlan([FaultInjection(c, c % 3, "y", (c // 3) % 2)
+                      for c in range(2, 30, 2)])
+    return ft_simulate(ft, Stimulus.uniform(40, seed=5), RngSpec(5), plan)
+
+
+def _csv_bytes(trace) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        trace.to_csv(path)
+        return path.read_bytes()
+
+
+def _artifact(key: str):
     parts = key.split("/")
+    if parts[0] in ("demo_image", "demo_input"):
+        return _demo_files(parts[0], parts[1])[parts[2]]
+    if parts[0] == "bound":
+        if parts[1] == "uniform":
+            return _json(list(Stimulus.uniform(1000, seed=3).bound(9)[1]))
+        rng = random.Random(11)
+        rows = [[rng.getrandbits(1) for _ in range(7)] for _ in range(300)]
+        return _json(list(Stimulus.from_vectors(rows).bound(7)[1]))
+    if parts[0] == "r_columns":
+        return _json([list(r_columns(RngSpec(4), 777, g)) for g in (1, 2)])
+    if parts[0] == "salt_pepper":
+        noisy = salt_pepper(synthetic_scene(), 0.05, RngSpec(3))
+        return "".join(map(str, noisy))
+    if parts[0] == "to_csv":
+        if parts[1] == "ft":
+            return _csv_bytes(_maj9_ft_trace())
+        n = _fixture("maj9")
+        d = transform(n, RecordConfig.checkerboard(n, 2))
+        return _csv_bytes(simulate(d, Stimulus.uniform(50, seed=2),
+                                   RngSpec(2)))
     if parts[0] == "transform":
         n = _fixture(parts[1])
         groups = int(parts[2][1:])
@@ -87,13 +205,7 @@ def _artifact(key: str) -> str:
         return write_netlist(
             transform_ft(n, RecordConfig.checkerboard(n, 1)).design.netlist)
     if parts[0] == "ft_simulate":
-        n = _fixture(parts[1])
-        ft = transform_ft(n, RecordConfig.checkerboard(n, 1))
-        plan = FaultPlan([FaultInjection(c, c % 3, "y", (c // 3) % 2)
-                          for c in range(2, 30, 2)])
-        trace = ft_simulate(ft, Stimulus.uniform(40, seed=5), RngSpec(5),
-                            plan)
-        return _json([asdict(s) for s in trace.steps])
+        return _json([asdict(s) for s in _maj9_ft_trace().steps])
     if parts[0] == "leak_report":
         n = _fixture(parts[1])
         d = transform(n, RecordConfig.checkerboard(n, int(parts[2][1:])))
