@@ -58,7 +58,11 @@ def _config(args, source) -> RecordConfig:
     if args.grouping.startswith("explicit:"):
         path = args.grouping.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as f:
-            assignment = {k: int(v) for k, v in json.load(f).items()}
+            assignment = json.load(f)
+        if not isinstance(assignment, dict) or any(
+                type(g) is not int for g in assignment.values()):
+            raise ValueError('%s: grouping file must be a JSON object '
+                             '{"input": group} with integer groups' % path)
         names = subset if subset is not None else list(source.inputs)
         return RecordConfig(tuple(names), args.rand_bits, assignment)
     raise ValueError("grouping must be 'checkerboard' or 'explicit:<file>'")

@@ -18,13 +18,15 @@ ft_simulate() runs the two-phase protocol around that datapath:
             replaces the buffered value, e clears, phase 1 resumes.
 
 Every logical cycle c draws exactly one random bit, stream bit c: phase 1
-draws it and a replay reuses the saved bit. ft_simulate() therefore runs
-phase 1 word-parallel: one packed pass of the source netlist gives the
-reference, and one packed fault-free pass of the FT netlist over all cycles
-gives the selected outputs and the miscompare of every step that has no
-injection. Only a step with an injection, a packed miscompare or a replay is
-evaluated narrowly, one lane with the fault forced, so multi-fault plans,
-replay chains and the replay-limit flag keep the per-step semantics.
+draws it and a replay reuses the saved bit, which is sim.r_columns' layout
+for one random bit. So ft_simulate() runs phase 1 word-parallel through
+sim: simulate_netlist() of the source netlist gives the reference, and
+simulate() of the FT design, one fault-free packed pass over all cycles,
+gives the input lanes, the selected outputs and the miscompare of every
+step that has no injection. Only a step with an injection, a packed
+miscompare or a replay is evaluated narrowly, one lane with the fault
+forced, so multi-fault plans, replay chains and the replay-limit flag keep
+the per-step semantics.
 
 Under the single-transient fault assumption the committed stream equals
 the fault-free reference: the selected copy and the spare recompute
@@ -43,13 +45,13 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bits import unpack
-from .netlist import Evaluator, Gate, Netlist, validate
+from .netlist import Gate, Netlist, validate
 from .recordize import (COMPARE_PREFIX, MISCOMPARE_WIRE, SPARE_INPUT_PREFIX,
                         VOTE_PAIR_PREFIXES, VOTE_PREFIX, PartitionedDesign,
                         RecordConfig, build_replica, replica_wire,
                         selected_wire, transform)
-from .rng import RngSpec, packed_bits
-from .sim import Stimulus
+from .rng import RngSpec
+from .sim import Stimulus, simulate, simulate_netlist
 
 REPLAY_LIMIT = 3
 SPARE = 2
@@ -68,14 +70,6 @@ class FTDesign:
     selected_outputs: Dict[str, str]
     compare_wire: str
     voter_outputs: Dict[str, str]
-    replay_limit: int = REPLAY_LIMIT
-    evaluator: Evaluator = field(init=False, repr=False, compare=False)
-    source_evaluator: Evaluator = field(init=False, repr=False,
-                                        compare=False)
-
-    def __post_init__(self):
-        self.evaluator = Evaluator(self.design.netlist)
-        self.source_evaluator = Evaluator(self.source)
 
 
 def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
@@ -182,9 +176,19 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, doc: Sequence[dict]) -> "FaultPlan":
-        return cls(tuple(FaultInjection(int(e["cycle"]), int(e["replica"]),
-                                        str(e["wire"]), int(e["value"]))
-                         for e in doc))
+        types = {"cycle": int, "replica": int, "wire": str, "value": int}
+        if not isinstance(doc, list):
+            raise FaultPlanError("a fault plan is a list of injections, "
+                                 "got %s" % type(doc).__name__)
+        for i, e in enumerate(doc):
+            if not isinstance(e, dict) or e.keys() != types.keys():
+                raise FaultPlanError("injection %d is not an object with "
+                                     "the keys %s" % (i, ", ".join(types)))
+            for k, t in types.items():
+                if type(e[k]) is not t:  # so a bool is not an int
+                    raise FaultPlanError("injection %d: %s must be %s, got "
+                                         "%r" % (i, k, t.__name__, e[k]))
+        return cls(tuple(FaultInjection(**e) for e in doc))
 
     @classmethod
     def from_file(cls, path) -> "FaultPlan":
@@ -237,33 +241,29 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     """Run the two-phase detect/replay protocol over a stimulus."""
     faults = faults or FaultPlan()
     faults.validate(ft)
-    count, cols = stim.bound(len(ft.source.inputs))
-    mask = (1 << count) - 1
     outputs = ft.source.outputs
-    r_wire = ft.design.random_wires[0]
-    x_cols = dict(zip(ft.source.inputs, cols))
-
-    ref = ft.source_evaluator.run(x_cols, mask=mask)
-    ref_lanes = [unpack(ref[o], count) for o in outputs]
+    ref = simulate_netlist(ft.source, stim)
+    count = ref.cycles
+    ref_lanes = [unpack(ref.wires[o], count) for o in outputs]
     reference = [dict(zip(outputs, bits)) for bits in zip(*ref_lanes)]
 
-    # logical cycle c draws stream bit c: one fault-free packed pass gives
-    # every phase-1 step that has no injection and no miscompare
-    r_col = packed_bits(rng, count)
-    packed = ft.evaluator.run({**x_cols, r_wire: r_col}, mask=mask)
-    r_lanes = unpack(r_col, count)
-    e_lanes = unpack(packed[ft.compare_wire], count)
-    sel_lanes = [unpack(packed[ft.selected_outputs[o]], count)
+    # logical cycle c draws stream bit c, as simulate's one random column
+    # does: this fault-free pass gives every phase-1 step that has no
+    # injection and no miscompare
+    packed = simulate(ft.design, stim, rng)
+    in_lanes = {w: unpack(packed.wires[w], count)
+                for w in ft.design.netlist.inputs}
+    r_lanes = in_lanes[ft.design.random_wires[0]]
+    e_lanes = unpack(packed.wires[ft.compare_wire], count)
+    sel_lanes = [unpack(packed.wires[ft.selected_outputs[o]], count)
                  for o in outputs]
-    x_lanes = {w: unpack(c, count) for w, c in x_cols.items()}
 
     def narrow(lc: int, inj: Optional[FaultInjection]) -> Dict[str, int]:
-        values = {w: bits[lc] for w, bits in x_lanes.items()}
-        values[r_wire] = r_lanes[lc]
+        values = {w: bits[lc] for w, bits in in_lanes.items()}
         force = None
         if inj is not None:
             force = {replica_wire(inj.replica, inj.wire): inj.value}
-        return ft.evaluator.run(values, force=force)
+        return ft.design.netlist.evaluator.run(values, force=force)
 
     steps: List[FTStep] = []
     committed: List[Optional[Dict[str, int]]] = [None] * count
@@ -301,7 +301,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
             mis = v[ft.compare_wire]
             if mis:
                 replay_faults += 1
-                if replay_faults >= ft.replay_limit and not suspected:
+                if replay_faults >= REPLAY_LIMIT and not suspected:
                     suspected = True
                     suspected_at = step
             else:

@@ -23,12 +23,19 @@ by the encoding transform and is rejected there on user inputs.
 Evaluation is word-parallel: every wire value is a Python integer whose bit
 j carries the wire's value in sample j, so one pass over the gate list
 evaluates arbitrarily many input combinations at once.
+
+One table, ``_KINDS``, holds each gate kind's keyword, arity range, base op
+and complemented flag: nand, nor, xnor, not and const1 evaluate as and, or,
+xor, buf and const0 followed by ``x ^= mask``. ``Netlist.evaluator`` is the
+netlist's one cached, topologically sorted plan; only this module builds an
+``Evaluator``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 WIRE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
@@ -36,27 +43,22 @@ WIRE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 TRUSTED = "trusted"
 UNTRUSTED = "untrusted"
 
-# kind -> (min_arity, max_arity or None for unbounded)
-_ARITY = {
-    "NOT": (1, 1),
-    "BUF": (1, 1),
-    "AND": (2, None),
-    "OR": (2, None),
-    "NAND": (2, None),
-    "NOR": (2, None),
-    "XOR": (2, None),
-    "XNOR": (2, None),
-    "MUX2": (3, 3),
-    "CONST0": (0, 0),
-    "CONST1": (0, 0),
+# kind -> (keyword, min arity, max arity or None, base op, complemented).
+# A complemented kind evaluates as its base op followed by x ^= mask.
+_KINDS = {
+    "BUF": ("buf", 1, 1, "BUF", False),
+    "NOT": ("not", 1, 1, "BUF", True),
+    "AND": ("and", 2, None, "AND", False),
+    "NAND": ("nand", 2, None, "AND", True),
+    "OR": ("or", 2, None, "OR", False),
+    "NOR": ("nor", 2, None, "OR", True),
+    "XOR": ("xor", 2, None, "XOR", False),
+    "XNOR": ("xnor", 2, None, "XOR", True),
+    "MUX2": ("mux", 3, 3, "MUX2", False),
+    "CONST0": ("const0", 0, 0, "CONST0", False),
+    "CONST1": ("const1", 0, 0, "CONST0", True),
 }
-
-_KEYWORD_TO_KIND = {
-    "not": "NOT", "buf": "BUF", "and": "AND", "or": "OR", "nand": "NAND",
-    "nor": "NOR", "xor": "XOR", "xnor": "XNOR", "mux": "MUX2",
-    "const0": "CONST0", "const1": "CONST1",
-}
-_KIND_TO_KEYWORD = {v: k for k, v in _KEYWORD_TO_KIND.items()}
+_KIND_OF_KEYWORD = {spec[0]: kind for kind, spec in _KINDS.items()}
 
 
 class NetlistError(Exception):
@@ -92,6 +94,11 @@ class Netlist:
     outputs: Tuple[str, ...]
     gates: Tuple[Gate, ...]
 
+    @cached_property
+    def evaluator(self) -> "Evaluator":
+        """The netlist's evaluation plan, built on first use and kept."""
+        return Evaluator(self)
+
     def drivers(self) -> Dict[str, Gate]:
         """Map of wire name to driving gate (primary inputs excluded)."""
         return {g.out: g for g in self.gates}
@@ -122,9 +129,9 @@ def validate(n: Netlist) -> None:
                                "(declared as input twice)" % w)
         driver_line[w] = None
     for g in n.gates:
-        if g.kind not in _ARITY:
+        if g.kind not in _KINDS:
             raise NetlistError("unknown gate kind %r" % g.kind, g.line)
-        lo, hi = _ARITY[g.kind]
+        _, lo, hi, _, _ = _KINDS[g.kind]
         if len(g.ins) < lo or (hi is not None and len(g.ins) > hi):
             raise NetlistError(
                 "gate %s %r takes %s inputs, got %d"
@@ -193,7 +200,9 @@ class Evaluator:
 
     def __init__(self, n: Netlist):
         self.netlist = n
-        self._ops = tuple((g.kind, g.out, g.ins) for g in topo_order(n))
+        # (base op, complemented, out, ins) in dependency order
+        self._ops = tuple((*_KINDS[g.kind][3:], g.out, g.ins)
+                          for g in topo_order(n))
 
     def run(self, values: Mapping[str, int], mask: int = 1,
             force: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
@@ -209,45 +218,28 @@ class Evaluator:
             v[w] = values[w] & mask
         if force is None:
             force = {}
-        for kind, out, ins in self._ops:
-            if kind == "AND":
+        for base, complemented, out, ins in self._ops:
+            if base == "AND":
                 x = v[ins[0]]
                 for w in ins[1:]:
                     x &= v[w]
-            elif kind == "OR":
+            elif base == "OR":
                 x = v[ins[0]]
                 for w in ins[1:]:
                     x |= v[w]
-            elif kind == "XOR":
+            elif base == "XOR":
                 x = v[ins[0]]
                 for w in ins[1:]:
                     x ^= v[w]
-            elif kind == "NOT":
-                x = ~v[ins[0]] & mask
-            elif kind == "MUX2":
+            elif base == "BUF":
+                x = v[ins[0]]
+            elif base == "MUX2":
                 s = v[ins[0]]
                 x = (v[ins[1]] & ~s) | (v[ins[2]] & s)
-            elif kind == "NAND":
-                x = v[ins[0]]
-                for w in ins[1:]:
-                    x &= v[w]
-                x = ~x & mask
-            elif kind == "NOR":
-                x = v[ins[0]]
-                for w in ins[1:]:
-                    x |= v[w]
-                x = ~x & mask
-            elif kind == "XNOR":
-                x = v[ins[0]]
-                for w in ins[1:]:
-                    x ^= v[w]
-                x = ~x & mask
-            elif kind == "BUF":
-                x = v[ins[0]]
-            elif kind == "CONST0":
+            else:  # CONST0
                 x = 0
-            else:  # CONST1
-                x = mask
+            if complemented:
+                x ^= mask  # exact: every word stays within mask
             if out in force:
                 x = force[out] & mask
             v[out] = x
@@ -257,12 +249,10 @@ class Evaluator:
 def evaluate(n: Netlist, assignment: Mapping[str, int]) -> Dict[str, int]:
     """Outputs of n under a full primary-input assignment (bits 0/1)."""
     for w in n.inputs:
-        if w not in assignment:
-            raise NetlistError("missing input assignment for %r" % w)
-        if assignment[w] not in (0, 1):
+        if assignment.get(w, 0) not in (0, 1):
             raise NetlistError("input %r must be 0 or 1, got %r"
                                % (w, assignment[w]))
-    v = Evaluator(n).run(assignment, mask=1)
+    v = n.evaluator.run(assignment)  # raises on a missing input
     return {w: v[w] for w in n.outputs}
 
 
@@ -311,19 +301,13 @@ def parse_netlist(text: str) -> Netlist:
                 raise NetlistError("attr takes: wire key value", lineno)
             attrs.append((tokens[1], tokens[2], tokens[3], lineno))
             continue
-        kind = _KEYWORD_TO_KIND.get(head)
+        kind = _KIND_OF_KEYWORD.get(head)
         if kind is None:
             raise NetlistError("unknown statement %r" % head, lineno,
                                raw.index(head) + 1)
-        args = tokens[1:]
-        if not args and kind not in ("CONST0", "CONST1"):
+        if len(tokens) < 2:
             raise NetlistError("gate %r needs an output wire" % head, lineno)
-        if kind in ("CONST0", "CONST1"):
-            if len(args) != 1:
-                raise NetlistError("%s takes exactly one wire" % head, lineno)
-            gates.append(Gate(kind, args[0], (), line=lineno))
-        else:
-            gates.append(Gate(kind, args[0], tuple(args[1:]), line=lineno))
+        gates.append(Gate(kind, tokens[1], tuple(tokens[2:]), line=lineno))
 
     if name is None:
         raise NetlistError("empty netlist: no module statement")
@@ -377,8 +361,7 @@ def write_netlist(n: Netlist) -> str:
 
 def gate_lines(g: Gate) -> List[str]:
     """Statement line for a gate plus its attr lines."""
-    keyword = _KIND_TO_KEYWORD[g.kind]
-    parts = [keyword, g.out]
+    parts = [_KINDS[g.kind][0], g.out]
     parts.extend(g.ins)
     out = [" ".join(parts)]
     if g.zone != TRUSTED:

@@ -18,7 +18,7 @@ from itertools import repeat
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .bits import Bits, pack, transpose, unpack
-from .netlist import Evaluator, Netlist
+from .netlist import Netlist
 from .recordize import PartitionedDesign
 from .rng import RngSpec, packed_bits, rng_bits
 
@@ -149,7 +149,7 @@ def simulate(d: PartitionedDesign, stim: Stimulus,
     values = dict(zip(d.source_inputs, cols))
     rcols = r_columns(rng, count, d.config.groups)
     values.update(zip(d.random_wires, rcols))
-    wires = Evaluator(d.netlist).run(values, mask=(1 << count) - 1)
+    wires = d.netlist.evaluator.run(values, mask=(1 << count) - 1)
     return SimTrace(d.netlist, count, wires, d.random_wires)
 
 
@@ -157,7 +157,7 @@ def simulate_netlist(n: Netlist, stim: Stimulus) -> SimTrace:
     """Plain-netlist counterpart of simulate (no random inputs)."""
     count, cols = stim.bound(len(n.inputs))
     values = dict(zip(n.inputs, cols))
-    wires = Evaluator(n).run(values, mask=(1 << count) - 1)
+    wires = n.evaluator.run(values, mask=(1 << count) - 1)
     return SimTrace(n, count, wires)
 
 
@@ -229,11 +229,11 @@ def verify_equivalence(original: Netlist, d: PartitionedDesign,
     mask = (1 << count) - 1
     x_cols = cols[:n_in]
     r_cols = cols[n_in:]
-    ref = Evaluator(original).run(dict(zip(original.inputs, x_cols)),
-                                  mask=mask)
+    ref = original.evaluator.run(dict(zip(original.inputs, x_cols)),
+                                 mask=mask)
     values = dict(zip(d.source_inputs, x_cols))
     values.update(zip(d.random_wires, r_cols))
-    got = Evaluator(d.netlist).run(values, mask=mask)
+    got = d.netlist.evaluator.run(values, mask=mask)
 
     diff = 0
     for o, z in zip(original.outputs, d.decoded_outputs):

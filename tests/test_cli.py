@@ -124,6 +124,20 @@ def test_recordize_explicit_grouping(tmp_path):
     assert run("verify", src, enc) == 0
 
 
+@pytest.mark.parametrize("doc", [[], {"a3": None}, {"a3": "1"},
+                                 {"a3": 1.5}, {"a3": True}])
+def test_recordize_rejects_malformed_grouping_file(tmp_path, capsys, doc):
+    src = tmp_path / "adder.nl"
+    assert run("fixture", "adder4", "-o", src) == 0
+    grouping = tmp_path / "groups.json"
+    grouping.write_text(json.dumps(doc))
+    assert run("recordize", src, "--grouping", "explicit:%s" % grouping,
+               "-o", tmp_path / "enc.nl") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % grouping)
+    assert '{"input": group}' in err
+
+
 def test_recordize_config_out(tmp_path):
     src = tmp_path / "and2.nl"
     src.write_text("module and2\ninput a b\noutput y\nand y a b\nend")
@@ -199,6 +213,31 @@ def test_ft_sim_clean_and_faulted(tmp_path, capsys):
                "--report", report, "--csv", tmp_path / "ft.csv") == 0
     doc = json.loads(report.read_text())
     assert doc["committed_equals_reference"] is True
+
+
+_INJ = {"cycle": 1, "replica": 0, "wire": "y", "value": 0}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"cycle": 1}, "list of injections, got dict"),
+    ([{"cycle": 1}], "injection 0 is not an object"),
+    ([[1, 2]], "injection 0 is not an object"),
+    ([_INJ, dict(_INJ, extra=1)], "injection 1 is not an object"),
+    ([dict(_INJ, cycle=1.7)], "injection 0: cycle must be int, got 1.7"),
+    ([dict(_INJ, value=True)], "injection 0: value must be int, got True"),
+    ([dict(_INJ, replica="0")], "injection 0: replica must be int"),
+    ([dict(_INJ, wire=5)], "injection 0: wire must be str, got 5"),
+])
+def test_ft_sim_rejects_malformed_fault_plan(tmp_path, capsys, doc,
+                                             message):
+    src = tmp_path / "maj9.nl"
+    assert run("fixture", "maj9", "-o", src) == 0
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    assert run("ft-sim", src, "--cycles", "10", "--faults", plan) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
 
 
 def test_ft_sim_output_loads_in_every_command(tmp_path, capsys):

@@ -8,8 +8,9 @@ from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Evaluator, parse_netlist
 from recordkit.recordize import RecordConfig, partition_check, replica_wire
 from recordkit.rng import RngSpec, bit_stream
-from recordkit.ftrecord import (FaultInjection, FaultPlan, FaultPlanError,
-                                FTStep, FTTrace, ft_simulate, transform_ft)
+from recordkit.ftrecord import (REPLAY_LIMIT, FaultInjection, FaultPlan,
+                                FaultPlanError, FTStep, FTTrace, ft_simulate,
+                                transform_ft)
 from recordkit.sim import Stimulus
 
 
@@ -279,7 +280,7 @@ def _scalar_ft_simulate(ft, stim, rng, faults=None):
             mis = v[ft.compare_wire]
             if mis:
                 replay_faults += 1
-                if replay_faults >= ft.replay_limit and not suspected:
+                if replay_faults >= REPLAY_LIMIT and not suspected:
                     suspected = True
                     suspected_at = step
             else:

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from recordkit.netlist import (Gate, Netlist, NetlistError, evaluate,
-                               parse_netlist, topo_order, validate,
+from recordkit.netlist import (Evaluator, Gate, Netlist, NetlistError,
+                               evaluate, parse_netlist, topo_order, validate,
                                write_netlist)
 
 INV = "module inv\ninput a\noutput y\nnot y a\nend"
@@ -50,6 +51,10 @@ def test_bad_arity():
         parse_netlist("module m\ninput a b\noutput y\nand y a\nend")
     with pytest.raises(NetlistError, match="takes"):
         parse_netlist("module m\ninput s a b c\noutput y\nmux y s a b c\nend")
+    with pytest.raises(NetlistError, match="line 4: gate CONST0 'y' takes 0"):
+        parse_netlist("module m\ninput a\noutput y\nconst0 y a\nend")
+    with pytest.raises(NetlistError, match="line 4: .*needs an output wire"):
+        parse_netlist("module m\ninput a\noutput a\nconst1\nend")
 
 
 def test_syntax_errors_carry_line_numbers():
@@ -197,3 +202,62 @@ def test_random_netlists_roundtrip():
     for _ in range(25):
         n = _random_dag(rng, rng.randint(1, 4), rng.randint(1, 20))
         assert parse_netlist(write_netlist(n)) == n
+
+
+# Per-kind reference over one lane's operand bits, complemented as named.
+_REFERENCE = {
+    "BUF": lambda b: b[0], "NOT": lambda b: 1 - b[0],
+    "AND": all, "NAND": lambda b: not all(b),
+    "OR": any, "NOR": lambda b: not any(b),
+    "XOR": lambda b: sum(b) % 2, "XNOR": lambda b: 1 - sum(b) % 2,
+    "MUX2": lambda b: b[2] if b[0] else b[1],
+    "CONST0": lambda b: 0, "CONST1": lambda b: 1,
+}
+_REF_ARITY = {"BUF": (1, 1), "NOT": (1, 1), "MUX2": (3, 3),
+              "CONST0": (0, 0), "CONST1": (0, 0)}
+
+
+@st.composite
+def _dag_over_every_kind(draw):
+    n_inputs = draw(st.integers(1, 5))
+    wires = ["i%d" % k for k in range(n_inputs)]
+    gates = []
+    for k in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(sorted(_REFERENCE)))
+        lo, hi = _REF_ARITY.get(kind, (2, 4))
+        ins = draw(st.lists(st.sampled_from(wires), min_size=lo,
+                            max_size=hi))
+        gates.append(Gate(kind, "w%d" % k, tuple(ins)))
+        wires.append("w%d" % k)
+    # gates listed out of dependency order exercise the plan's sort
+    gates = draw(st.permutations(gates))
+    return Netlist("rand", tuple(wires[:n_inputs]), (wires[-1],),
+                   tuple(gates))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dag_over_every_kind())
+def test_evaluator_matches_per_kind_reference_on_every_lane(n):
+    validate(n)
+    count = 1 << len(n.inputs)
+    mask = (1 << count) - 1
+    # lane j carries input assignment j; bits above the mask are junk
+    values = {w: sum(((j >> p) & 1) << j for j in range(count)) | ~mask
+              for p, w in enumerate(n.inputs)}
+    got = Evaluator(n).run(values, mask=mask)
+    for j in range(count):
+        lane = {w: (j >> p) & 1 for p, w in enumerate(n.inputs)}
+        for g in topo_order(n):
+            lane[g.out] = int(_REFERENCE[g.kind]([lane[w] for w in g.ins]))
+        for w, bit in lane.items():
+            assert (got[w] >> j) & 1 == bit, (w, j)
+    assert all(0 <= word <= mask for word in got.values())
+
+
+def test_evaluator_is_cached_per_netlist():
+    n = parse_netlist(INV)
+    assert n.evaluator is n.evaluator
+    assert n.evaluator.netlist is n
+    twin = parse_netlist(INV)
+    assert twin == n and hash(twin) == hash(n)
+    assert twin.evaluator is not n.evaluator
