@@ -10,8 +10,8 @@ demonstration.
 """
 
 from .bits import Bits
-from .cost import (ActivityReport, CostModel, CostReport, area, cost_report,
-                   depth, switching)
+from .cost import (ActivityReport, CostReport, area, cost_report, depth,
+                   switching)
 from .demo import (DemoResult, ImageDemoConfig, demo_image, median_filter,
                    synthetic_scene)
 from .fixtures import (aes_sbox_table, byte_assignment, byte_value,

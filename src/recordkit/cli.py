@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional
 
-from .cost import CostModel, cost_report
+from .cost import cost_report
 from .demo import ImageDemoConfig, demo_image
 from .fixtures import FIXTURE_KINDS, fixture_generate
 from .ftrecord import FaultPlan, FaultPlanError, ft_simulate, transform_ft
@@ -40,6 +40,14 @@ def _bit_flag(flag: str, text: str) -> tuple:
         raise ValueError("%s: %r is not a string of 0s and 1s"
                          % (flag, text))
     return tuple(map(int, text))
+
+
+def _seed(text: str) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "%r is not an integer (decimal or 0x hex)" % text) from None
 
 
 def _subset(arg: str) -> Optional[list]:
@@ -230,7 +238,7 @@ def cmd_cost(args) -> int:
     stim = _stimulus(args)
     t_orig = simulate_netlist(original, stim)
     t_des = simulate(d, stim, RngSpec(args.seed))
-    report = cost_report(original, d, (t_orig, t_des), CostModel())
+    report = cost_report(original, d, (t_orig, t_des))
     _write_json(args.report, report.to_json())
     return 0
 
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_seed(sp):
-        sp.add_argument("--seed", type=lambda v: int(v, 0), default=0,
+        sp.add_argument("--seed", type=_seed, default=0,
                         help="64-bit seed for all randomness (default 0)")
 
     sp = sub.add_parser("fixture", help="generate a benchmark netlist")

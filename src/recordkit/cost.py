@@ -1,12 +1,15 @@
 """Synthesis-free cost proxies: transistor-count area, unit-delay depth,
 toggle-count switching activity.
 
-These are structural estimates, not synthesis results. The published
+These are structural estimates, not synthesis results, from one fixed
+per-kind table (``_COST``) with no settable coefficients. The published
 reference ratios for an ASIC evaluation of this scheme (area 2.4x, dynamic
 power 3.4x, leakage power 2.19x, delay increase at most 11%) are attached
 to every report as an informational comparison; only replication-dominated
 quantities (area, zone area, depth delta) are stable enough for the proxy
 to bracket, so dynamic power and delay percentage are reported unscored.
+The leakage proxy is the transistor count, so a report's ``leakage``
+figures are its ``area`` figures by construction.
 
 Depth of a transformed design is measured to its encoded outputs: that is
 the boundary the fabricated part exposes, the decode xor lives with the
@@ -15,8 +18,8 @@ consumer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
 from .netlist import Gate, Netlist, topo_order
 from .recordize import PartitionedDesign
@@ -33,112 +36,66 @@ PROXY_NOTE = ("structural proxies (transistor-count area, unit delays, "
               "toggle activity); reference ratios come from a synthesized "
               "evaluation and are informational, not scored")
 
-# area = coeff * arity + offset, in transistor equivalents
-_DEFAULT_AREA = {
-    "NOT": (0.0, 2.0),
-    "BUF": (0.0, 4.0),
-    "AND": (2.0, 2.0),
-    "OR": (2.0, 2.0),
-    "NAND": (2.0, 0.0),
-    "NOR": (2.0, 0.0),
-    "XOR": (8.0, -8.0),
-    "XNOR": (8.0, -8.0),
-    "MUX2": (0.0, 8.0),
-    "CONST0": (0.0, 0.0),
-    "CONST1": (0.0, 0.0),
-}
-
-_DEFAULT_DELAY = {
-    "NOT": 1.0, "BUF": 0.0, "AND": 1.0, "OR": 1.0, "NAND": 1.0, "NOR": 1.0,
-    "XOR": 1.0, "XNOR": 1.0, "MUX2": 1.0, "CONST0": 0.0, "CONST1": 0.0,
+# kind -> (area per input, area offset, delay); area is in transistor
+# equivalents, delay in unit gate delays
+_COST = {
+    "NOT": (0.0, 2.0, 1.0),
+    "BUF": (0.0, 4.0, 0.0),
+    "AND": (2.0, 2.0, 1.0),
+    "OR": (2.0, 2.0, 1.0),
+    "NAND": (2.0, 0.0, 1.0),
+    "NOR": (2.0, 0.0, 1.0),
+    "XOR": (8.0, -8.0, 1.0),
+    "XNOR": (8.0, -8.0, 1.0),
+    "MUX2": (0.0, 8.0, 1.0),
+    "CONST0": (0.0, 0.0, 0.0),
+    "CONST1": (0.0, 0.0, 0.0),
 }
 
 
-@dataclass
-class CostModel:
-    area_coeffs: Dict[str, Tuple[float, float]] = field(
-        default_factory=lambda: dict(_DEFAULT_AREA))
-    delays: Dict[str, float] = field(
-        default_factory=lambda: dict(_DEFAULT_DELAY))
-
-    def __post_init__(self):
-        for kind, (a, b) in self.area_coeffs.items():
-            if a < 0 or a * 2 + b < 0:
-                raise ValueError("negative area weight for %s" % kind)
-        for kind, d in self.delays.items():
-            if d < 0:
-                raise ValueError("negative delay for %s" % kind)
-
-    def area_of(self, g: Gate) -> float:
-        a, b = self.area_coeffs[g.kind]
-        return a * len(g.ins) + b
-
-    def delay_of(self, g: Gate) -> float:
-        return self.delays[g.kind]
-
-    def to_json(self) -> dict:
-        return {"area_coeffs": {k: list(v)
-                                for k, v in self.area_coeffs.items()},
-                "delays": dict(self.delays)}
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "CostModel":
-        return cls({k: (float(v[0]), float(v[1]))
-                    for k, v in doc["area_coeffs"].items()},
-                   {k: float(v) for k, v in doc["delays"].items()})
+def _gate_area(g: Gate) -> float:
+    per_input, offset, _ = _COST[g.kind]
+    return per_input * len(g.ins) + offset
 
 
-def area(n: Netlist, model: Optional[CostModel] = None,
-         zone: Optional[str] = None) -> float:
+def area(n: Netlist, zone: Optional[str] = None) -> float:
     """Summed gate weights, optionally restricted to one zone."""
-    model = model or CostModel()
-    return sum(model.area_of(g) for g in n.gates
+    return sum(_gate_area(g) for g in n.gates
                if zone is None or g.zone == zone)
 
 
-def depth(n: Netlist, model: Optional[CostModel] = None,
-          outputs: Optional[Iterable[str]] = None) -> float:
-    """Longest input-to-output path under the model's unit delays."""
-    model = model or CostModel()
+def depth(n: Netlist, outputs: Optional[Iterable[str]] = None) -> float:
+    """Longest input-to-output path under the unit delays."""
     level: Dict[str, float] = {w: 0.0 for w in n.inputs}
     for g in topo_order(n):
         base = max((level[w] for w in g.ins), default=0.0)
-        level[g.out] = base + model.delay_of(g)
+        level[g.out] = base + _COST[g.kind][2]
     outs = tuple(outputs) if outputs is not None else n.outputs
     return max((level[o] for o in outs), default=0.0)
 
 
 @dataclass
 class ActivityReport:
-    toggles: Dict[str, int]
     total_toggles: int
     weighted_activity: float
-    leakage_area: float
 
 
-def switching(t: SimTrace, model: Optional[CostModel] = None,
-              zone: Optional[str] = None) -> ActivityReport:
+def switching(t: SimTrace) -> ActivityReport:
     """Transitions between consecutive cycles, weighted by driver area.
 
-    Only gate-driven wires carry weight; the leakage proxy is simply the
-    (zone-filtered) transistor count.
+    Only gate-driven wires carry weight.
     """
-    model = model or CostModel()
     if t.cycles < 2:
         raise ValueError("switching needs at least 2 cycles")
     transition_mask = (1 << (t.cycles - 1)) - 1
-    toggles: Dict[str, int] = {}
+    total = 0
     weighted = 0.0
-    leak = 0.0
     for g in t.netlist.gates:
-        if zone is not None and g.zone != zone:
-            continue
         s = t.wires[g.out]
         count = ((s ^ (s >> 1)) & transition_mask).bit_count()
-        toggles[g.out] = count
-        weighted += count * model.area_of(g)
-        leak += model.area_of(g)
-    return ActivityReport(toggles, sum(toggles.values()), weighted, leak)
+        total += count
+        weighted += count * _gate_area(g)
+    return ActivityReport(total, weighted)
 
 
 @dataclass
@@ -150,8 +107,6 @@ class CostReport:
     depth_transformed: float
     activity_original: float
     activity_transformed: float
-    leakage_original: float
-    leakage_transformed: float
 
     @property
     def area_ratio(self) -> float:
@@ -169,30 +124,26 @@ class CostReport:
     def activity_ratio(self) -> float:
         return self.activity_transformed / self.activity_original
 
-    @property
-    def leakage_ratio(self) -> float:
-        return self.leakage_transformed / self.leakage_original
-
     def to_json(self) -> dict:
         return {
             "proxy": {
                 "area": self.area_transformed,
                 "depth": self.depth_transformed,
                 "activity": self.activity_transformed,
-                "leakage": self.leakage_transformed,
+                "leakage": self.area_transformed,
             },
             "original": {
                 "area": self.area_original,
                 "depth": self.depth_original,
                 "activity": self.activity_original,
-                "leakage": self.leakage_original,
+                "leakage": self.area_original,
             },
             "ratios": {
                 "area": self.area_ratio,
                 "untrusted_area": self.untrusted_area_ratio,
                 "depth_delta": self.depth_delta,
                 "activity": self.activity_ratio,
-                "leakage": self.leakage_ratio,
+                "leakage": self.area_ratio,
             },
             "paper_reference": dict(REFERENCE_RATIOS),
             "note": PROXY_NOTE,
@@ -200,14 +151,12 @@ class CostReport:
 
 
 def cost_report(orig: Netlist, d: PartitionedDesign,
-                traces: Tuple[SimTrace, SimTrace],
-                model: Optional[CostModel] = None) -> CostReport:
+                traces: Tuple[SimTrace, SimTrace]) -> CostReport:
     """All three proxies for an original/transformed pair.
 
     ``traces`` is (original trace, transformed trace); both must have been
     produced under the same stimulus.
     """
-    model = model or CostModel()
     t_orig, t_des = traces
     if t_orig.cycles != t_des.cycles:
         raise ValueError("traces differ in length: %d vs %d"
@@ -216,17 +165,12 @@ def cost_report(orig: Netlist, d: PartitionedDesign,
         if t_orig.wires.get(i) != t_des.wires.get(i):
             raise ValueError("traces were not produced under identical "
                              "stimulus (input %r differs)" % i)
-    act_orig = switching(t_orig, model)
-    act_des = switching(t_des, model)
     return CostReport(
-        area_original=area(orig, model),
-        area_transformed=area(d.netlist, model),
-        area_untrusted=area(d.netlist, model, zone="untrusted"),
-        depth_original=depth(orig, model),
-        depth_transformed=depth(d.netlist, model,
-                                outputs=d.encoded_outputs),
-        activity_original=act_orig.weighted_activity,
-        activity_transformed=act_des.weighted_activity,
-        leakage_original=act_orig.leakage_area,
-        leakage_transformed=act_des.leakage_area,
+        area_original=area(orig),
+        area_transformed=area(d.netlist),
+        area_untrusted=area(d.netlist, zone="untrusted"),
+        depth_original=depth(orig),
+        depth_transformed=depth(d.netlist, outputs=d.encoded_outputs),
+        activity_original=switching(t_orig).weighted_activity,
+        activity_transformed=switching(t_des).weighted_activity,
     )

@@ -7,6 +7,7 @@ integer addition, and the k-of-n majority definition.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .netlist import Gate, Netlist, validate
@@ -104,8 +105,7 @@ def make_maj9() -> Netlist:
     inputs = tuple("x%d" % i for i in range(1, 10))
     gates: List[Gate] = []
     terms = []
-    combos = _combinations(9, 5)
-    for k, combo in enumerate(combos):
+    for k, combo in enumerate(combinations(range(9), 5)):
         t = "t%d" % k
         gates.append(Gate("AND", t, tuple("x%d" % (j + 1) for j in combo)))
         terms.append(t)
@@ -113,20 +113,6 @@ def make_maj9() -> Netlist:
     n = Netlist("maj9", inputs, ("y",), tuple(gates))
     validate(n)
     return n
-
-
-def _combinations(n: int, k: int) -> List[Tuple[int, ...]]:
-    out: List[Tuple[int, ...]] = []
-
-    def rec(start: int, chosen: Tuple[int, ...]):
-        if len(chosen) == k:
-            out.append(chosen)
-            return
-        for i in range(start, n):
-            rec(i + 1, chosen + (i,))
-
-    rec(0, ())
-    return out
 
 
 def make_adder4() -> Netlist:

@@ -220,9 +220,6 @@ class FTTrace:
     def clean(self) -> bool:
         return self.committed == self.reference
 
-    def e_values(self) -> List[int]:
-        return [s.e for s in self.steps]
-
     def to_csv(self, path) -> None:
         outputs = sorted(self.committed[0]) if self.committed else []
         with open(path, "w", newline="", encoding="utf-8") as f:

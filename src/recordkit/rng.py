@@ -39,12 +39,6 @@ def words(spec: RngSpec) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
-def bit_stream(spec: RngSpec) -> Iterator[int]:
-    for w in words(spec):
-        for i in range(64):
-            yield (w >> i) & 1
-
-
 def packed_bits(spec: RngSpec, n: int) -> int:
     """First n stream bits packed with bit i of the stream at position i."""
     if n < 0:

@@ -20,12 +20,12 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 from .bits import Bits, pack, transpose, unpack
 from .netlist import Netlist
 from .recordize import PartitionedDesign
-from .rng import RngSpec, packed_bits, rng_bits
+from .rng import RngSpec, packed_bits
 
 __all__ = [
     "EXHAUSTIVE_BIT_LIMIT", "Counterexample", "RngSpec", "SimTrace",
-    "SimulationError", "Stimulus", "Verdict", "r_columns", "rng_bits",
-    "simulate", "simulate_netlist", "verify_equivalence",
+    "SimulationError", "Stimulus", "Verdict", "r_columns", "simulate",
+    "simulate_netlist", "verify_equivalence",
 ]
 
 EXHAUSTIVE_BIT_LIMIT = 22
@@ -80,6 +80,9 @@ class Stimulus:
                 if any(c not in "01" for c in line):
                     raise ValueError("line %d: stimulus vectors are binary "
                                      "strings" % lineno)
+                if rows and len(line) != len(rows[0]):
+                    raise ValueError("line %d: vector has width %d, expected "
+                                     "%d" % (lineno, len(line), len(rows[0])))
                 rows.append(tuple(int(c) for c in line))
         return cls.from_vectors(rows)
 
@@ -101,7 +104,6 @@ class SimTrace:
     netlist: Netlist
     cycles: int
     wires: Dict[str, int]
-    r_wires: Tuple[str, ...] = ()
 
     def stream(self, wire: str) -> Bits:
         if wire not in self.wires:
@@ -112,9 +114,6 @@ class SimTrace:
         if not 0 <= cycle < self.cycles:
             raise IndexError(cycle)
         return (self.wires[wire] >> cycle) & 1
-
-    def input_assignment(self, cycle: int) -> Dict[str, int]:
-        return {w: self.value(w, cycle) for w in self.netlist.inputs}
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as f:
@@ -150,7 +149,7 @@ def simulate(d: PartitionedDesign, stim: Stimulus,
     rcols = r_columns(rng, count, d.config.groups)
     values.update(zip(d.random_wires, rcols))
     wires = d.netlist.evaluator.run(values, mask=(1 << count) - 1)
-    return SimTrace(d.netlist, count, wires, d.random_wires)
+    return SimTrace(d.netlist, count, wires)
 
 
 def simulate_netlist(n: Netlist, stim: Stimulus) -> SimTrace:

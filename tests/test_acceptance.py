@@ -156,11 +156,11 @@ def test_criterion_6_fault_tolerance_campaign():
     rng = RngSpec(301)
 
     clean_run = ft_simulate(ft, stim, rng)
-    no_false_alarms = all(e == 0 for e in clean_run.e_values())
+    no_false_alarms = all(s.e == 0 for s in clean_run.steps)
     long_clean = ft_simulate(ft, Stimulus.uniform(10000, seed=302),
                              RngSpec(303))
     no_false_alarms = no_false_alarms and \
-        all(e == 0 for e in long_clean.e_values())
+        all(s.e == 0 for s in long_clean.steps)
 
     wires = [g.out for g in m9.gates]
     total = 0

@@ -286,6 +286,17 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["abc", "0xg", "1.5"])
+def test_bad_seed_names_value_and_forms(tmp_path, capsys, seed):
+    nl = tmp_path / "m.nl"
+    nl.write_text("module m\ninput a b\noutput y\nand y a b\nend")
+    with pytest.raises(SystemExit) as exc:
+        run("simulate", nl, "--seed", seed)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed: %r is not an integer (decimal or 0x hex)" % seed in err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert run("check", tmp_path / "nope.nl") == 1
     assert "error:" in capsys.readouterr().err

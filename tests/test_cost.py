@@ -1,9 +1,9 @@
 import pytest
 
-from recordkit.cost import (REFERENCE_RATIOS, ActivityReport, CostModel,
-                            area, cost_report, depth, switching)
+from recordkit.cost import (REFERENCE_RATIOS, area, cost_report, depth,
+                            switching)
 from recordkit.fixtures import fixture_generate
-from recordkit.netlist import parse_netlist
+from recordkit.netlist import _KINDS, parse_netlist
 from recordkit.recordize import RecordConfig, transform
 from recordkit.rng import RngSpec
 from recordkit.sim import Stimulus, simulate, simulate_netlist
@@ -12,30 +12,33 @@ INV = parse_netlist("module inv\ninput a\noutput y\nnot y a\nend")
 AND2 = parse_netlist("module and2\ninput a b\noutput y\nand y a b\nend")
 
 
+# kind -> (inputs, area, delay); n-ary kinds are also checked at 3 inputs
+WEIGHTS = {
+    "NOT": ((1, 2.0, 1.0),),
+    "BUF": ((1, 4.0, 0.0),),
+    "AND": ((2, 6.0, 1.0), (3, 8.0, 1.0)),
+    "OR": ((2, 6.0, 1.0), (3, 8.0, 1.0)),
+    "NAND": ((2, 4.0, 1.0), (3, 6.0, 1.0)),
+    "NOR": ((2, 4.0, 1.0), (3, 6.0, 1.0)),
+    "XOR": ((2, 8.0, 1.0), (3, 16.0, 1.0)),
+    "XNOR": ((2, 8.0, 1.0), (3, 16.0, 1.0)),
+    "MUX2": ((3, 8.0, 1.0),),
+    "CONST0": ((0, 0.0, 0.0),),
+    "CONST1": ((0, 0.0, 0.0),),
+}
+
+
 def test_default_weights():
-    m = CostModel()
-    assert area(INV, m) == 2.0
-    assert area(AND2, m) == 6.0
-    xor2 = parse_netlist("module x\ninput a b\noutput y\nxor y a b\nend")
-    assert area(xor2, m) == 8.0
-    nand2 = parse_netlist("module x\ninput a b\noutput y\nnand y a b\nend")
-    assert area(nand2, m) == 4.0
-    mux = parse_netlist("module x\ninput s a b\noutput y\nmux y s a b\nend")
-    assert area(mux, m) == 8.0
-    c = parse_netlist("module x\noutput y\nconst1 y\nend")
-    assert area(c, m) == 0.0
-
-
-def test_model_json_roundtrip():
-    m = CostModel()
-    m2 = CostModel.from_json(m.to_json())
-    assert m2.area_coeffs == m.area_coeffs
-    assert m2.delays == m.delays
-
-
-def test_model_rejects_negative():
-    with pytest.raises(ValueError):
-        CostModel(delays={**CostModel().delays, "AND": -1})
+    assert set(WEIGHTS) == set(_KINDS)
+    for kind, rows in WEIGHTS.items():
+        for arity, want_area, want_delay in rows:
+            ins = ["i%d" % k for k in range(arity)]
+            text = "module x\n%soutput y\n%s\nend" % (
+                "input %s\n" % " ".join(ins) if ins else "",
+                " ".join([_KINDS[kind][0], "y"] + ins))
+            n = parse_netlist(text)
+            assert (area(n), depth(n)) == (want_area, want_delay), \
+                (kind, arity)
 
 
 def test_untrusted_area_exactly_doubles():
@@ -147,8 +150,8 @@ def test_cost_report_full():
     assert rep.untrusted_area_ratio == 2.0
     assert rep.depth_delta == 3.0
     assert rep.activity_ratio > 1.0
-    assert rep.leakage_ratio == rep.area_ratio
     doc = rep.to_json()
+    assert doc["ratios"]["leakage"] == rep.area_ratio
     assert doc["paper_reference"] == REFERENCE_RATIOS
     assert set(doc["proxy"]) == {"area", "depth", "activity", "leakage"}
     assert "ratios" in doc and "note" in doc

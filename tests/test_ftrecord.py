@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Evaluator, parse_netlist
 from recordkit.recordize import RecordConfig, partition_check, replica_wire
-from recordkit.rng import RngSpec, bit_stream
+from recordkit.rng import RngSpec, words
 from recordkit.ftrecord import (REPLAY_LIMIT, FaultInjection, FaultPlan,
                                 FaultPlanError, FTStep, FTTrace, ft_simulate,
                                 transform_ft)
@@ -67,7 +67,7 @@ def test_fault_free_run_clean():
     _, ft = _ft_maj9()
     trace = ft_simulate(ft, Stimulus.uniform(1000, seed=0), RngSpec(1))
     assert trace.clean
-    assert all(e == 0 for e in trace.e_values())
+    assert all(s.e == 0 for s in trace.steps)
     assert all(s.phase == 1 for s in trace.steps)
     assert not trace.permanent_fault_suspected
 
@@ -104,7 +104,7 @@ def test_unselected_replica_fault_invisible():
     plan = FaultPlan((FaultInjection(target, 0, "y", 1 - ref_bit),))
     trace = ft_simulate(ft, Stimulus.uniform(100, seed=5), RngSpec(6), plan)
     assert trace.clean
-    assert all(e == 0 for e in trace.e_values())
+    assert all(s.e == 0 for s in trace.steps)
 
 
 def test_repeat_injection_flags_permanent_suspect():
@@ -224,6 +224,13 @@ def test_trace_csv_export(tmp_path):
     assert len(lines) == 1 + len(trace.steps)
 
 
+def _bit_stream(spec):
+    """The random stream one bit at a time, LSB-first within each word."""
+    for w in words(spec):
+        for i in range(64):
+            yield (w >> i) & 1
+
+
 def _scalar_ft_simulate(ft, stim, rng, faults=None):
     """Reference stepper: every protocol step is one one-lane evaluation,
     drawing the random bit from the stream as the step runs."""
@@ -240,7 +247,7 @@ def _scalar_ft_simulate(ft, stim, rng, faults=None):
         v = ref_ev.run(row)
         reference.append({o: v[o] for o in ft.source.outputs})
 
-    r_bits = bit_stream(rng)
+    r_bits = _bit_stream(rng)
     steps = []
     committed = [None] * count
     outputs = ft.source.outputs

@@ -1,9 +1,9 @@
 """Byte-identity guard: SHA-256 digests of the artifacts a refactor must
 not change (transformed netlists, FT netlists and step logs, leak reports,
-derived seeds, bound stimulus columns, trace CSVs, the image demo's PGMs
-and report). Each digest was computed before the code that produces it
-was rewritten; any drift in a reserved name, gate order, bit order or
-report field shows up here as a changed digest."""
+cost reports, derived seeds, bound stimulus columns, trace CSVs, the image
+demo's PGMs and report). Each digest was computed before the code that
+produces it was rewritten; any drift in a reserved name, gate order, bit
+order or report field shows up here as a changed digest."""
 
 import functools
 import hashlib
@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from recordkit.cost import cost_report
 from recordkit.demo import (ImageDemoConfig, demo_image, salt_pepper,
                             synthetic_scene)
 from recordkit.fixtures import fixture_generate
@@ -24,7 +25,7 @@ from recordkit.netlist import write_netlist
 from recordkit.pgm import write_pgm
 from recordkit.recordize import RecordConfig, transform
 from recordkit.rng import RngSpec, derive
-from recordkit.sim import Stimulus, r_columns, simulate
+from recordkit.sim import Stimulus, r_columns, simulate, simulate_netlist
 from recordkit.trojan import leak_report
 
 FIXTURES = {"aes-sbox": {}, "maj9": {}, "adder4": {}, "and-tree-5": {"n": 5}}
@@ -65,6 +66,14 @@ GOLDEN = {
         "e5b05ad626194f6fcff65b427fe7c60918a0711013de572685f0991981b0e965",
     "leak_report/maj9/G2/3":
         "03da62f1998824a70edabf81c4b163cd59715fe06835b4902a402ace5fe97078",
+    "cost_report/aes-sbox/G1":
+        "b2e9dcb5c3f142c3d16f530930d301e3b9584921d7b8163780655486a8befd64",
+    "cost_report/aes-sbox/G2":
+        "5740aa49447493e146666131682676e480704a01c954475dfb069a7a3a5efa0c",
+    "cost_report/maj9/G1":
+        "edc8b8d49c48690fbfedb0fa2b6232e082944892902cc6ee3436b6d898e68738",
+    "cost_report/maj9/G2":
+        "4e72b906750f4cda439318a2b87b0c86ec5a89ee9eff098d61aa59eb8fc39588",
     "derive/noise":
         "17654a1757946ccbd6a6e01a2adc90d13d024fcd47a30aea0cc0c4f7556618a6",
     "demo_image/plain/original.pgm":
@@ -219,6 +228,12 @@ def _artifact(key: str):
             pairs = [(a, b) for a, b in pairs
                      if a in visible and b in visible]
         return _json(leak_report(d, t, pairs, replica=replica).to_json())
+    if parts[0] == "cost_report":
+        n = _fixture(parts[1])
+        d = transform(n, RecordConfig.checkerboard(n, int(parts[2][1:])))
+        stim = Stimulus.uniform(3000, seed=9)
+        traces = (simulate_netlist(n, stim), simulate(d, stim, RngSpec(9)))
+        return _json(cost_report(n, d, traces).to_json())
     if parts[0] == "derive":
         return _json([derive(RngSpec(s), NOISE_TAG).seed for s in range(5)])
     raise KeyError(key)

@@ -71,7 +71,7 @@ def test_trace_values_rederivable_by_evaluate():
     rng = random.Random(0)
     cycles = rng.sample(range(t.cycles), max(4, t.cycles // 100))
     for c in cycles:
-        values = t.input_assignment(c)
+        values = {w: t.value(w, c) for w in t.netlist.inputs}
         full = ev.run(values)
         for w in t.wires:
             assert full[w] == t.value(w, c), (w, c)
@@ -155,6 +155,14 @@ def test_stimulus_file_roundtrip(tmp_path):
     # first char of each line = first declared input
     assert cols[0] == 0b101  # cycles 0,2 set
     assert cols[1] == 0b110
+
+
+def test_stimulus_file_short_row_names_its_line(tmp_path):
+    p = tmp_path / "stim.txt"
+    p.write_text("# c\n\n10101010\n1010101\n")
+    with pytest.raises(ValueError,
+                       match=r"^line 4: vector has width 7, expected 8$"):
+        Stimulus.from_file(p)
 
 
 def test_stimulus_width_mismatch():
