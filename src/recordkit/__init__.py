@@ -26,8 +26,7 @@ from .recordize import (ClosureReport, PartitionedDesign, RecordConfig,
 from .rng import RngSpec, rng_bits
 from .sim import (SimTrace, Stimulus, Verdict, simulate, simulate_netlist,
                   verify_equivalence)
-from .trojan import (Gradient, InputEcho, LeakReport, LeakTrace, PickReplica,
-                     TriggerSpec, leak_report, mutual_information,
-                     reconstruct, tap, trigger_experiment)
+from .trojan import (LeakReport, LeakTrace, TriggerSpec, leak_report,
+                     mutual_information, tap, trigger_experiment)
 
 __version__ = "0.1.0"

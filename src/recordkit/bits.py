@@ -2,7 +2,7 @@
 
 A ``Bits`` value holds a fixed-length 0/1 sequence inside a single Python
 integer, with index i stored at bit position i. Every stream type in this
-package (simulation traces, leak taps, reconstruction guesses, the image
+package (simulation traces, leak taps, attack guesses, the image
 demo's bitplanes) uses this representation so that bitwise logic and
 counting run word-parallel over arbitrary lengths.
 
@@ -65,14 +65,6 @@ class Bits:
         return cls.from_iterable(int(c) for c in text)
 
     @classmethod
-    def coerce(cls, obj) -> "Bits":
-        if isinstance(obj, Bits):
-            return obj
-        if isinstance(obj, str):
-            return cls.from_str(obj)
-        return cls.from_iterable(obj)
-
-    @classmethod
     def zeros(cls, n: int) -> "Bits":
         return cls(0, n)
 
@@ -122,9 +114,8 @@ class Bits:
             raise ValueError("empty bit vector")
         return self.count() / self.n
 
-    def accuracy(self, other) -> float:
+    def accuracy(self, other: "Bits") -> float:
         """Fraction of positions where both vectors agree."""
-        other = Bits.coerce(other)
         self._same_len(other)
         if self.n == 0:
             raise ValueError("empty bit vector")

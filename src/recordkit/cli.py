@@ -19,7 +19,7 @@ from .ftrecord import FaultPlan, FaultPlanError, ft_simulate, transform_ft
 from .netlist import NetlistError, read_netlist, save_netlist, validate
 from .recordize import (RecordConfig, design_from_netlist, partition_check,
                         transform)
-from .rng import RngSpec
+from .rng import MASK64, RngSpec
 from .sim import (SimulationError, Stimulus, simulate, simulate_netlist,
                   verify_equivalence)
 from .trojan import LeakError, TriggerSpec, leak_report, trigger_experiment
@@ -44,10 +44,13 @@ def _bit_flag(flag: str, text: str) -> tuple:
 
 def _seed(text: str) -> int:
     try:
-        return int(text, 0)
+        seed = int(text, 0)
     except ValueError:
         raise argparse.ArgumentTypeError(
             "%r is not an integer (decimal or 0x hex)" % text) from None
+    if not 0 <= seed <= MASK64:
+        raise argparse.ArgumentTypeError("%s is outside 0..2^64-1" % text)
+    return seed
 
 
 def _subset(arg: str) -> Optional[list]:

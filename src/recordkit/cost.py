@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .netlist import Gate, Netlist, topo_order
 from .recordize import PartitionedDesign
-from .sim import SimTrace
+from .sim import SimTrace, check_interface
 
 REFERENCE_RATIOS = {
     "area": 2.4,
@@ -157,6 +157,7 @@ def cost_report(orig: Netlist, d: PartitionedDesign,
     ``traces`` is (original trace, transformed trace); both must have been
     produced under the same stimulus.
     """
+    check_interface(orig, d)
     t_orig, t_des = traces
     if t_orig.cycles != t_des.cycles:
         raise ValueError("traces differ in length: %d vs %d"

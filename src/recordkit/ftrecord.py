@@ -68,7 +68,6 @@ class FTDesign:
     spare_inputs: Dict[str, str]
     spare_outputs: Dict[str, str]
     selected_outputs: Dict[str, str]
-    compare_wire: str
     voter_outputs: Dict[str, str]
 
 
@@ -120,7 +119,6 @@ def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
         spare_inputs=spare_inputs,
         spare_outputs=spare_outputs,
         selected_outputs=selected,
-        compare_wire=MISCOMPARE_WIRE,
         voter_outputs=voters,
     )
 
@@ -251,7 +249,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     in_lanes = {w: unpack(packed.wires[w], count)
                 for w in ft.design.netlist.inputs}
     r_lanes = in_lanes[ft.design.random_wires[0]]
-    e_lanes = unpack(packed.wires[ft.compare_wire], count)
+    e_lanes = unpack(packed.wires[MISCOMPARE_WIRE], count)
     sel_lanes = [unpack(packed.wires[ft.selected_outputs[o]], count)
                  for o in outputs]
 
@@ -282,7 +280,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
             else:
                 v = narrow(lc, inj)
                 m = {o: v[ft.selected_outputs[o]] for o in outputs}
-                mis = v[ft.compare_wire]
+                mis = v[MISCOMPARE_WIRE]
             if mis:
                 steps.append(FTStep(step, 1, lc, 1, r, 1, None, m))
                 phase = 2
@@ -295,7 +293,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
             v = narrow(lc, inj)
             vote = {o: v[ft.voter_outputs[o]] for o in outputs}
             committed[lc] = vote
-            mis = v[ft.compare_wire]
+            mis = v[MISCOMPARE_WIRE]
             if mis:
                 replay_faults += 1
                 if replay_faults >= REPLAY_LIMIT and not suspected:

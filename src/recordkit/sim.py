@@ -186,6 +186,17 @@ def _counter_column(p: int, total_bits: int) -> int:
     return unit * (((1 << total) - 1) // ((1 << (2 * block)) - 1))
 
 
+def check_interface(original: Netlist, d: PartitionedDesign) -> None:
+    """Raise ValueError unless d was transformed from original's ports."""
+    if original.inputs != d.source_inputs:
+        raise ValueError("original inputs %s do not match the design's "
+                         "source inputs %s"
+                         % (list(original.inputs), list(d.source_inputs)))
+    if tuple(original.outputs) != d.source_outputs:
+        raise ValueError("original outputs do not match the design's "
+                         "source outputs")
+
+
 def verify_equivalence(original: Netlist, d: PartitionedDesign,
                        mode: str = "exhaustive", samples: int = 10000,
                        seed: int = 0) -> Verdict:
@@ -196,13 +207,7 @@ def verify_equivalence(original: Netlist, d: PartitionedDesign,
     combinations. Either way the first failing combination in enumeration
     order is the reported counterexample.
     """
-    if original.inputs != d.source_inputs:
-        raise ValueError("original inputs %s do not match the design's "
-                         "source inputs %s"
-                         % (list(original.inputs), list(d.source_inputs)))
-    if tuple(original.outputs) != d.source_outputs:
-        raise ValueError("original outputs do not match the design's "
-                         "source outputs")
+    check_interface(original, d)
     n_in = len(original.inputs)
     groups = d.config.groups
 

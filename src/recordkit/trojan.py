@@ -1,4 +1,4 @@
-"""Data-leakage observer model, attacker strategies, and leakage metrics.
+"""Data-leakage observer model, the three attacks, and leakage metrics.
 
 The adversary modeled here is a passive implant with per-cycle visibility
 of every wire the untrusted zone touches: the replica gates' outputs and
@@ -10,6 +10,11 @@ closure rule has a single implementation. Isolation mode restricts the
 view to a single replica, the situation where physically separated copies
 cannot pool their observations.
 
+leak_report scores three attacks on that view: pick-replica(k,o) guesses
+output o as replica k's copy of it, input-echo(w) guesses an input as the
+tapped wire w that encodes it, and gradient(a,b) guesses the xor of two
+inputs as the xor of their tapped wires a and b.
+
 Leakage is quantified with the plug-in mutual-information estimator over
 the empirical 2x2 joint histogram (log base 2, 0*log0 = 0). For binary
 streams its bias is about 1/(2n ln 2), negligible at the trace lengths
@@ -19,8 +24,8 @@ used here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bits import Bits
 from .recordize import PartitionedDesign, partition_check
@@ -38,9 +43,6 @@ class LeakTrace:
 
     cycles: int
     wires: Dict[str, int]
-    replica: Optional[int] = None
-    source_of: Dict[str, str] = field(default_factory=dict)
-    replica_outputs: Dict[Tuple[int, str], str] = field(default_factory=dict)
 
     def stream(self, wire: str) -> Bits:
         if wire not in self.wires:
@@ -72,33 +74,14 @@ def tap(d: PartitionedDesign, t: SimTrace,
         if replica is None or g.replica == replica:
             visible.add(g.out)
             visible.update(g.ins)
-
-    source_of = {w: i for i, w in d.replica_input_wires(0).items()
-                 if w in visible}
-    replica_outputs = {}
-    for k in range(d.replica_count) if replica is None else (replica,):
-        for o in d.source_outputs:
-            w = d.replica_output_wire(k, o)
-            if w in visible:
-                replica_outputs[(k, o)] = w
-
-    return LeakTrace(
-        cycles=t.cycles,
-        wires={w: t.wires[w] for w in sorted(visible)},
-        replica=replica,
-        source_of=source_of,
-        replica_outputs=replica_outputs,
-    )
+    return LeakTrace(t.cycles, {w: t.wires[w] for w in sorted(visible)})
 
 
-def mutual_information(a, b) -> float:
+def mutual_information(a: Bits, b: Bits) -> float:
     """Plug-in estimate of I(a;b) in bits for two equal-length bit streams."""
-    a = Bits.coerce(a)
-    b = Bits.coerce(b)
-    if len(a) != len(b):
-        raise ValueError("streams differ in length: %d vs %d"
-                         % (len(a), len(b)))
     n = len(a)
+    if len(b) != n:
+        raise ValueError("streams differ in length: %d vs %d" % (n, len(b)))
     if n == 0:
         raise ValueError("empty streams")
     c11 = (a.value & b.value).bit_count()
@@ -152,14 +135,18 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
 
     Per tapped wire: MI against every source input and every true output.
     Per requested wire pair (a, b): MI of the xor of the two tapped streams
-    against the xor of their underlying inputs. ``replica`` restricts the
-    view to one physically isolated copy. Uniform stimulus and at least
-    ~10^4 cycles are what make these numbers meaningful.
+    against the xor of their underlying inputs. ``strategies`` holds the
+    attacks' accuracies: pick-replica per visible replica output, then
+    input-echo per tapped replica-0 input wire in wire order, then gradient
+    per pair. ``replica`` restricts the view to one physically isolated
+    copy. Uniform stimulus and at least ~10^4 cycles are what make these
+    numbers meaningful.
     """
     lt = tap(d, t, replica=replica)
     x_streams = {i: t.stream(i) for i in d.source_inputs}
     out_streams = {o: t.stream(z)
                    for o, z in zip(d.source_outputs, d.decoded_outputs)}
+    source_of = {w: i for i, w in d.replica_input_wires(0).items() if w in lt}
 
     wire_mi: Dict[str, Dict[str, Dict[str, float]]] = {}
     for w in lt.wires:
@@ -171,73 +158,32 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
                        for o, os_ in out_streams.items()},
         }
 
+    strategies: List[StrategyScore] = []
+    for k in range(d.replica_count) if replica is None else (replica,):
+        for o in d.source_outputs:
+            w = d.replica_output_wire(k, o)
+            if w in lt:
+                strategies.append(StrategyScore(
+                    "pick-replica(%d,%s)" % (k, o),
+                    lt.stream(w).accuracy(out_streams[o])))
+    for w, i in sorted(source_of.items()):
+        strategies.append(StrategyScore("input-echo(%s)" % w,
+                                        lt.stream(w).accuracy(x_streams[i])))
+
     pair_list: List[PairMI] = []
-    gradients: List[StrategyScore] = []
     for a, b in pairs:
         for w in (a, b):
             if w not in lt:
                 raise LeakError("pair references untapped wire %r" % w)
-            if w not in lt.source_of:
+            if w not in source_of:
                 raise LeakError("pair wire %r has no associated source "
                                 "input" % w)
-        (guess,) = reconstruct(lt, Gradient(((a, b),))).values()
-        truth = x_streams[lt.source_of[a]] ^ x_streams[lt.source_of[b]]
+        guess = lt.stream(a) ^ lt.stream(b)
+        truth = x_streams[source_of[a]] ^ x_streams[source_of[b]]
         pair_list.append(PairMI(a, b, mutual_information(guess, truth)))
-        gradients.append(StrategyScore("gradient(%s,%s)" % (a, b),
-                                       guess.accuracy(truth)))
-
-    strategies: List[StrategyScore] = []
-    for k, o in lt.replica_outputs:
-        guess = reconstruct(lt, PickReplica(k, o))[o]
-        strategies.append(StrategyScore("pick-replica(%d,%s)" % (k, o),
-                                        guess.accuracy(out_streams[o])))
-    for w, i in sorted(lt.source_of.items()):
-        guess = reconstruct(lt, InputEcho(w))[i]
-        strategies.append(StrategyScore("input-echo(%s)" % w,
-                                        guess.accuracy(x_streams[i])))
-    return LeakReport(wire_mi, pair_list, strategies + gradients)
-
-
-@dataclass(frozen=True)
-class PickReplica:
-    """Guess the true output as replica k's copy of it."""
-    replica: int
-    output: str
-
-
-@dataclass(frozen=True)
-class InputEcho:
-    """Guess a source input as the tapped wire that encodes it."""
-    wire: str
-
-
-@dataclass(frozen=True)
-class Gradient:
-    """Guess input differences as differences of tapped wires."""
-    pairs: Tuple[Tuple[str, str], ...]
-
-
-Strategy = Union[PickReplica, InputEcho, Gradient]
-
-
-def reconstruct(l: LeakTrace, strategy: Strategy) -> Dict[str, Bits]:
-    """Run an attacker strategy over a tap; keys name what is guessed."""
-    if isinstance(strategy, PickReplica):
-        key = (strategy.replica, strategy.output)
-        if key not in l.replica_outputs:
-            raise LeakError("replica %d output %r not visible" % key)
-        return {strategy.output: l.stream(l.replica_outputs[key])}
-    if isinstance(strategy, InputEcho):
-        if strategy.wire not in l:
-            raise LeakError("wire %r not visible" % strategy.wire)
-        target = l.source_of.get(strategy.wire, strategy.wire)
-        return {target: l.stream(strategy.wire)}
-    if isinstance(strategy, Gradient):
-        out = {}
-        for a, b in strategy.pairs:
-            out["%s^%s" % (a, b)] = l.stream(a) ^ l.stream(b)
-        return out
-    raise TypeError("unknown strategy %r" % (strategy,))
+        strategies.append(StrategyScore("gradient(%s,%s)" % (a, b),
+                                        guess.accuracy(truth)))
+    return LeakReport(wire_mi, pair_list, strategies)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ def test_pack_and_index():
 def test_from_str_roundtrip():
     b = Bits.from_str("0110")
     assert b.to01() == "0110"
-    assert Bits.coerce("0110") == b
-    assert Bits.coerce(b) is b
 
 
 def test_ops():
@@ -33,9 +31,9 @@ def test_ops():
 
 def test_accuracy():
     a = Bits.from_str("1111")
-    assert a.accuracy("1111") == 1.0
-    assert a.accuracy("0000") == 0.0
-    assert a.accuracy("1100") == 0.5
+    assert a.accuracy(Bits.from_str("1111")) == 1.0
+    assert a.accuracy(Bits.from_str("0000")) == 0.0
+    assert a.accuracy(Bits.from_str("1100")) == 0.5
 
 
 def test_length_mismatch():

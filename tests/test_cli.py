@@ -297,6 +297,44 @@ def test_bad_seed_names_value_and_forms(tmp_path, capsys, seed):
     assert "--seed: %r is not an integer (decimal or 0x hex)" % seed in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "0x10000000000000000",
+                                  "0x1ffffffffffffffff",
+                                  "18446744073709551616"])
+def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, seed):
+    nl = tmp_path / "m.nl"
+    nl.write_text("module m\ninput a b\noutput y\nand y a b\nend")
+    with pytest.raises(SystemExit) as exc:
+        run("simulate", nl, "--seed", seed)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed: %s is outside 0..2^64-1" % seed in err
+
+
+def test_seed_range_endpoints_accepted(tmp_path):
+    src = tmp_path / "and2.nl"
+    src.write_text("module and2\ninput a b\noutput y\nand y a b\nend")
+    enc = tmp_path / "enc.nl"
+    assert run("recordize", src, "-o", enc) == 0
+    for seed in ("0", "0xffffffffffffffff"):
+        assert run("simulate", enc, "--cycles", "8", "--seed", seed) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "cost"])
+def test_mismatched_original_names_the_inputs(tmp_path, capsys, command):
+    adder = tmp_path / "adder4.nl"
+    m9 = tmp_path / "maj9.nl"
+    enc = tmp_path / "maj9r.nl"
+    run("fixture", "adder4", "-o", adder)
+    run("fixture", "maj9", "-o", m9)
+    run("recordize", m9, "-o", enc)
+    capsys.readouterr()
+    assert run(command, adder, enc) == 1
+    err = capsys.readouterr().err
+    assert ("error: original inputs ['a3', 'a2', 'a1', 'a0', 'b3', 'b2', "
+            "'b1', 'b0'] do not match the design's source inputs "
+            "['x1', 'x2', 'x3', 'x4', 'x5', 'x6', 'x7', 'x8', 'x9']") in err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert run("check", tmp_path / "nope.nl") == 1
     assert "error:" in capsys.readouterr().err

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Evaluator, parse_netlist
-from recordkit.recordize import RecordConfig, partition_check, replica_wire
+from recordkit.recordize import (MISCOMPARE_WIRE, RecordConfig,
+                                 partition_check, replica_wire)
 from recordkit.rng import RngSpec, words
 from recordkit.ftrecord import (REPLAY_LIMIT, FaultInjection, FaultPlan,
                                 FaultPlanError, FTStep, FTTrace, ft_simulate,
@@ -60,7 +61,7 @@ def test_spare_mirrors_selected_exhaustively():
     values["__r1"] = column(9)
     v = Evaluator(ft.design.netlist).run(values, mask=mask)
     assert v[ft.spare_outputs["y"]] == v[ft.selected_outputs["y"]]
-    assert v[ft.compare_wire] == 0
+    assert v[MISCOMPARE_WIRE] == 0
 
 
 def test_fault_free_run_clean():
@@ -271,7 +272,7 @@ def _scalar_ft_simulate(ft, stim, rng, faults=None):
             r = next(r_bits)
             v = ev.run(dict(x, **{r_wire: r}), force=force)
             m = {o: v[ft.selected_outputs[o]] for o in outputs}
-            if v[ft.compare_wire]:
+            if v[MISCOMPARE_WIRE]:
                 saved = (x, r, lc)
                 steps.append(FTStep(step, 1, lc, 1, r, 1, None, m))
                 phase = 2
@@ -284,7 +285,7 @@ def _scalar_ft_simulate(ft, stim, rng, faults=None):
             v = ev.run(dict(x, **{r_wire: r}), force=force)
             vote = {o: v[ft.voter_outputs[o]] for o in outputs}
             committed[saved_lc] = vote
-            mis = v[ft.compare_wire]
+            mis = v[MISCOMPARE_WIRE]
             if mis:
                 replay_faults += 1
                 if replay_faults >= REPLAY_LIMIT and not suspected:

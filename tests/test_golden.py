@@ -56,6 +56,12 @@ GOLDEN = {
         "eb25d378b328e468b6de81bf1ed9d53beb314f3fc43865cf096ea203eca8dc18",
     "ft_simulate/maj9":
         "4576401172a158bff4c3be715a855d9e0219af2f22b6a0156d107a48a1554b43",
+    "leak_report/maj9/G1/all":
+        "040ae13f1dcd4718d1f02b3fc17d2a1575fc9536c6a3f69899e5a49b8e95c5e0",
+    "leak_report/maj9/G1/0":
+        "53cd40ce976706c31f7cbbcc96a78ea97a1ddc816d9829b54b2e56f1dcbf8123",
+    "leak_report/maj9/G1/1":
+        "f72987a992d74bc7acaf1b9afb478964e70ac71d602b6320bfb0a981cbfedbf7",
     "leak_report/maj9/G2/all":
         "895bac8a36804f339486d306f216b131e8dabe43970fbdc1e67f8c2a4dfc03c3",
     "leak_report/maj9/G2/0":
@@ -66,6 +72,8 @@ GOLDEN = {
         "e5b05ad626194f6fcff65b427fe7c60918a0711013de572685f0991981b0e965",
     "leak_report/maj9/G2/3":
         "03da62f1998824a70edabf81c4b163cd59715fe06835b4902a402ace5fe97078",
+    "leak_report/adder4/G2/all":
+        "fbf720479655398047912711b7e775515cfdb2df4a6b42bd82d0ac68fd2175f0",
     "cost_report/aes-sbox/G1":
         "b2e9dcb5c3f142c3d16f530930d301e3b9584921d7b8163780655486a8befd64",
     "cost_report/aes-sbox/G2":

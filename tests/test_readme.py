@@ -1,0 +1,13 @@
+"""The README's Python API sketch runs against the package as it is."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_block_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -9,9 +9,8 @@ from recordkit.netlist import Gate, parse_netlist
 from recordkit.recordize import RecordConfig, transform
 from recordkit.rng import RngSpec, rng_bits
 from recordkit.sim import Stimulus, simulate
-from recordkit.trojan import (Gradient, InputEcho, LeakError, PickReplica,
-                              TriggerSpec, leak_report, mutual_information,
-                              reconstruct, tap, trigger_experiment)
+from recordkit.trojan import (LeakError, TriggerSpec, leak_report,
+                              mutual_information, tap, trigger_experiment)
 
 
 def _maj9_design(groups=1):
@@ -137,46 +136,43 @@ def test_leak_report_untapped_pair():
     t = simulate(d, Stimulus.uniform(100, seed=0), RngSpec(0))
     with pytest.raises(LeakError, match="untapped"):
         leak_report(d, t, [("__t_x1", "__r1")])
+    with pytest.raises(LeakError, match="no associated source input"):
+        leak_report(d, t, [("__t_x1", "__f0_y")])
+
+
+def _scores(rep):
+    return {s.name: s.accuracy for s in rep.strategies}
 
 
 def test_pick_replica_accuracy_half_for_self_dual():
     m9, d = _maj9_design(1)
     t = simulate(d, Stimulus.uniform(10000, seed=30), RngSpec(31))
-    lt = tap(d, t)
-    guess = reconstruct(lt, PickReplica(0, "y"))["y"]
-    truth = t.stream("__z_y")
+    acc = _scores(leak_report(d, t))["pick-replica(0,y)"]
     # replica 0 emits f(x) when r=0 and, by self-duality, not-f(x) when r=1
-    acc = guess.accuracy(truth)
+    assert acc == t.stream("__f0_y").accuracy(t.stream("__z_y"))
     assert abs(acc - 0.5) < 3 * 0.5 / math.sqrt(10000)
 
 
 def test_input_echo_accuracy_half():
     m9, d = _maj9_design(1)
     t = simulate(d, Stimulus.uniform(10000, seed=40), RngSpec(41))
-    lt = tap(d, t)
-    guess = reconstruct(lt, InputEcho("__t_x4"))["x4"]
-    acc = guess.accuracy(t.stream("x4"))
+    acc = _scores(leak_report(d, t))["input-echo(__t_x4)"]
+    assert acc == t.stream("__t_x4").accuracy(t.stream("x4"))
     assert abs(acc - 0.5) < 3 * 0.5 / math.sqrt(10000)
 
 
 def test_gradient_same_group_exact():
     m9, d = _maj9_design(1)
     t = simulate(d, Stimulus.uniform(5000, seed=50), RngSpec(51))
-    lt = tap(d, t)
-    got = reconstruct(lt, Gradient((("__t_x1", "__t_x2"),)))
-    guess = got["__t_x1^__t_x2"]
-    truth = t.stream("x1") ^ t.stream("x2")
-    assert guess.accuracy(truth) == 1.0
+    rep = leak_report(d, t, [("__t_x1", "__t_x2")])
+    assert _scores(rep)["gradient(__t_x1,__t_x2)"] == 1.0
 
 
-def test_reconstruct_missing_wire():
+def test_leak_report_isolated_pair_untapped():
     m9, d = _maj9_design(1)
     t = simulate(d, Stimulus.uniform(16, seed=0), RngSpec(0))
-    lt = tap(d, t, replica=0)
-    with pytest.raises(LeakError):
-        reconstruct(lt, PickReplica(1, "y"))
-    with pytest.raises(LeakError):
-        reconstruct(lt, InputEcho("__nope"))
+    with pytest.raises(LeakError, match="untapped"):
+        leak_report(d, t, [("__t_x1", "__tn_x2")], replica=0)
 
 
 def test_trigger_g1_rate_half():
