@@ -165,7 +165,7 @@ def window_stimulus(img: Sequence[int], width: int, height: int) -> Stimulus:
     window offset's shifted plane."""
     plane = pack(img)
     cols = tuple(_shift(plane, dr, dc, width, height) for dr, dc in _OFFSETS)
-    return Stimulus(count=width * height, width=len(cols), columns=cols)
+    return Stimulus(width * height, cols)
 
 
 def neighbor_differences(img: Sequence[int], width: int,

@@ -165,17 +165,21 @@ def make_and_tree(n_inputs: int) -> Netlist:
 
 
 def fixture_generate(kind: str, **params) -> Netlist:
-    """Build a named fixture; unknown kinds raise ValueError."""
+    """Build a named fixture; an unknown kind or a parameter the kind does
+    not take raises ValueError."""
+    if kind not in FIXTURE_KINDS:
+        raise ValueError("unknown fixture kind %r (known: %s)"
+                         % (kind, ", ".join(FIXTURE_KINDS)))
+    extra = sorted(set(params) - ({"n"} if kind == "and-tree-n" else set()))
+    if extra:
+        raise ValueError("fixture %s takes no parameter %r" % (kind, extra[0]))
     if kind == "aes-sbox":
         return make_aes_sbox()
     if kind == "maj9":
         return make_maj9()
     if kind == "adder4":
         return make_adder4()
-    if kind == "and-tree-n":
-        n = params.get("n")
-        if n is None:
-            raise ValueError("and-tree-n requires the parameter n")
-        return make_and_tree(int(n))
-    raise ValueError("unknown fixture kind %r (known: %s)"
-                     % (kind, ", ".join(FIXTURE_KINDS)))
+    n = params.get("n")
+    if n is None:
+        raise ValueError("and-tree-n requires the parameter n")
+    return make_and_tree(int(n))

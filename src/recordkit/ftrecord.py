@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bits import unpack
@@ -63,12 +63,12 @@ class FaultPlanError(Exception):
 
 @dataclass
 class FTDesign:
+    """The spare-augmented design and the source netlist it was built from.
+    Its spare, selector, comparator and vote wires are read off recordize's
+    reserved names, like every other wire role of the design."""
+
     design: PartitionedDesign
     source: Netlist
-    spare_inputs: Dict[str, str]
-    spare_outputs: Dict[str, str]
-    selected_outputs: Dict[str, str]
-    voter_outputs: Dict[str, str]
 
 
 def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
@@ -87,17 +87,15 @@ def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
         gates.append(Gate("MUX2", w, (r1, rep0[i], rep1[i])))
     spare_gates, spare_outputs = build_replica(n, SPARE, spare_inputs)
     gates.extend(spare_gates)
-    selected = {o: selected_wire(o) for o in n.outputs}
 
     cmp_wires = tuple(COMPARE_PREFIX + o for o in n.outputs)
     for o, w in zip(n.outputs, cmp_wires):
-        gates.append(Gate("XOR", w, (spare_outputs[o], selected[o])))
+        gates.append(Gate("XOR", w, (spare_outputs[o], selected_wire(o))))
     if len(cmp_wires) == 1:
         gates.append(Gate("BUF", MISCOMPARE_WIRE, (cmp_wires[0],)))
     else:
         gates.append(Gate("OR", MISCOMPARE_WIRE, cmp_wires))
 
-    voters: Dict[str, str] = {}
     for o in n.outputs:
         a = d.replica_output_wire(0, o)
         b = d.replica_output_wire(1, o)
@@ -105,22 +103,14 @@ def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
         terms = tuple(p + o for p in VOTE_PAIR_PREFIXES)
         for w, ins in zip(terms, ((a, b), (a, c), (b, c))):
             gates.append(Gate("AND", w, ins))
-        voters[o] = VOTE_PREFIX + o
-        gates.append(Gate("OR", voters[o], terms))
+        gates.append(Gate("OR", VOTE_PREFIX + o, terms))
 
     netlist = Netlist(d.netlist.name + "_ft", d.netlist.inputs,
                       d.netlist.outputs + (MISCOMPARE_WIRE,)
-                      + tuple(voters.values()),
+                      + tuple(VOTE_PREFIX + o for o in n.outputs),
                       tuple(gates))
     validate(netlist)
-    return FTDesign(
-        design=replace(d, netlist=netlist),
-        source=n,
-        spare_inputs=spare_inputs,
-        spare_outputs=spare_outputs,
-        selected_outputs=selected,
-        voter_outputs=voters,
-    )
+    return FTDesign(replace(d, netlist=netlist), n)
 
 
 @dataclass(frozen=True)
@@ -136,14 +126,9 @@ class FaultInjection:
 @dataclass
 class FaultPlan:
     injections: Tuple[FaultInjection, ...] = ()
-    _by_step: Dict[int, FaultInjection] = field(init=False, repr=False,
-                                                compare=False)
 
     def __post_init__(self):
         self.injections = tuple(self.injections)
-        self._by_step = {}
-        for inj in self.injections:
-            self._by_step.setdefault(inj.cycle, inj)
 
     def validate(self, ft: FTDesign) -> None:
         seen_cycles = set()
@@ -164,9 +149,6 @@ class FaultPlan:
                     % (inj.wire, ft.source.name))
             if inj.value not in (0, 1):
                 raise FaultPlanError("forced value must be 0 or 1")
-
-    def at(self, step: int) -> Optional[FaultInjection]:
-        return self._by_step.get(step)
 
     def to_json(self) -> list:
         return [{"cycle": i.cycle, "replica": i.replica, "wire": i.wire,
@@ -211,8 +193,11 @@ class FTTrace:
     steps: List[FTStep]
     committed: List[Dict[str, int]]
     reference: List[Dict[str, int]]
-    permanent_fault_suspected: bool = False
     suspected_at_step: Optional[int] = None
+
+    @property
+    def permanent_fault_suspected(self) -> bool:
+        return self.suspected_at_step is not None
 
     @property
     def clean(self) -> bool:
@@ -236,6 +221,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     """Run the two-phase detect/replay protocol over a stimulus."""
     faults = faults or FaultPlan()
     faults.validate(ft)
+    by_step = {inj.cycle: inj for inj in faults.injections}
     outputs = ft.source.outputs
     ref = simulate_netlist(ft.source, stim)
     count = ref.cycles
@@ -250,7 +236,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                 for w in ft.design.netlist.inputs}
     r_lanes = in_lanes[ft.design.random_wires[0]]
     e_lanes = unpack(packed.wires[MISCOMPARE_WIRE], count)
-    sel_lanes = [unpack(packed.wires[ft.selected_outputs[o]], count)
+    sel_lanes = [unpack(packed.wires[selected_wire(o)], count)
                  for o in outputs]
 
     def narrow(lc: int, inj: Optional[FaultInjection]) -> Dict[str, int]:
@@ -267,11 +253,10 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     lc = 0
     step = 0
     replay_faults = 0
-    suspected = False
     suspected_at: Optional[int] = None
 
     while lc < count or phase == 2:
-        inj = faults.at(step)
+        inj = by_step.get(step)
         r = r_lanes[lc]
         if phase == 1:
             if inj is None and not e_lanes[lc]:
@@ -279,7 +264,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                 mis = 0
             else:
                 v = narrow(lc, inj)
-                m = {o: v[ft.selected_outputs[o]] for o in outputs}
+                m = {o: v[selected_wire(o)] for o in outputs}
                 mis = v[MISCOMPARE_WIRE]
             if mis:
                 steps.append(FTStep(step, 1, lc, 1, r, 1, None, m))
@@ -291,13 +276,12 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
         else:
             # replay of the saved logical cycle lc with its saved bit
             v = narrow(lc, inj)
-            vote = {o: v[ft.voter_outputs[o]] for o in outputs}
+            vote = {o: v[VOTE_PREFIX + o] for o in outputs}
             committed[lc] = vote
             mis = v[MISCOMPARE_WIRE]
             if mis:
                 replay_faults += 1
-                if replay_faults >= REPLAY_LIMIT and not suspected:
-                    suspected = True
+                if replay_faults >= REPLAY_LIMIT and suspected_at is None:
                     suspected_at = step
             else:
                 replay_faults = 0
@@ -306,4 +290,4 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
             lc += 1
         step += 1
 
-    return FTTrace(steps, committed, reference, suspected, suspected_at)
+    return FTTrace(steps, committed, reference, suspected_at)

@@ -27,8 +27,12 @@ The complemented encoding is emitted as a single xnor per randomized input
 gate level in front of the copies.
 
 This module owns every reserved ("__"-prefixed) wire name, including those
-of the fault-tolerant variant; design_from_netlist parses a serialized
-design back through the same constants.
+of the fault-tolerant variant. A design is its netlist, its config and its
+random stream: every wire role (random inputs, source ports, encoded and
+decoded outputs, replica copies, FT selectors and votes) is read off those
+names, never stored beside them. design_from_netlist rebuilds a design from
+a serialized netlist through the same constants and runs partition_check on
+it, so every CLI subcommand that loads a transformed file checks closure.
 """
 
 from __future__ import annotations
@@ -139,16 +143,38 @@ class RecordConfig:
 
 @dataclass
 class PartitionedDesign:
-    """A transformed netlist plus the metadata the harness needs to drive it."""
+    """A transformed netlist, its config and its random stream. Every wire
+    role is read off the reserved names in the netlist, so no stored copy
+    can disagree with it."""
 
     netlist: Netlist
-    random_wires: Tuple[str, ...]
-    encoded_outputs: Tuple[str, ...]
-    decoded_outputs: Tuple[str, ...]
-    source_inputs: Tuple[str, ...]
-    source_outputs: Tuple[str, ...]
     config: RecordConfig
     rng: RngSpec = field(default_factory=RngSpec)
+
+    @property
+    def random_wires(self) -> Tuple[str, ...]:
+        return tuple(w for w in self.netlist.inputs
+                     if w.startswith(RANDOM_PREFIX))
+
+    @property
+    def source_inputs(self) -> Tuple[str, ...]:
+        return tuple(w for w in self.netlist.inputs
+                     if not w.startswith(RANDOM_PREFIX))
+
+    @property
+    def encoded_outputs(self) -> Tuple[str, ...]:
+        return tuple(w for w in self.netlist.outputs
+                     if w.startswith(ENCODED_OUT_PREFIX))
+
+    @property
+    def decoded_outputs(self) -> Tuple[str, ...]:
+        return tuple(w for w in self.netlist.outputs
+                     if w.startswith(DECODED_OUT_PREFIX))
+
+    @property
+    def source_outputs(self) -> Tuple[str, ...]:
+        return tuple(w[len(ENCODED_OUT_PREFIX):]
+                     for w in self.encoded_outputs)
 
     @property
     def replica_count(self) -> int:
@@ -234,30 +260,19 @@ def transform(n: Netlist, cfg: RecordConfig) -> PartitionedDesign:
         gates.append(Gate("MUX2", out, (random_wire(level + 1), a0, a1)))
         return out
 
-    encoded: List[str] = []
-    decoded: List[str] = []
     for o in n.outputs:
         m = build_mux(o, list(range(1 << big_g)), 0, "")
         y, z = ENCODED_OUT_PREFIX + o, DECODED_OUT_PREFIX + o
         gates.append(Gate("XOR", y, (m, r1)))
         gates.append(Gate("XOR", z, (y, r1)))
-        encoded.append(y)
-        decoded.append(z)
 
     out_netlist = Netlist("%s_record%d" % (n.name, big_g),
                           n.inputs + r_wires,
-                          tuple(encoded) + tuple(decoded),
+                          tuple(ENCODED_OUT_PREFIX + o for o in n.outputs)
+                          + tuple(DECODED_OUT_PREFIX + o for o in n.outputs),
                           tuple(gates))
     validate(out_netlist)
-    return PartitionedDesign(
-        netlist=out_netlist,
-        random_wires=r_wires,
-        encoded_outputs=tuple(encoded),
-        decoded_outputs=tuple(decoded),
-        source_inputs=n.inputs,
-        source_outputs=n.outputs,
-        config=cfg,
-    )
+    return PartitionedDesign(out_netlist, cfg)
 
 
 @dataclass(frozen=True)
@@ -318,32 +333,29 @@ def design_from_netlist(n: Netlist, rng: Optional[RngSpec] = None
 
     The reserved-name conventions written by transform() carry enough
     structure to recover the configuration: __rK inputs, __t_/__tn_ encode
-    gates, __y_/__z_ output pairs, and replica attributes.
+    gates, __y_/__z_ output pairs, and replica attributes. A design that
+    fails partition_check is rejected with the wires that break closure.
     """
     validate(n)
-    r_wires = [w for w in n.inputs if w.startswith(RANDOM_PREFIX)]
-    for i, w in enumerate(r_wires, start=1):
+    d = PartitionedDesign(n, RecordConfig(()),
+                          rng if rng is not None else RngSpec())
+    for i, w in enumerate(d.random_wires, start=1):
         if w != random_wire(i):
             raise NetlistError("random inputs must be __r1..__rG in order, "
                                "found %r" % w)
-    if not r_wires:
+    if not d.random_wires:
         raise NetlistError("no __r inputs: not a transformed design")
-    groups = len(r_wires)
-    source_inputs = tuple(w for w in n.inputs
-                          if not w.startswith(RANDOM_PREFIX))
-
-    encoded = tuple(w for w in n.outputs if w.startswith(ENCODED_OUT_PREFIX))
-    decoded = tuple(w for w in n.outputs if w.startswith(DECODED_OUT_PREFIX))
-    if not encoded or len(encoded) != len(decoded):
+    if not d.encoded_outputs or (len(d.encoded_outputs)
+                                 != len(d.decoded_outputs)):
         raise NetlistError("outputs must pair __y_<o> with __z_<o>")
-    source_outputs = tuple(w[len(ENCODED_OUT_PREFIX):] for w in encoded)
-    if tuple(w[len(DECODED_OUT_PREFIX):] for w in decoded) != source_outputs:
+    if tuple(w[len(DECODED_OUT_PREFIX):]
+             for w in d.decoded_outputs) != d.source_outputs:
         raise NetlistError("encoded and decoded output names disagree")
 
     subset: List[str] = []
     assignment: Dict[str, int] = {}
     by_out = n.drivers()
-    for i in source_inputs:
+    for i in d.source_inputs:
         g = by_out.get(ENCODE_PREFIX + i)
         if g is None:
             continue
@@ -353,23 +365,18 @@ def design_from_netlist(n: Netlist, rng: Optional[RngSpec] = None
         subset.append(i)
         assignment[i] = int(r_ins[0][len(RANDOM_PREFIX):])
 
-    cfg = RecordConfig(tuple(subset), groups, assignment)
-    d = PartitionedDesign(
-        netlist=n,
-        random_wires=tuple(r_wires),
-        encoded_outputs=encoded,
-        decoded_outputs=decoded,
-        source_inputs=source_inputs,
-        source_outputs=source_outputs,
-        config=cfg,
-        rng=rng if rng is not None else RngSpec(),
-    )
-    cfg.validate(Netlist(n.name, source_inputs, source_outputs, ()))
+    d.config = RecordConfig(tuple(subset), len(d.random_wires), assignment)
+    d.config.validate(Netlist(n.name, d.source_inputs, d.source_outputs, ()))
     replicas = {g.replica for g in d.untrusted_gates()}
-    copies = 1 << groups
+    copies = d.replica_count
     if MISCOMPARE_WIRE in n.outputs:
         copies += 1  # an FT netlist also carries the spare copy 2^G
     if replicas != set(range(copies)):
         raise NetlistError("expected replica indices 0..%d, found %s"
                            % (copies - 1, sorted(replicas)))
+    violations = partition_check(d).violations
+    if violations:
+        raise NetlistError("partition closure violated: %s" % ", ".join(
+            "%r reads %s %r" % (v.gate_out, v.reason, v.wire)
+            for v in violations))
     return d

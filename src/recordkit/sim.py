@@ -44,9 +44,8 @@ class Stimulus:
     """
 
     count: int
-    width: Optional[int] = None
     columns: Optional[Tuple[int, ...]] = None
-    seed: Optional[int] = None
+    seed: int = 0
 
     @classmethod
     def uniform(cls, count: int, seed: int = 0) -> "Stimulus":
@@ -66,8 +65,7 @@ class Stimulus:
                                  % (c, len(row), width))
             if not {0, 1}.issuperset(row):
                 raise ValueError("stimulus bit must be 0 or 1")
-        return cls(count=len(mats), width=width,
-                   columns=tuple(pack(col) for col in zip(*mats)))
+        return cls(len(mats), tuple(pack(col) for col in zip(*mats)))
 
     @classmethod
     def from_file(cls, path) -> "Stimulus":
@@ -89,11 +87,12 @@ class Stimulus:
     def bound(self, width: int) -> Tuple[int, Tuple[int, ...]]:
         """Materialize packed per-input columns for the given input count."""
         if self.columns is not None:
-            if self.width != width:
+            if len(self.columns) != width:
                 raise SimulationError("stimulus width %d does not match the "
-                                      "%d design inputs" % (self.width, width))
+                                      "%d design inputs"
+                                      % (len(self.columns), width))
             return self.count, self.columns
-        stream = packed_bits(RngSpec(self.seed or 0), self.count * width)
+        stream = packed_bits(RngSpec(self.seed), self.count * width)
         return self.count, transpose(stream, self.count, width)
 
 
@@ -171,10 +170,13 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class Verdict:
-    passed: bool
     cases: int
     mode: str
     counterexample: Optional[Counterexample] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
 
 def _counter_column(p: int, total_bits: int) -> int:
@@ -243,7 +245,7 @@ def verify_equivalence(original: Netlist, d: PartitionedDesign,
     for o, z in zip(original.outputs, d.decoded_outputs):
         diff |= ref[o] ^ got[z]
     if diff == 0:
-        return Verdict(True, count, mode)
+        return Verdict(count, mode)
     index = (diff & -diff).bit_length() - 1
     cx = Counterexample(
         index=index,
@@ -253,4 +255,4 @@ def verify_equivalence(original: Netlist, d: PartitionedDesign,
         got={o: (got[z] >> index) & 1
              for o, z in zip(original.outputs, d.decoded_outputs)},
     )
-    return Verdict(False, count, mode, cx)
+    return Verdict(count, mode, cx)

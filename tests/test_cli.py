@@ -356,3 +356,35 @@ def test_attack_isolation(tmp_path):
                "--report", report) == 0
     doc = json.loads(report.read_text())
     assert all(w.startswith(("__f1_", "__tn_")) for w in doc["wires"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "{src}", "{bad}"),
+    ("simulate", "{bad}", "--cycles", "100"),
+    ("attack", "{bad}", "--cycles", "100"),
+    ("trigger", "{bad}", "--pattern", "101010101", "--cycles", "100"),
+    ("cost", "{src}", "{bad}", "--cycles", "100"),
+])
+def test_loading_a_design_runs_the_closure_check(tmp_path, capsys, argv):
+    src = tmp_path / "maj9.nl"
+    bad = tmp_path / "leaky.nl"
+    run("fixture", "maj9", "-o", src)
+    run("recordize", src, "-o", bad)
+    # an untrusted replica-0 gate that reads the random bit directly
+    bad.write_text(bad.read_text().replace(
+        "\nend", "\nbuf __f0_leak __r1\nattr __f0_leak zone untrusted\n"
+        "attr __f0_leak replica 0\nend"))
+    capsys.readouterr()
+    assert run(*(a.format(src=src, bad=bad) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: partition closure violated")
+    assert "'__f0_leak'" in err and "'__r1'" in err
+
+
+def test_fixture_rejects_a_parameter_its_kind_does_not_take(tmp_path,
+                                                            capsys):
+    out = tmp_path / "m9.nl"
+    assert run("fixture", "maj9", "--n", "5", "-o", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'n'" in err and "maj9" in err
+    assert not out.exists()

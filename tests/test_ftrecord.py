@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Evaluator, parse_netlist
-from recordkit.recordize import (MISCOMPARE_WIRE, RecordConfig,
-                                 partition_check, replica_wire)
+from recordkit.recordize import (MISCOMPARE_WIRE, SPARE_INPUT_PREFIX,
+                                 VOTE_PREFIX, RecordConfig, partition_check,
+                                 replica_wire, selected_wire)
 from recordkit.rng import RngSpec, words
-from recordkit.ftrecord import (REPLAY_LIMIT, FaultInjection, FaultPlan,
-                                FaultPlanError, FTStep, FTTrace, ft_simulate,
-                                transform_ft)
+from recordkit.ftrecord import (REPLAY_LIMIT, SPARE, FaultInjection,
+                                FaultPlan, FaultPlanError, FTStep, FTTrace,
+                                ft_simulate, transform_ft)
 from recordkit.sim import Stimulus
 
 
@@ -60,7 +61,7 @@ def test_spare_mirrors_selected_exhaustively():
     values = {w: column(i) for i, w in enumerate(m9.inputs)}
     values["__r1"] = column(9)
     v = Evaluator(ft.design.netlist).run(values, mask=mask)
-    assert v[ft.spare_outputs["y"]] == v[ft.selected_outputs["y"]]
+    assert v[replica_wire(SPARE, "y")] == v[selected_wire("y")]
     assert v[MISCOMPARE_WIRE] == 0
 
 
@@ -174,8 +175,6 @@ def test_fault_plan_json_roundtrip(tmp_path):
     p.write_text(json.dumps(doc))
     assert FaultPlan.from_file(p) == plan
     assert FaultPlan(list(plan.injections)) == plan
-    assert plan.at(20) == plan.injections[1]
-    assert plan.at(18) is None
 
 
 def test_fault_at_last_cycle_still_committed():
@@ -210,7 +209,7 @@ def test_spare_processes_selected_inputs_every_cycle():
         r = t.value("__r1", c)
         sel = ft.design.replica_input_wires(r)
         for i in m9.inputs:
-            assert t.value(ft.spare_inputs[i], c) == t.value(sel[i], c)
+            assert t.value(SPARE_INPUT_PREFIX + i, c) == t.value(sel[i], c)
 
 
 def test_trace_csv_export(tmp_path):
@@ -271,7 +270,7 @@ def _scalar_ft_simulate(ft, stim, rng, faults=None):
             x = rows[lc]
             r = next(r_bits)
             v = ev.run(dict(x, **{r_wire: r}), force=force)
-            m = {o: v[ft.selected_outputs[o]] for o in outputs}
+            m = {o: v[selected_wire(o)] for o in outputs}
             if v[MISCOMPARE_WIRE]:
                 saved = (x, r, lc)
                 steps.append(FTStep(step, 1, lc, 1, r, 1, None, m))
@@ -283,7 +282,7 @@ def _scalar_ft_simulate(ft, stim, rng, faults=None):
         else:
             x, r, saved_lc = saved
             v = ev.run(dict(x, **{r_wire: r}), force=force)
-            vote = {o: v[ft.voter_outputs[o]] for o in outputs}
+            vote = {o: v[VOTE_PREFIX + o] for o in outputs}
             committed[saved_lc] = vote
             mis = v[MISCOMPARE_WIRE]
             if mis:
@@ -299,7 +298,7 @@ def _scalar_ft_simulate(ft, stim, rng, faults=None):
             lc = saved_lc + 1
         step += 1
 
-    return FTTrace(steps, committed, reference, suspected, suspected_at)
+    return FTTrace(steps, committed, reference, suspected_at)
 
 
 @lru_cache(maxsize=None)
@@ -372,8 +371,8 @@ def test_phase_one_stays_word_parallel(monkeypatch):
                            for c in range(5, 400, 7)))
     calls.clear()
     trace = ft_simulate(ft, stim, RngSpec(1), plan)
-    narrow = [s for s in trace.steps
-              if s.phase == 2 or plan.at(s.step) is not None]
+    injected = {i.cycle for i in plan.injections}
+    narrow = [s for s in trace.steps if s.phase == 2 or s.step in injected]
     assert any(s.phase == 2 for s in narrow)
     assert calls == [1000, 1000] + [1] * len(narrow)
 

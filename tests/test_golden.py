@@ -1,20 +1,25 @@
 """Byte-identity guard: SHA-256 digests of the artifacts a refactor must
 not change (transformed netlists, FT netlists and step logs, leak reports,
 cost reports, derived seeds, bound stimulus columns, trace CSVs, the image
-demo's PGMs and report). Each digest was computed before the code that
-produces it was rewritten; any drift in a reserved name, gate order, bit
-order or report field shows up here as a changed digest."""
+demo's PGMs and report, the files the README command tour writes). Each
+digest was computed before the code that produces it was rewritten; any
+drift in a reserved name, gate order, bit order or report field shows up
+here as a changed digest."""
 
 import functools
 import hashlib
 import json
+import os
 import random
+import re
+import shlex
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from recordkit.cli import main
 from recordkit.cost import cost_report
 from recordkit.demo import (ImageDemoConfig, demo_image, salt_pepper,
                             synthetic_scene)
@@ -28,6 +33,7 @@ from recordkit.rng import RngSpec, derive
 from recordkit.sim import Stimulus, r_columns, simulate, simulate_netlist
 from recordkit.trojan import leak_report
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 FIXTURES = {"aes-sbox": {}, "maj9": {}, "adder4": {}, "and-tree-5": {"n": 5}}
 NOISE_TAG = 0x6E6F6973655F5F31  # the image demo's noise sub-stream tag
 
@@ -136,6 +142,8 @@ GOLDEN = {
         "cc173c1d4bc31b90306c20d9251de2fa99eb0493e36b26cd7ec7527f6b67d838",
     "to_csv/ft":
         "86c6a931212eb171dec2dbbc7e834ac4db0a30fa97563c15b768ea21b30af4be",
+    "cli_tour/readme":
+        "8051ea18c94851319223d1ebf97530bb541840b3a571c708d1f8485d4792d07f",
 }
 
 
@@ -190,6 +198,31 @@ def _csv_bytes(trace) -> bytes:
         return path.read_bytes()
 
 
+def _tour_tree() -> bytes:
+    """Run the README command tour in an empty directory; every file it
+    leaves as relative path, size and bytes, in sorted path order."""
+    block = re.search(r"^## Command-line tour\n\n```sh\n(.*?)^```",
+                      README.read_text(), re.M | re.S).group(1)
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for line in block.replace("\\\n", " ").splitlines():
+                argv = shlex.split(line, comments=True)
+                if argv[:1] == ["echo"]:  # echo '<text>' > <file>
+                    Path(argv[3]).write_text(argv[1] + "\n")
+                elif argv:
+                    assert argv[0] == "recordkit" and main(argv[1:]) == 0
+        finally:
+            os.chdir(here)
+        out = b""
+        for path in sorted(p for p in Path(tmp).rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            rel = path.relative_to(tmp).as_posix()
+            out += b"%s\0%d\0" % (rel.encode(), len(data)) + data
+        return out
+
+
 def _artifact(key: str):
     parts = key.split("/")
     if parts[0] in ("demo_image", "demo_input"):
@@ -242,6 +275,8 @@ def _artifact(key: str):
         stim = Stimulus.uniform(3000, seed=9)
         traces = (simulate_netlist(n, stim), simulate(d, stim, RngSpec(9)))
         return _json(cost_report(n, d, traces).to_json())
+    if parts[0] == "cli_tour":
+        return _tour_tree()
     if parts[0] == "derive":
         return _json([derive(RngSpec(s), NOISE_TAG).seed for s in range(5)])
     raise KeyError(key)

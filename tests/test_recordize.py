@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recordkit.fixtures import fixture_generate
+from recordkit.ftrecord import transform_ft
 from recordkit.netlist import (Evaluator, Gate, Netlist, NetlistError,
                                evaluate, parse_netlist, validate,
                                write_netlist)
@@ -322,10 +323,15 @@ def test_property_roundtrip_closure_equivalence(case):
     n, cfg = case
     d = transform(n, cfg)
     back = design_from_netlist(parse_netlist(write_netlist(d.netlist)))
-    assert back.config == d.config
-    assert back.source_inputs == d.source_inputs
-    assert back.source_outputs == d.source_outputs
-    for k in range(d.replica_count):
-        assert back.replica_input_wires(k) == d.replica_input_wires(k)
+    assert back == d
     assert partition_check(d).ok
     assert verify_equivalence(n, d, mode="exhaustive").passed
+
+
+@pytest.mark.parametrize("kind, params", [("maj9", {}), ("adder4", {}),
+                                          ("and-tree-n", {"n": 5})])
+def test_ft_design_roundtrips_through_text(kind, params):
+    n = fixture_generate(kind, **params)
+    ft = transform_ft(n, RecordConfig.checkerboard(n, 1))
+    text = write_netlist(ft.design.netlist)
+    assert design_from_netlist(parse_netlist(text)) == ft.design

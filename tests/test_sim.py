@@ -150,7 +150,7 @@ def test_stimulus_file_roundtrip(tmp_path):
     p = tmp_path / "stim.txt"
     p.write_text("# two cycles\n10\n01  # comment\n\n11\n")
     stim = Stimulus.from_file(p)
-    assert stim.count == 3 and stim.width == 2
+    assert stim.count == 3 and len(stim.columns) == 2
     count, cols = stim.bound(2)
     # first char of each line = first declared input
     assert cols[0] == 0b101  # cycles 0,2 set
