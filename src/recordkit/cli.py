@@ -178,14 +178,10 @@ def cmd_attack(args) -> int:
     d = design_from_netlist(read_netlist(args.transformed))
     trace = simulate(d, _stimulus(args), RngSpec(args.seed))
     if args.pairs == "all-t":
-        s = [i for i in d.source_inputs
-             if i in set(d.config.randomized_inputs)]
-        pairs = [(d.encode_wire(a), d.encode_wire(b))
+        s = [i for i in d.source_inputs if i in d.config.randomized_inputs]
+        bus = d.replica_input_wires(args.isolate or 0)
+        pairs = [(bus[a], bus[b])
                  for idx, a in enumerate(s) for b in s[idx + 1:]]
-        if args.isolate is not None:
-            visible = set(d.replica_input_wires(args.isolate).values())
-            pairs = [(a, b) for a, b in pairs
-                     if a in visible and b in visible]
     elif args.pairs:
         pairs = []
         for item in args.pairs.split(","):

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bits import Bits, pack, unpack
+from .bits import Bits, pack
 from .fixtures import make_maj9
 from .netlist import Netlist
 from .pgm import read_pgm, write_pgm
@@ -249,12 +249,13 @@ def _run_variant(variant: str, noisy: Sequence[int], width: int, height: int,
 
 
 def leaked_image(run: _VariantRun, width: int, height: int) -> List[int]:
-    """Render difference estimates as gray levels; enhanced image for plain."""
+    """Render difference estimates as gray levels; enhanced image for plain.
+    Planes read as hex add one pixel per nibble (8 planes, so no carry)."""
     if run.design is None:
         return [255 * p for p in run.enhanced]
-    k = len(run.estimates)
-    planes = (unpack(m.value, width * height) for m in run.estimates)
-    return [(255 * sum(votes)) // k for votes in zip(*planes)]
+    level = {"%x" % c: 255 * c // len(run.estimates) for c in range(16)}
+    total = sum(int(format(m.value, "b"), 16) for m in run.estimates)
+    return [level[c] for c in format(total, "0%dx" % (width * height))[::-1]]
 
 
 def demo_image(cfg: ImageDemoConfig) -> DemoResult:

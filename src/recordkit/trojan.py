@@ -16,9 +16,9 @@ tapped wire w that encodes it, and gradient(a,b) guesses the xor of two
 inputs as the xor of their tapped wires a and b.
 
 Leakage is quantified with the plug-in mutual-information estimator over
-the empirical 2x2 joint histogram (log base 2, 0*log0 = 0). For binary
-streams its bias is about 1/(2n ln 2), negligible at the trace lengths
-used here.
+the empirical 2x2 joint histogram (log base 2, 0*log0 = 0), whose bias for
+binary streams, about 1/(2n ln 2), is negligible here. leak_report counts
+each stream's ones once and does one joint popcount per (wire, target).
 """
 
 from __future__ import annotations
@@ -77,16 +77,10 @@ def tap(d: PartitionedDesign, t: SimTrace,
     return LeakTrace(t.cycles, {w: t.wires[w] for w in sorted(visible)})
 
 
-def mutual_information(a: Bits, b: Bits) -> float:
-    """Plug-in estimate of I(a;b) in bits for two equal-length bit streams."""
-    n = len(a)
-    if len(b) != n:
-        raise ValueError("streams differ in length: %d vs %d" % (n, len(b)))
+def _mi_counts(c11: int, ca: int, cb: int, n: int) -> float:
+    """Plug-in I(a;b) in bits from the ones in a&b, a and b over n cycles."""
     if n == 0:
         raise ValueError("empty streams")
-    c11 = (a.value & b.value).bit_count()
-    ca = a.count()
-    cb = b.count()
     c10 = ca - c11
     c01 = cb - c11
     c00 = n - c11 - c10 - c01
@@ -96,6 +90,14 @@ def mutual_information(a: Bits, b: Bits) -> float:
         if cij:
             mi += (cij / n) * math.log2(cij * n / (ci * cj))
     return max(mi, 0.0)
+
+
+def mutual_information(a: Bits, b: Bits) -> float:
+    """Plug-in estimate of I(a;b) in bits for two equal-length bit streams."""
+    n = len(a)
+    if len(b) != n:
+        raise ValueError("streams differ in length: %d vs %d" % (n, len(b)))
+    return _mi_counts((a.value & b.value).bit_count(), a.count(), b.count(), n)
 
 
 @dataclass(frozen=True)
@@ -137,26 +139,27 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
     Per requested wire pair (a, b): MI of the xor of the two tapped streams
     against the xor of their underlying inputs. ``strategies`` holds the
     attacks' accuracies: pick-replica per visible replica output, then
-    input-echo per tapped replica-0 input wire in wire order, then gradient
-    per pair. ``replica`` restricts the view to one physically isolated
-    copy. Uniform stimulus and at least ~10^4 cycles are what make these
-    numbers meaningful.
+    input-echo per tapped input wire of the viewed replica (replica 0 when
+    unrestricted) in wire order, then gradient per pair. ``replica``
+    restricts the view to one physically isolated copy. Uniform stimulus
+    and at least ~10^4 cycles are what make these numbers meaningful.
     """
-    lt = tap(d, t, replica=replica)
+    lt, n = tap(d, t, replica=replica), t.cycles
     x_streams = {i: t.stream(i) for i in d.source_inputs}
     out_streams = {o: t.stream(z)
                    for o, z in zip(d.source_outputs, d.decoded_outputs)}
-    source_of = {w: i for i, w in d.replica_input_wires(0).items() if w in lt}
+    source_of = {w: i for i, w in d.replica_input_wires(replica or 0).items()
+                 if w in lt}
 
+    targets = {kind: [(s, b.value, b.count()) for s, b in streams.items()]
+               for kind, streams in (("input", x_streams),
+                                     ("output", out_streams))}
     wire_mi: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for w in lt.wires:
-        ws = lt.stream(w)
-        wire_mi[w] = {
-            "input": {i: mutual_information(ws, xs)
-                      for i, xs in x_streams.items()},
-            "output": {o: mutual_information(ws, os_)
-                       for o, os_ in out_streams.items()},
-        }
+    for w, v in lt.wires.items():
+        cw = v.bit_count()
+        wire_mi[w] = {kind: {s: _mi_counts((v & sv).bit_count(), cw, cs, n)
+                             for s, sv, cs in tgts}
+                      for kind, tgts in targets.items()}
 
     strategies: List[StrategyScore] = []
     for k in range(d.replica_count) if replica is None else (replica,):

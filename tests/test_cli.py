@@ -356,6 +356,10 @@ def test_attack_isolation(tmp_path):
                "--report", report) == 0
     doc = json.loads(report.read_text())
     assert all(w.startswith(("__f1_", "__tn_")) for w in doc["wires"])
+    # all-t pairs come from replica 1's bus: 36 pairs of the 9 __tn_ wires
+    assert len(doc["pairs"]) == 36
+    assert ("__tn_x1", "__tn_x2") in {(p["a"], p["b"]) for p in doc["pairs"]}
+    assert "input-echo(__tn_x9)" in {s["name"] for s in doc["strategies"]}
 
 
 @pytest.mark.parametrize("argv", [

@@ -66,18 +66,22 @@ GOLDEN = {
         "040ae13f1dcd4718d1f02b3fc17d2a1575fc9536c6a3f69899e5a49b8e95c5e0",
     "leak_report/maj9/G1/0":
         "53cd40ce976706c31f7cbbcc96a78ea97a1ddc816d9829b54b2e56f1dcbf8123",
+    # Views of replica k >= 1 are re-pinned: input-echo scores and all-t
+    # pairs now come from replica k's own bus (they used replica 0's, which
+    # such a view does not tap). Their wire MI and pick-replica entries are
+    # unchanged.
     "leak_report/maj9/G1/1":
-        "f72987a992d74bc7acaf1b9afb478964e70ac71d602b6320bfb0a981cbfedbf7",
+        "2d24dd5c12cdfe6d4d6104698daa10d7a6ce92a5f0e3047e4f31447a97828493",
     "leak_report/maj9/G2/all":
         "895bac8a36804f339486d306f216b131e8dabe43970fbdc1e67f8c2a4dfc03c3",
     "leak_report/maj9/G2/0":
         "2680f5b8a12a88abd4ef169bb019cfcef94ba2053433b84fc48d711193dfcd6d",
     "leak_report/maj9/G2/1":
-        "2790bde6245fed3b25983e1d7e5967ec7e14d407c9568fae24bd11a245a8c724",
+        "fb450666c5d02adaaefdf6fab2c4396c45c2f82bf4a854e5511af4fc04d6ac66",
     "leak_report/maj9/G2/2":
-        "e5b05ad626194f6fcff65b427fe7c60918a0711013de572685f0991981b0e965",
+        "91a68ac7c095b4331a58ea519755b0679018a90cec2f27a78df2eb9e75d9fcd0",
     "leak_report/maj9/G2/3":
-        "03da62f1998824a70edabf81c4b163cd59715fe06835b4902a402ace5fe97078",
+        "4fb8f4e95c86b8e8a3e2fdf00c35e5009771b304c0f701eb6ab444f1dc833af1",
     "leak_report/adder4/G2/all":
         "fbf720479655398047912711b7e775515cfdb2df4a6b42bd82d0ac68fd2175f0",
     "cost_report/aes-sbox/G1":
@@ -262,12 +266,10 @@ def _artifact(key: str):
         t = simulate(d, Stimulus.uniform(3000, seed=7), RngSpec(7))
         replica = None if parts[3] == "all" else int(parts[3])
         s = list(d.config.randomized_inputs)
-        pairs = [(d.encode_wire(a), d.encode_wire(b))
+        # the pairs of `recordkit attack --pairs all-t [--isolate k]`
+        bus = d.replica_input_wires(replica or 0)
+        pairs = [(bus[a], bus[b])
                  for idx, a in enumerate(s) for b in s[idx + 1:]]
-        if replica is not None:
-            visible = set(d.replica_input_wires(replica).values())
-            pairs = [(a, b) for a, b in pairs
-                     if a in visible and b in visible]
         return _json(leak_report(d, t, pairs, replica=replica).to_json())
     if parts[0] == "cost_report":
         n = _fixture(parts[1])

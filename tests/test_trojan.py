@@ -2,6 +2,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_recordize import designs
 
 from recordkit.bits import Bits
 from recordkit.fixtures import fixture_generate
@@ -173,6 +175,58 @@ def test_leak_report_isolated_pair_untapped():
     t = simulate(d, Stimulus.uniform(16, seed=0), RngSpec(0))
     with pytest.raises(LeakError, match="untapped"):
         leak_report(d, t, [("__t_x1", "__tn_x2")], replica=0)
+
+
+def test_leak_report_isolated_replica_keys_on_its_own_bus():
+    m9, d = _maj9_design(1)
+    t = simulate(d, Stimulus.uniform(4000, seed=72), RngSpec(73))
+    rep = leak_report(d, t, [("__tn_x1", "__tn_x2")], replica=1)
+    scores = _scores(rep)
+    for i in m9.inputs:
+        w = d.replica_input_wires(1)[i]
+        assert w == "__tn_" + i
+        assert scores["input-echo(%s)" % w] == \
+            t.stream(w).accuracy(t.stream(i))
+    # x1 and x2 share the group's pad, so the complements cancel it too
+    assert scores["gradient(__tn_x1,__tn_x2)"] == 1.0
+    truth = t.stream("x1") ^ t.stream("x2")
+    assert rep.pairs[0].mi == mutual_information(truth, truth)
+    assert [s.name for s in rep.strategies][:2] == [
+        "pick-replica(1,y)", "input-echo(__tn_x1)"]
+
+
+@pytest.mark.parametrize("view", ["full", "single"])
+@pytest.mark.parametrize("groups", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_property_report_floats_equal_mutual_information(groups, view,
+                                                         data):
+    n, cfg = data.draw(designs().filter(lambda c: c[1].groups == groups))
+    d = transform(n, cfg)
+    replica = (None if view == "full"
+               else data.draw(st.integers(0, d.replica_count - 1)))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    t = simulate(d, Stimulus.uniform(257, seed=seed), RngSpec(seed))
+    lt = tap(d, t, replica=replica)
+    bus = d.replica_input_wires(replica or 0)
+    tapped = [i for i in cfg.randomized_inputs if bus[i] in lt]
+    pairs = [(bus[a], bus[b]) for k, a in enumerate(tapped)
+             for b in tapped[k + 1:]]
+    rep = leak_report(d, t, pairs, replica=replica)
+    assert list(rep.wire_mi) == list(lt.wires)
+    for w, kinds in rep.wire_mi.items():
+        ws = t.stream(w)
+        assert kinds["input"] == {i: mutual_information(ws, t.stream(i))
+                                  for i in d.source_inputs}
+        assert kinds["output"] == {
+            o: mutual_information(ws, t.stream(z))
+            for o, z in zip(d.source_outputs, d.decoded_outputs)}
+    src = {w: i for i, w in bus.items()}
+    assert [(p.a, p.b) for p in rep.pairs] == pairs
+    for p in rep.pairs:
+        assert p.mi == mutual_information(
+            t.stream(p.a) ^ t.stream(p.b),
+            t.stream(src[p.a]) ^ t.stream(src[p.b]))
 
 
 def test_trigger_g1_rate_half():
