@@ -19,7 +19,7 @@ from .fixtures import (aes_sbox_table, byte_assignment, byte_value,
 from .ftrecord import (REPLAY_LIMIT, FTDesign, FTTrace, FaultInjection,
                        FaultPlan, ft_simulate, transform_ft)
 from .netlist import (Gate, Netlist, NetlistError, evaluate, parse_netlist,
-                      read_netlist, save_netlist, validate, write_netlist)
+                      read_netlist, save_netlist, write_netlist)
 from .recordize import (ClosureReport, PartitionedDesign, RecordConfig,
                         design_from_netlist, partition_check, rekey,
                         transform, untrusted_zone_text, user_view)

@@ -16,7 +16,7 @@ from .cost import cost_report
 from .demo import ImageDemoConfig, demo_image
 from .fixtures import FIXTURE_KINDS, fixture_generate
 from .ftrecord import FaultPlan, FaultPlanError, ft_simulate, transform_ft
-from .netlist import NetlistError, read_netlist, save_netlist, validate
+from .netlist import NetlistError, evaluate, read_netlist, save_netlist
 from .recordize import (RecordConfig, design_from_netlist, partition_check,
                         transform)
 from .rng import MASK64, RngSpec
@@ -79,10 +79,10 @@ def _config(args, source) -> RecordConfig:
     raise ValueError("grouping must be 'checkerboard' or 'explicit:<file>'")
 
 
-def _stimulus(args, count_flag="cycles") -> Stimulus:
+def _stimulus(args) -> Stimulus:
     if getattr(args, "stimulus", None):
         return Stimulus.from_file(args.stimulus)
-    return Stimulus.uniform(getattr(args, count_flag), seed=args.seed ^ 1)
+    return Stimulus.uniform(args.cycles, seed=args.seed ^ 1)
 
 
 def cmd_fixture(args) -> int:
@@ -97,7 +97,6 @@ def cmd_fixture(args) -> int:
 
 def cmd_check(args) -> int:
     n = read_netlist(args.netlist)
-    validate(n)
     print("%s: ok (%d inputs, %d outputs, %d gates)"
           % (args.netlist, len(n.inputs), len(n.outputs), len(n.gates)))
     return 0
@@ -126,7 +125,6 @@ def cmd_eval(args) -> int:
             assignment[name] = int(value)
     else:
         raise ValueError("need --bits or --assign")
-    from .netlist import evaluate
     out = evaluate(n, assignment)
     for o in n.outputs:
         print("%s=%d" % (o, out[o]))

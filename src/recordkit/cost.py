@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from .netlist import Gate, Netlist, topo_order
+from .netlist import Gate, Netlist
 from .recordize import PartitionedDesign
 from .sim import SimTrace, check_interface
 
@@ -67,7 +67,7 @@ def area(n: Netlist, zone: Optional[str] = None) -> float:
 def depth(n: Netlist, outputs: Optional[Iterable[str]] = None) -> float:
     """Longest input-to-output path under the unit delays."""
     level: Dict[str, float] = {w: 0.0 for w in n.inputs}
-    for g in topo_order(n):
+    for g in n.order:
         base = max((level[w] for w in g.ins), default=0.0)
         level[g.out] = base + _COST[g.kind][2]
     outs = tuple(outputs) if outputs is not None else n.outputs

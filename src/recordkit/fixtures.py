@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .netlist import Gate, Netlist, validate
+from .netlist import Gate, Netlist
 
 FIXTURE_KINDS = ("aes-sbox", "maj9", "adder4", "and-tree-n")
 
@@ -94,10 +94,8 @@ def make_aes_sbox() -> Netlist:
                 gates.append(Gate("AND", t, lits))
                 terms.append(t)
         gates.append(Gate("OR", "y%d" % bit, tuple(terms)))
-    n = Netlist("aes_sbox", inputs,
-                tuple("y%d" % i for i in range(7, -1, -1)), tuple(gates))
-    validate(n)
-    return n
+    return Netlist("aes_sbox", inputs,
+                   tuple("y%d" % i for i in range(7, -1, -1)), tuple(gates))
 
 
 def make_maj9() -> Netlist:
@@ -110,9 +108,7 @@ def make_maj9() -> Netlist:
         gates.append(Gate("AND", t, tuple("x%d" % (j + 1) for j in combo)))
         terms.append(t)
     gates.append(Gate("OR", "y", tuple(terms)))
-    n = Netlist("maj9", inputs, ("y",), tuple(gates))
-    validate(n)
-    return n
+    return Netlist("maj9", inputs, ("y",), tuple(gates))
 
 
 def make_adder4() -> Netlist:
@@ -135,9 +131,7 @@ def make_adder4() -> Netlist:
             carry = "c%d" % (i + 1)
     gates.append(Gate("BUF", "cout", (carry,)))
     outputs = ("cout",) + tuple("s%d" % i for i in range(3, -1, -1))
-    n = Netlist("adder4", inputs, outputs, tuple(gates))
-    validate(n)
-    return n
+    return Netlist("adder4", inputs, outputs, tuple(gates))
 
 
 def make_and_tree(n_inputs: int) -> Netlist:
@@ -159,9 +153,7 @@ def make_and_tree(n_inputs: int) -> Netlist:
             nxt.append(level[-1])
         level = nxt
     gates.append(Gate("BUF", "y", (level[0],)))
-    n = Netlist("and_tree_%d" % n_inputs, inputs, ("y",), tuple(gates))
-    validate(n)
-    return n
+    return Netlist("and_tree_%d" % n_inputs, inputs, ("y",), tuple(gates))
 
 
 def fixture_generate(kind: str, **params) -> Netlist:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bits import unpack
-from .netlist import Gate, Netlist, validate
+from .netlist import Gate, Netlist
 from .recordize import (COMPARE_PREFIX, MISCOMPARE_WIRE, SPARE_INPUT_PREFIX,
                         VOTE_PAIR_PREFIXES, VOTE_PREFIX, PartitionedDesign,
                         RecordConfig, build_replica, replica_wire,
@@ -109,7 +109,6 @@ def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
                       d.netlist.outputs + (MISCOMPARE_WIRE,)
                       + tuple(VOTE_PREFIX + o for o in n.outputs),
                       tuple(gates))
-    validate(netlist)
     return FTDesign(replace(d, netlist=netlist), n)
 
 

@@ -29,6 +29,9 @@ and complemented flag: nand, nor, xnor, not and const1 evaluate as and, or,
 xor, buf and const0 followed by ``x ^= mask``. ``Netlist.evaluator`` is the
 netlist's one cached, topologically sorted plan; only this module builds an
 ``Evaluator``.
+
+Every ``Netlist``, parsed or built in Python, is validated when it is
+constructed; ``Netlist.order`` keeps the one Kahn pass that validation runs.
 """
 
 from __future__ import annotations
@@ -94,6 +97,14 @@ class Netlist:
     outputs: Tuple[str, ...]
     gates: Tuple[Gate, ...]
 
+    def __post_init__(self):
+        validate(self)
+
+    @cached_property
+    def order(self) -> Tuple[Gate, ...]:
+        """Gates in dependency order, sorted once and kept."""
+        return topo_order(self)
+
     @cached_property
     def evaluator(self) -> "Evaluator":
         """The netlist's evaluation plan, built on first use and kept."""
@@ -104,13 +115,7 @@ class Netlist:
         return {g.out: g for g in self.gates}
 
     def wires(self) -> List[str]:
-        seen = list(self.inputs)
-        have = set(seen)
-        for g in self.gates:
-            if g.out not in have:
-                have.add(g.out)
-                seen.append(g.out)
-        return seen
+        return list(self.inputs) + [g.out for g in self.gates]
 
 
 def _check_name(name: str, what: str, line: Optional[int] = None) -> None:
@@ -162,7 +167,7 @@ def validate(n: Netlist) -> None:
         if w in seen_out:
             raise NetlistError("output %r listed twice" % w)
         seen_out.add(w)
-    topo_order(n)
+    n.order  # the one Kahn pass; raises on a cycle
 
 
 def topo_order(n: Netlist) -> Tuple[Gate, ...]:
@@ -202,7 +207,7 @@ class Evaluator:
         self.netlist = n
         # (base op, complemented, out, ins) in dependency order
         self._ops = tuple((*_KINDS[g.kind][3:], g.out, g.ins)
-                          for g in topo_order(n))
+                          for g in n.order)
 
     def run(self, values: Mapping[str, int], mask: int = 1,
             force: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
@@ -257,7 +262,7 @@ def evaluate(n: Netlist, assignment: Mapping[str, int]) -> Dict[str, int]:
 
 
 def parse_netlist(text: str) -> Netlist:
-    """Parse the text format; the result always passes validate()."""
+    """Parse the text format; the Netlist constructor validates the result."""
     name: Optional[str] = None
     inputs: List[str] = []
     outputs: List[str] = []
@@ -341,9 +346,7 @@ def parse_netlist(text: str) -> Netlist:
         else:
             raise NetlistError("unknown attr key %r" % key, lineno)
 
-    n = Netlist(name, tuple(inputs), tuple(outputs), tuple(gates))
-    validate(n)
-    return n
+    return Netlist(name, tuple(inputs), tuple(outputs), tuple(gates))
 
 
 def write_netlist(n: Netlist) -> str:

@@ -1,4 +1,4 @@
-"""Minimal PGM grayscale image I/O: P2 and P5 in, P5 out, maxval up to 255."""
+"""Minimal PGM I/O: P2 and P5 in (maxval up to 255), P5 out at maxval 255."""
 
 from __future__ import annotations
 
@@ -66,11 +66,10 @@ def read_pgm(path) -> Tuple[int, int, int, List[int]]:
     return width, height, maxval, pixels
 
 
-def write_pgm(path, width: int, height: int, pixels: List[int],
-              maxval: int = 255) -> None:
+def write_pgm(path, width: int, height: int, pixels: List[int]) -> None:
     if len(pixels) != width * height:
         raise ValueError("pixel count %d does not match %dx%d"
                          % (len(pixels), width, height))
     with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n%d\n" % (width, height, maxval))
+        f.write(b"P5\n%d %d\n255\n" % (width, height))
         f.write(bytes(pixels))

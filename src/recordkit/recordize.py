@@ -40,8 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .netlist import (Gate, Netlist, NetlistError, UNTRUSTED, validate,
-                      gate_lines)
+from .netlist import Gate, Netlist, NetlistError, UNTRUSTED, gate_lines
 from .rng import RngSpec
 
 RESERVED_PREFIX = "__"
@@ -227,7 +226,6 @@ def build_replica(n: Netlist, k: int, inputs: Mapping[str, str]
 
 def transform(n: Netlist, cfg: RecordConfig) -> PartitionedDesign:
     """Apply the randomized-encoding construction described above."""
-    validate(n)
     cfg.validate(n)
     _reject_reserved(n)
     g_of = cfg.group_assignment
@@ -271,7 +269,6 @@ def transform(n: Netlist, cfg: RecordConfig) -> PartitionedDesign:
                           tuple(ENCODED_OUT_PREFIX + o for o in n.outputs)
                           + tuple(DECODED_OUT_PREFIX + o for o in n.outputs),
                           tuple(gates))
-    validate(out_netlist)
     return PartitionedDesign(out_netlist, cfg)
 
 
@@ -310,10 +307,8 @@ def partition_check(d: PartitionedDesign) -> ClosureReport:
 def user_view(d: PartitionedDesign) -> Netlist:
     """The bona fide user's netlist: decoded outputs, zone tags dropped."""
     gates = tuple(Gate(g.kind, g.out, g.ins) for g in d.netlist.gates)
-    n = Netlist("%s_user" % d.netlist.name, d.netlist.inputs,
-                d.decoded_outputs, gates)
-    validate(n)
-    return n
+    return Netlist("%s_user" % d.netlist.name, d.netlist.inputs,
+                   d.decoded_outputs, gates)
 
 
 def rekey(d: PartitionedDesign, new_rng: RngSpec) -> PartitionedDesign:
@@ -336,7 +331,6 @@ def design_from_netlist(n: Netlist, rng: Optional[RngSpec] = None
     gates, __y_/__z_ output pairs, and replica attributes. A design that
     fails partition_check is rejected with the wires that break closure.
     """
-    validate(n)
     d = PartitionedDesign(n, RecordConfig(()),
                           rng if rng is not None else RngSpec())
     for i, w in enumerate(d.random_wires, start=1):
@@ -366,7 +360,7 @@ def design_from_netlist(n: Netlist, rng: Optional[RngSpec] = None
         assignment[i] = int(r_ins[0][len(RANDOM_PREFIX):])
 
     d.config = RecordConfig(tuple(subset), len(d.random_wires), assignment)
-    d.config.validate(Netlist(n.name, d.source_inputs, d.source_outputs, ()))
+    d.config.validate(n)
     replicas = {g.replica for g in d.untrusted_gates()}
     copies = d.replica_count
     if MISCOMPARE_WIRE in n.outputs:

@@ -209,9 +209,15 @@ class TriggerSpec:
 class TriggerStats:
     cycles: int
     fired: Bits
-    count: int
-    rate: float
     analytic_rate: float
+
+    @property
+    def count(self) -> int:
+        return self.fired.count()
+
+    @property
+    def rate(self) -> float:
+        return self.fired.count() / self.cycles
 
 
 def trigger_experiment(d: PartitionedDesign, trig: TriggerSpec,
@@ -254,5 +260,4 @@ def trigger_experiment(d: PartitionedDesign, trig: TriggerSpec,
         matches += m.bit_count()
     analytic = matches / ((1 << groups) * t.cycles)
 
-    return TriggerStats(t.cycles, fired, fired.count(),
-                        fired.count() / t.cycles, analytic)
+    return TriggerStats(t.cycles, fired, analytic)

@@ -254,6 +254,62 @@ def test_evaluator_matches_per_kind_reference_on_every_lane(n):
     assert all(0 <= word <= mask for word in got.values())
 
 
+@pytest.mark.parametrize("gates, message", [
+    ((Gate("AND", "y", ("a", "ghost")),), "undriven wire 'ghost'"),
+    ((Gate("NOT", "y", ("a",)), Gate("BUF", "y", ("a",))),
+     "duplicate driver for wire 'y'"),
+    ((Gate("AND", "y", ("a",)),), "AND 'y' takes 2 or more inputs, got 1"),
+    ((Gate("AND", "w", ("a", "y")), Gate("AND", "y", ("a", "w"))),
+     "cycle detected through wire 'w'"),
+], ids=["undriven-read", "duplicate-driver", "one-input-and", "cycle"])
+def test_construction_rejects_invalid_netlists(gates, message):
+    with pytest.raises(NetlistError, match=message):
+        Netlist("m", ("a",), ("y",), gates)
+
+
+@st.composite
+def _any_gate_list(draw):
+    # mostly well formed, but a gate may take any number of inputs, drive
+    # an existing wire or read an undeclared, its own or a later wire
+    wires = ["i0", "i1"]
+    gates = []
+    for k in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(sorted(_REFERENCE)))
+        lo, hi = _REF_ARITY.get(kind, (2, 4))
+        if draw(st.integers(0, 15)) == 0:
+            lo, hi = 0, 4
+        out = draw(st.sampled_from(["w%d" % k] * 40 + wires))
+        reads = st.sampled_from(wires * 16 + ["ghost", out, "w%d" % (k + 1)])
+        ins = draw(st.lists(reads, min_size=lo, max_size=hi))
+        gates.append(Gate(kind, out, tuple(ins)))
+        wires.append(out)
+    outputs = draw(st.lists(st.sampled_from(wires + ["ghost"]), min_size=1,
+                            max_size=2))
+    return tuple(outputs), tuple(draw(st.permutations(gates)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_gate_list())
+def test_every_constructed_netlist_evaluates_and_roundtrips(parts):
+    outputs, gates = parts
+    try:
+        n = Netlist("m", ("i0", "i1"), outputs, gates)
+    except NetlistError:
+        return
+    # lane j carries input assignment j, so all four lanes run at once
+    values = {"i0": 0b1010, "i1": 0b1100}
+    assert set(n.evaluator.run(values, mask=0b1111)) == set(n.wires())
+    assert parse_netlist(write_netlist(n)) == n
+
+
+def test_order_is_cached_per_netlist():
+    n = parse_netlist("module m\ninput a b\noutput y\n"
+                      "and y a w\nnot w b\nend")
+    assert n.order is n.order
+    assert n.order == topo_order(n)
+    assert [g.out for g in n.order] == ["w", "y"]
+
+
 def test_evaluator_is_cached_per_netlist():
     n = parse_netlist(INV)
     assert n.evaluator is n.evaluator
