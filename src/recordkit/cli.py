@@ -17,8 +17,7 @@ from .demo import ImageDemoConfig, demo_image
 from .fixtures import FIXTURE_KINDS, fixture_generate
 from .ftrecord import FaultPlan, FaultPlanError, ft_simulate, transform_ft
 from .netlist import NetlistError, evaluate, read_netlist, save_netlist
-from .recordize import (RecordConfig, design_from_netlist, partition_check,
-                        transform)
+from .recordize import RecordConfig, design_from_netlist, transform
 from .rng import MASK64, RngSpec
 from .sim import (SimulationError, Stimulus, simulate, simulate_netlist,
                   verify_equivalence)
@@ -139,9 +138,8 @@ def cmd_recordize(args) -> int:
     save_netlist(d.netlist, args.output)
     if args.config_out:
         _write_json(args.config_out, cfg.to_json())
-    report = partition_check(d)
-    if not report.ok:
-        print("partition check failed:", report.violations, file=sys.stderr)
+    if not d.closure.ok:
+        print("partition check failed:", d.closure.violations, file=sys.stderr)
         return 1
     print("wrote %s (%d replicas, %d untrusted gates)"
           % (args.output, d.replica_count, len(d.untrusted_gates())))

@@ -126,13 +126,13 @@ def _check_name(name: str, what: str, line: Optional[int] = None) -> None:
 def validate(n: Netlist) -> None:
     """Raise NetlistError on any structural violation; silent when valid."""
     _check_name(n.name, "module")
-    driver_line: Dict[str, Optional[int]] = {}
+    driven = set()
     for w in n.inputs:
         _check_name(w, "input")
-        if w in driver_line:
+        if w in driven:
             raise NetlistError("duplicate driver for wire %r "
                                "(declared as input twice)" % w)
-        driver_line[w] = None
+        driven.add(w)
     for g in n.gates:
         if g.kind not in _KINDS:
             raise NetlistError("unknown gate kind %r" % g.kind, g.line)
@@ -151,18 +151,18 @@ def validate(n: Netlist) -> None:
         if g.replica is not None and g.replica < 0:
             raise NetlistError("negative replica index on wire %r" % g.out,
                                g.line)
-        if g.out in driver_line:
+        if g.out in driven:
             raise NetlistError("duplicate driver for wire %r" % g.out, g.line)
-        driver_line[g.out] = g.line
+        driven.add(g.out)
     for g in n.gates:
         for w in g.ins:
-            if w not in driver_line:
+            if w not in driven:
                 raise NetlistError("undriven wire %r read by gate %r"
                                    % (w, g.out), g.line)
     seen_out = set()
     for w in n.outputs:
         _check_name(w, "output")
-        if w not in driver_line:
+        if w not in driven:
             raise NetlistError("undriven output %r" % w)
         if w in seen_out:
             raise NetlistError("output %r listed twice" % w)
@@ -262,7 +262,8 @@ def evaluate(n: Netlist, assignment: Mapping[str, int]) -> Dict[str, int]:
 
 
 def parse_netlist(text: str) -> Netlist:
-    """Parse the text format; the Netlist constructor validates the result."""
+    """Parse the text format. The parser checks syntax only; the Netlist
+    constructor validates names, zones, replica indices and structure."""
     name: Optional[str] = None
     inputs: List[str] = []
     outputs: List[str] = []
@@ -285,7 +286,6 @@ def parse_netlist(text: str) -> Netlist:
             if len(tokens) != 2:
                 raise NetlistError("module takes exactly one name", lineno)
             name = tokens[1]
-            _check_name(name, "module", lineno)
             continue
         if head == "module":
             raise NetlistError("duplicate module statement", lineno)
@@ -297,8 +297,6 @@ def parse_netlist(text: str) -> Netlist:
         if head == "input" or head == "output":
             if len(tokens) < 2:
                 raise NetlistError("%s needs at least one wire" % head, lineno)
-            for w in tokens[1:]:
-                _check_name(w, head, lineno)
             (inputs if head == "input" else outputs).extend(tokens[1:])
             continue
         if head == "attr":
@@ -332,16 +330,12 @@ def parse_netlist(text: str) -> Netlist:
         i = by_out[wire]
         g = gates[i]
         if key == "zone":
-            if value not in (TRUSTED, UNTRUSTED):
-                raise NetlistError("zone must be trusted or untrusted", lineno)
             gates[i] = Gate(g.kind, g.out, g.ins, value, g.replica, g.line)
         elif key == "replica":
             try:
                 idx = int(value)
             except ValueError:
                 raise NetlistError("replica must be an integer", lineno)
-            if idx < 0:
-                raise NetlistError("replica must be non-negative", lineno)
             gates[i] = Gate(g.kind, g.out, g.ins, g.zone, idx, g.line)
         else:
             raise NetlistError("unknown attr key %r" % key, lineno)

@@ -20,24 +20,26 @@ Any full-visibility observer confined to the replica copies sees only
 one-time-padded data; the random wires and the raw S inputs never cross
 into the untrusted zone, which partition_check verifies structurally.
 partition_check is the one closure rule: trojan.tap() refuses a design
-exactly when it reports a violation.
+exactly when its verdict, PartitionedDesign.closure, reports a violation.
 
 The complemented encoding is emitted as a single xnor per randomized input
 (an inverter folded into the encoder) so the whole harness adds exactly one
 gate level in front of the copies.
 
 This module owns every reserved ("__"-prefixed) wire name, including those
-of the fault-tolerant variant. A design is its netlist, its config and its
-random stream: every wire role (random inputs, source ports, encoded and
-decoded outputs, replica copies, FT selectors and votes) is read off those
-names, never stored beside them. design_from_netlist rebuilds a design from
-a serialized netlist through the same constants and runs partition_check on
-it, so every CLI subcommand that loads a transformed file checks closure.
+of the fault-tolerant variant. A design is its netlist and its random
+stream: the config is read off the __t_ encode gates, and every wire role
+(random inputs, source ports, encoded and decoded outputs, replica copies,
+FT selectors and votes) is read off those names, never stored beside them.
+Every design is checked against those names when it is constructed, and
+its closure verdict is computed once per design; design_from_netlist
+rejects a loaded design whose verdict fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .netlist import Gate, Netlist, NetlistError, UNTRUSTED, gate_lines
@@ -140,15 +142,58 @@ class RecordConfig:
                    {k: int(v) for k, v in doc["assignment"].items()})
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionedDesign:
-    """A transformed netlist, its config and its random stream. Every wire
-    role is read off the reserved names in the netlist, so no stored copy
-    can disagree with it."""
+    """A transformed netlist and its random stream. The config and every
+    wire role are read off the reserved names in the netlist, so no stored
+    copy can disagree with it; construction checks those names."""
 
     netlist: Netlist
-    config: RecordConfig
     rng: RngSpec = field(default_factory=RngSpec)
+
+    def __post_init__(self):
+        for i, w in enumerate(self.random_wires, start=1):
+            if w != random_wire(i):
+                raise NetlistError("random inputs must be __r1..__rG in "
+                                   "order, found %r" % w)
+        if not self.random_wires:
+            raise NetlistError("no __r inputs: not a transformed design")
+        if not self.encoded_outputs or (len(self.encoded_outputs)
+                                        != len(self.decoded_outputs)):
+            raise NetlistError("outputs must pair __y_<o> with __z_<o>")
+        if tuple(w[len(DECODED_OUT_PREFIX):]
+                 for w in self.decoded_outputs) != self.source_outputs:
+            raise NetlistError("encoded and decoded output names disagree")
+        self.config.validate(self.netlist)
+        replicas = {g.replica for g in self.untrusted_gates()}
+        copies = self.replica_count
+        if MISCOMPARE_WIRE in self.netlist.outputs:
+            copies += 1  # an FT netlist also carries the spare copy 2^G
+        if replicas != set(range(copies)):
+            raise NetlistError("expected replica indices 0..%d, found %s"
+                               % (copies - 1, sorted(replicas)))
+
+    @cached_property
+    def config(self) -> RecordConfig:
+        """Read off the encode gates: __t_<x> = x xor __r<g> puts x in g."""
+        assignment: Dict[str, int] = {}
+        by_out = self.netlist.drivers()
+        for i in self.source_inputs:
+            g = by_out.get(ENCODE_PREFIX + i)
+            if g is None:
+                continue
+            r_ins = [w for w in g.ins if w.startswith(RANDOM_PREFIX)]
+            if (g.kind != "XOR" or len(g.ins) != 2 or i not in g.ins
+                    or not r_ins):
+                raise NetlistError("unrecognized encode gate for input %r" % i)
+            assignment[i] = int(r_ins[0][len(RANDOM_PREFIX):])
+        return RecordConfig(tuple(assignment), len(self.random_wires),
+                            assignment)
+
+    @cached_property
+    def closure(self) -> "ClosureReport":
+        """The closure verdict, computed once per design."""
+        return partition_check(self)
 
     @property
     def random_wires(self) -> Tuple[str, ...]:
@@ -269,7 +314,7 @@ def transform(n: Netlist, cfg: RecordConfig) -> PartitionedDesign:
                           tuple(ENCODED_OUT_PREFIX + o for o in n.outputs)
                           + tuple(DECODED_OUT_PREFIX + o for o in n.outputs),
                           tuple(gates))
-    return PartitionedDesign(out_netlist, cfg)
+    return PartitionedDesign(out_netlist)
 
 
 @dataclass(frozen=True)
@@ -279,9 +324,9 @@ class Violation:
     reason: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClosureReport:
-    violations: List[Violation]
+    violations: Tuple[Violation, ...]
 
     @property
     def ok(self) -> bool:
@@ -301,7 +346,7 @@ def partition_check(d: PartitionedDesign) -> ClosureReport:
             elif w in raw:
                 violations.append(Violation(g.out, w,
                                             "raw randomized input"))
-    return ClosureReport(violations)
+    return ClosureReport(tuple(violations))
 
 
 def user_view(d: PartitionedDesign) -> Netlist:
@@ -326,51 +371,14 @@ def design_from_netlist(n: Netlist, rng: Optional[RngSpec] = None
                         ) -> PartitionedDesign:
     """Rebuild a PartitionedDesign from a serialized transformed netlist.
 
-    The reserved-name conventions written by transform() carry enough
-    structure to recover the configuration: __rK inputs, __t_/__tn_ encode
-    gates, __y_/__z_ output pairs, and replica attributes. A design that
-    fails partition_check is rejected with the wires that break closure.
+    Construction checks the reserved names written by transform(): __rK
+    inputs, __t_ encode gates (the config is read off them), __y_/__z_
+    output pairs and replica attributes. A design whose closure verdict,
+    computed once and kept, fails is rejected with the wires that break it.
     """
-    d = PartitionedDesign(n, RecordConfig(()),
-                          rng if rng is not None else RngSpec())
-    for i, w in enumerate(d.random_wires, start=1):
-        if w != random_wire(i):
-            raise NetlistError("random inputs must be __r1..__rG in order, "
-                               "found %r" % w)
-    if not d.random_wires:
-        raise NetlistError("no __r inputs: not a transformed design")
-    if not d.encoded_outputs or (len(d.encoded_outputs)
-                                 != len(d.decoded_outputs)):
-        raise NetlistError("outputs must pair __y_<o> with __z_<o>")
-    if tuple(w[len(DECODED_OUT_PREFIX):]
-             for w in d.decoded_outputs) != d.source_outputs:
-        raise NetlistError("encoded and decoded output names disagree")
-
-    subset: List[str] = []
-    assignment: Dict[str, int] = {}
-    by_out = n.drivers()
-    for i in d.source_inputs:
-        g = by_out.get(ENCODE_PREFIX + i)
-        if g is None:
-            continue
-        r_ins = [w for w in g.ins if w.startswith(RANDOM_PREFIX)]
-        if g.kind != "XOR" or len(g.ins) != 2 or i not in g.ins or not r_ins:
-            raise NetlistError("unrecognized encode gate for input %r" % i)
-        subset.append(i)
-        assignment[i] = int(r_ins[0][len(RANDOM_PREFIX):])
-
-    d.config = RecordConfig(tuple(subset), len(d.random_wires), assignment)
-    d.config.validate(n)
-    replicas = {g.replica for g in d.untrusted_gates()}
-    copies = d.replica_count
-    if MISCOMPARE_WIRE in n.outputs:
-        copies += 1  # an FT netlist also carries the spare copy 2^G
-    if replicas != set(range(copies)):
-        raise NetlistError("expected replica indices 0..%d, found %s"
-                           % (copies - 1, sorted(replicas)))
-    violations = partition_check(d).violations
-    if violations:
+    d = PartitionedDesign(n, rng if rng is not None else RngSpec())
+    if d.closure.violations:
         raise NetlistError("partition closure violated: %s" % ", ".join(
             "%r reads %s %r" % (v.gate_out, v.reason, v.wire)
-            for v in violations))
+            for v in d.closure.violations))
     return d

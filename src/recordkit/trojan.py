@@ -5,10 +5,11 @@ of every wire the untrusted zone touches: the replica gates' outputs and
 whatever feeds them (the encoded t/tn wires and any pass-through inputs).
 It never sees the random wires or the raw randomized inputs; tap() checks
 that on every call because it is the security property everything else
-rests on, and takes its verdict from recordize.partition_check so the
-closure rule has a single implementation. Isolation mode restricts the
-view to a single replica, the situation where physically separated copies
-cannot pool their observations.
+rests on, and takes its verdict from d.closure, which
+recordize.partition_check computes once per design, so the closure rule
+has a single implementation. Isolation mode restricts the view to a
+single replica, the situation where physically separated copies cannot
+pool their observations.
 
 leak_report scores three attacks on that view: pick-replica(k,o) guesses
 output o as replica k's copy of it, input-echo(w) guesses an input as the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bits import Bits
-from .recordize import PartitionedDesign, partition_check
+from .recordize import PartitionedDesign
 from .rng import RngSpec
 from .sim import SimTrace, Stimulus, simulate
 
@@ -59,14 +60,13 @@ def tap(d: PartitionedDesign, t: SimTrace,
 
     replica=None gives the full untrusted view; an index restricts to that
     replica's gates and boundary wires. Raises LeakError whenever
-    partition_check(d) reports a violation, whichever view is asked for.
+    d.closure reports a violation, whichever view is asked for.
     """
     if replica is not None and not 0 <= replica < d.replica_count:
         raise LeakError("no replica %d in a %d-copy design"
                         % (replica, d.replica_count))
-    violations = partition_check(d).violations
-    if violations:
-        leaked = sorted({v.wire for v in violations})
+    if d.closure.violations:
+        leaked = sorted({v.wire for v in d.closure.violations})
         raise LeakError("partition closure violated: %s visible to the "
                         "untrusted zone" % leaked)
     visible = set()

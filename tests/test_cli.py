@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from recordkit import recordize
 from recordkit.cli import main
 
 
@@ -392,3 +394,37 @@ def test_fixture_rejects_a_parameter_its_kind_does_not_take(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'n'" in err and "maj9" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("recordize", "{src}", "-o", "{tmp}/again.nl"),
+    ("verify", "{src}", "{enc}"),
+    ("simulate", "{enc}", "--cycles", "100"),
+    ("attack", "{enc}", "--cycles", "100", "--pairs", "all-t"),
+    ("attack", "{enc}", "--cycles", "100", "--isolate", "1"),
+    ("trigger", "{enc}", "--pattern", "101010101", "--cycles", "100"),
+    ("cost", "{src}", "{enc}", "--cycles", "100"),
+])
+def test_closure_verdict_computed_once_per_command(tmp_path, monkeypatch,
+                                                   argv):
+    src, enc = tmp_path / "maj9.nl", tmp_path / "maj9r1.nl"
+    assert run("fixture", "maj9", "-o", src) == 0
+    assert run("recordize", src, "-o", enc) == 0
+    original = recordize.partition_check
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    # every module binding of the function, as perfbench/tracer.py finds
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "recordkit"
+                                  or name.startswith("recordkit.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    assert run(*(a.format(src=src, enc=enc, tmp=tmp_path)
+                 for a in argv)) == 0
+    assert len(calls) == 1

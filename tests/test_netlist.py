@@ -91,12 +91,14 @@ def test_attr_errors():
     base = "module m\ninput a\noutput y\nnot y a\n%s\nend"
     with pytest.raises(NetlistError, match="not a gate output"):
         parse_netlist(base % "attr a zone untrusted")
-    with pytest.raises(NetlistError, match="zone must be"):
+    with pytest.raises(NetlistError, match="bad zone"):
         parse_netlist(base % "attr y zone mystery")
     with pytest.raises(NetlistError, match="unknown attr"):
         parse_netlist(base % "attr y color blue")
     with pytest.raises(NetlistError, match="replica must be"):
         parse_netlist(base % "attr y replica x")
+    with pytest.raises(NetlistError, match="negative replica index"):
+        parse_netlist(base % "attr y replica -1")
 
 
 def test_zone_defaults_to_trusted():

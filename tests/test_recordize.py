@@ -1,8 +1,11 @@
 import random
+import re
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recordkit.cli import main
 from recordkit.fixtures import fixture_generate
 from recordkit.ftrecord import transform_ft
 from recordkit.netlist import (Evaluator, Gate, Netlist, NetlistError,
@@ -107,7 +110,6 @@ def _rewire_first_replica_gate(d: PartitionedDesign, new_wire: str):
             break
     n = Netlist(d.netlist.name, d.netlist.inputs, d.netlist.outputs,
                 tuple(gates))
-    from dataclasses import replace
     return replace(d, netlist=n)
 
 
@@ -324,6 +326,8 @@ def test_property_roundtrip_closure_equivalence(case):
     d = transform(n, cfg)
     back = design_from_netlist(parse_netlist(write_netlist(d.netlist)))
     assert back == d
+    assert d.config == cfg
+    assert back.config == cfg
     assert partition_check(d).ok
     assert verify_equivalence(n, d, mode="exhaustive").passed
 
@@ -333,5 +337,64 @@ def test_property_roundtrip_closure_equivalence(case):
 def test_ft_design_roundtrips_through_text(kind, params):
     n = fixture_generate(kind, **params)
     ft = transform_ft(n, RecordConfig.checkerboard(n, 1))
+    assert ft.design.config == RecordConfig.checkerboard(n, 1)
     text = write_netlist(ft.design.netlist)
     assert design_from_netlist(parse_netlist(text)) == ft.design
+
+
+def _maj9_g1_text() -> str:
+    m9 = fixture_generate("maj9")
+    d = transform(m9, RecordConfig.checkerboard(m9, 1))
+    return write_netlist(d.netlist)
+
+
+# Each edit of a transformed maj9 G=1 text breaks one reserved-name rule
+# that a design must satisfy when it is constructed.
+STRUCTURAL_EDITS = [
+    (lambda t: t.replace("__r1", "__r2"),
+     "random inputs must be __r1..__rG"),
+    (lambda t: write_netlist(fixture_generate("maj9")), "no __r inputs"),
+    (lambda t: t.replace("output __y_y __z_y", "output __y_y"),
+     "must pair"),
+    (lambda t: t.replace("__z_y", "__z_q"), "names disagree"),
+    (lambda t: t.replace("xor __t_x1 ", "xnor __t_x1 "),
+     "unrecognized encode gate"),
+    (lambda t: t.replace("attr __f1_t0 replica 1", "attr __f1_t0 replica 3"),
+     "expected replica indices"),
+]
+
+
+@pytest.mark.parametrize("edit, message", STRUCTURAL_EDITS)
+def test_structural_rejections(tmp_path, capsys, edit, message):
+    text = edit(_maj9_g1_text())
+    n = parse_netlist(text)
+    with pytest.raises(NetlistError, match=re.escape(message)):
+        design_from_netlist(n)
+    with pytest.raises(NetlistError, match=re.escape(message)):
+        PartitionedDesign(n)
+    path = tmp_path / "edited.nl"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["simulate", str(path), "--cycles", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_config_is_read_off_the_netlist_not_stored():
+    assert [f.name for f in fields(PartitionedDesign)] == ["netlist", "rng"]
+    m9 = fixture_generate("maj9")
+    d = transform(m9, RecordConfig.checkerboard(m9, 1))
+    with pytest.raises(TypeError):
+        replace(d, config=RecordConfig(("x1",), 1, {"x1": 1}))
+    assert rekey(d, RngSpec(5)).config == d.config
+
+
+def test_closure_verdict_is_kept_and_immutable():
+    m9 = fixture_generate("maj9")
+    d = transform(m9, RecordConfig.checkerboard(m9, 1))
+    bad = _rewire_first_replica_gate(d, "x2")
+    assert bad.closure is bad.closure
+    assert isinstance(bad.closure.violations, tuple)
+    with pytest.raises(FrozenInstanceError):
+        bad.closure.violations = ()
+    assert [v.wire for v in bad.closure.violations] == ["x2"]
