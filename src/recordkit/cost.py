@@ -83,16 +83,19 @@ class ActivityReport:
 def switching(t: SimTrace) -> ActivityReport:
     """Transitions between consecutive cycles, weighted by driver area.
 
-    Only gate-driven wires carry weight.
+    Only gate-driven wires carry weight; each distinct stream is counted once.
     """
     if t.cycles < 2:
         raise ValueError("switching needs at least 2 cycles")
     transition_mask = (1 << (t.cycles - 1)) - 1
     total = 0
     weighted = 0.0
+    toggles: Dict[int, int] = {}
     for g in t.netlist.gates:
         s = t.wires[g.out]
-        count = ((s ^ (s >> 1)) & transition_mask).bit_count()
+        count = toggles.get(s)
+        if count is None:
+            count = toggles[s] = ((s ^ (s >> 1)) & transition_mask).bit_count()
         total += count
         weighted += count * _gate_area(g)
     return ActivityReport(total, weighted)

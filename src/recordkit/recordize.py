@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .netlist import Gate, Netlist, NetlistError, UNTRUSTED, gate_lines
@@ -79,18 +80,23 @@ def _reject_reserved(n: Netlist) -> None:
                                "prefix" % (w, RESERVED_PREFIX))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecordConfig:
-    """Which inputs are randomized, how many random bits, and the grouping."""
+    """Which inputs are randomized, how many random bits, and the grouping;
+    frozen and read-only so that no caller can change a design's config."""
 
     randomized_inputs: Tuple[str, ...]
     groups: int = 1
-    group_assignment: Dict[str, int] = field(default_factory=dict)
+    group_assignment: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.randomized_inputs = tuple(self.randomized_inputs)
-        if self.groups >= 1 and not self.group_assignment:
-            self.group_assignment = {w: 1 for w in self.randomized_inputs}
+        names = tuple(self.randomized_inputs)
+        assignment = dict(self.group_assignment)
+        if self.groups >= 1 and not assignment:
+            assignment = {w: 1 for w in names}
+        object.__setattr__(self, "randomized_inputs", names)
+        object.__setattr__(self, "group_assignment",
+                           MappingProxyType(assignment))
 
     def validate(self, n: Netlist) -> None:
         if not self.randomized_inputs:

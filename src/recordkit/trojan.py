@@ -19,7 +19,8 @@ inputs as the xor of their tapped wires a and b.
 Leakage is quantified with the plug-in mutual-information estimator over
 the empirical 2x2 joint histogram (log base 2, 0*log0 = 0), whose bias for
 binary streams, about 1/(2n ln 2), is negligible here. leak_report counts
-each stream's ones once and does one joint popcount per (wire, target).
+each stream's ones once and does one joint popcount per (distinct tapped
+stream, target); wires that carry one stream get equal, separate rows.
 """
 
 from __future__ import annotations
@@ -155,11 +156,16 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
                for kind, streams in (("input", x_streams),
                                      ("output", out_streams))}
     wire_mi: Dict[str, Dict[str, Dict[str, float]]] = {}
+    row_of: Dict[int, Dict[str, Dict[str, float]]] = {}  # stream -> MI row
     for w, v in lt.wires.items():
-        cw = v.bit_count()
-        wire_mi[w] = {kind: {s: _mi_counts((v & sv).bit_count(), cw, cs, n)
-                             for s, sv, cs in tgts}
-                      for kind, tgts in targets.items()}
+        row = row_of.get(v)
+        if row is None:
+            cw = v.bit_count()
+            row = row_of[v] = {
+                kind: {s: _mi_counts((v & sv).bit_count(), cw, cs, n)
+                       for s, sv, cs in tgts}
+                for kind, tgts in targets.items()}
+        wire_mi[w] = {kind: dict(mis) for kind, mis in row.items()}
 
     strategies: List[StrategyScore] = []
     for k in range(d.replica_count) if replica is None else (replica,):

@@ -1,7 +1,7 @@
 import pytest
 
-from recordkit.cost import (REFERENCE_RATIOS, area, cost_report, depth,
-                            switching)
+from recordkit.cost import (REFERENCE_RATIOS, _gate_area, area, cost_report,
+                            depth, switching)
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import _KINDS, parse_netlist
 from recordkit.recordize import RecordConfig, transform
@@ -90,6 +90,33 @@ def test_switching_transformed_exceeds_original():
     t_des = simulate(d, stim, RngSpec(2))
     assert switching(t_des).weighted_activity > \
         switching(t_orig).weighted_activity
+
+
+def _switching_per_gate(t):
+    """Reference: one toggle count per gate, no sharing between gates."""
+    mask = (1 << (t.cycles - 1)) - 1
+    total, weighted = 0, 0.0
+    for g in t.netlist.gates:
+        s = t.wires[g.out]
+        count = ((s ^ (s >> 1)) & mask).bit_count()
+        total += count
+        weighted += count * _gate_area(g)
+    return total, weighted
+
+
+@pytest.mark.parametrize("kind, groups, cycles, distinct", [
+    ("adder4", 2, 2000, (75, 117)),
+    ("aes-sbox", 1, 2000, (304, 2120)),
+])
+def test_switching_matches_per_gate_loop(kind, groups, cycles, distinct):
+    n = fixture_generate(kind)
+    d = transform(n, RecordConfig.checkerboard(n, groups))
+    t = simulate(d, Stimulus.uniform(cycles, seed=4), RngSpec(4))
+    streams = [t.wires[g.out] for g in d.netlist.gates]
+    assert (len(set(streams)), len(streams)) == distinct
+    act = switching(t)
+    assert (act.total_toggles, act.weighted_activity) == \
+        _switching_per_gate(t)
 
 
 def test_switching_requires_two_cycles():

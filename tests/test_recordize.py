@@ -398,3 +398,22 @@ def test_closure_verdict_is_kept_and_immutable():
     with pytest.raises(FrozenInstanceError):
         bad.closure.violations = ()
     assert [v.wire for v in bad.closure.violations] == ["x2"]
+
+
+def test_config_is_frozen_and_its_grouping_read_only():
+    m9 = fixture_generate("maj9")
+    d = transform(m9, RecordConfig.checkerboard(m9, 2))
+    with pytest.raises(TypeError):
+        d.config.group_assignment["x1"] = 2
+    with pytest.raises(FrozenInstanceError):
+        d.config.groups = 1
+    with pytest.raises(FrozenInstanceError):
+        d.config.group_assignment = {"x1": 2}
+    assert d.replica_input_wires(1)["x1"] == "__tn_x1"
+    assert d.config == PartitionedDesign(d.netlist).config
+    plain = {"x1": 1}
+    cfg = RecordConfig(("x1",), 1, plain)
+    plain["x1"] = 2
+    assert cfg.group_assignment == {"x1": 1}
+    assert cfg.to_json() == {"subset": ["x1"], "groups": 1,
+                             "assignment": {"x1": 1}}

@@ -195,6 +195,43 @@ def test_leak_report_isolated_replica_keys_on_its_own_bus():
         "pick-replica(1,y)", "input-echo(__tn_x1)"]
 
 
+def _assert_equal_streams_get_equal_separate_rows(lt, rep):
+    """Check every wire against the first wire with its stream; return the
+    (first, later) pairs so a caller can see duplicates were present."""
+    first, dups = {}, []
+    for w, v in lt.wires.items():
+        u = first.setdefault(v, w)
+        if u != w:
+            dups.append((u, w))
+            assert rep.wire_mi[w] == rep.wire_mi[u]
+            assert rep.wire_mi[w] is not rep.wire_mi[u]
+            for kind in rep.wire_mi[w]:
+                assert rep.wire_mi[w][kind] is not rep.wire_mi[u][kind]
+    return dups
+
+
+def test_leak_report_rows_shared_streams_adder4_g2():
+    a4 = fixture_generate("adder4")
+    d = transform(a4, RecordConfig.checkerboard(a4, 2))
+    t = simulate(d, Stimulus.uniform(2000, seed=3), RngSpec(3))
+    lt = tap(d, t)
+    assert (len(lt.wires), len(set(lt.wires.values()))) == (92, 60)
+    rep = leak_report(d, t)
+    for w, kinds in rep.wire_mi.items():
+        ws = t.stream(w)
+        for i, mi in kinds["input"].items():
+            assert mi == mutual_information(ws, t.stream(i))
+        for o, z in zip(d.source_outputs, d.decoded_outputs):
+            assert kinds["output"][o] == mutual_information(ws, t.stream(z))
+    dups = _assert_equal_streams_get_equal_separate_rows(lt, rep)
+    assert len(dups) == 92 - 60
+    a, b = dups[0]
+    before = {k: dict(v) for k, v in rep.wire_mi[b].items()}
+    rep.wire_mi[a]["input"][d.source_inputs[0]] = -1.0
+    rep.wire_mi[a]["output"].clear()
+    assert rep.wire_mi[b] == before
+
+
 @pytest.mark.parametrize("view", ["full", "single"])
 @pytest.mark.parametrize("groups", [1, 2])
 @settings(max_examples=25, deadline=None)
@@ -221,6 +258,7 @@ def test_property_report_floats_equal_mutual_information(groups, view,
         assert kinds["output"] == {
             o: mutual_information(ws, t.stream(z))
             for o, z in zip(d.source_outputs, d.decoded_outputs)}
+    _assert_equal_streams_get_equal_separate_rows(lt, rep)
     src = {w: i for i, w in bus.items()}
     assert [(p.a, p.b) for p in rep.pairs] == pairs
     for p in rep.pairs:
