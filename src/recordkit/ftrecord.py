@@ -222,8 +222,9 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     faults.validate(ft)
     by_step = {inj.cycle: inj for inj in faults.injections}
     outputs = ft.source.outputs
+    count, cols = stim.bound(len(ft.source.inputs))
+    stim = Stimulus(count, cols)  # a uniform stimulus is drawn only once
     ref = simulate_netlist(ft.source, stim)
-    count = ref.cycles
     ref_lanes = [unpack(ref.wires[o], count) for o in outputs]
     reference = [dict(zip(outputs, bits)) for bits in zip(*ref_lanes)]
 

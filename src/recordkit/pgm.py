@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 
 def read_pgm(path) -> Tuple[int, int, int, List[int]]:
@@ -66,7 +66,7 @@ def read_pgm(path) -> Tuple[int, int, int, List[int]]:
     return width, height, maxval, pixels
 
 
-def write_pgm(path, width: int, height: int, pixels: List[int]) -> None:
+def write_pgm(path, width: int, height: int, pixels: Sequence[int]) -> None:
     if len(pixels) != width * height:
         raise ValueError("pixel count %d does not match %dx%d"
                          % (len(pixels), width, height))

@@ -3,12 +3,16 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from recordkit import demo
 from recordkit.bits import Bits
-from recordkit.demo import (ImageDemoConfig, demo_image, edge_prediction,
-                            f1_score, geometric_edges, median_filter,
-                            neighbor_differences, salt_pepper,
+from recordkit.cli import main
+from recordkit.demo import (ImageDemoConfig, _design_for, demo_image,
+                            edge_prediction, f1_score, geometric_edges,
+                            median_filter, neighbor_differences, salt_pepper,
                             synthetic_scene, window_bits, window_stimulus)
+from recordkit.fixtures import make_maj9
 from recordkit.pgm import read_pgm, write_pgm
+from recordkit.recordize import RecordConfig, transform
 from recordkit.rng import RngSpec
 
 
@@ -55,18 +59,16 @@ def test_pgm_malformed(tmp_path):
 def test_write_pgm_checks_size(tmp_path):
     with pytest.raises(ValueError, match="pixel count"):
         write_pgm(tmp_path / "x.pgm", 2, 2, [0, 0, 0])
+    with pytest.raises(ValueError, match="pixel count"):
+        write_pgm(tmp_path / "x.pgm", 2, 2, b"\0\xff\0")
 
 
-def test_median_filter_matches_brute_force():
-    rng = random.Random(17)
-    for _ in range(10):
-        w, h = rng.randint(1, 9), rng.randint(1, 9)
-        img = [rng.randint(0, 1) for _ in range(w * h)]
-        got = median_filter(img, w, h)
-        for r in range(h):
-            for c in range(w):
-                window = window_bits(img, w, h, r, c)
-                assert got[r * w + c] == (1 if sum(window) >= 5 else 0)
+def test_write_pgm_bytes_raster_matches_list(tmp_path):
+    pixels = [0, 255, 255, 0, 17, 0]
+    write_pgm(tmp_path / "list.pgm", 3, 2, pixels)
+    write_pgm(tmp_path / "bytes.pgm", 3, 2, bytes(pixels))
+    assert (tmp_path / "list.pgm").read_bytes() \
+        == (tmp_path / "bytes.pgm").read_bytes()
 
 
 def test_window_border_replication():
@@ -166,6 +168,34 @@ def test_demo_reads_user_image(tmp_path):
     assert set(pixels) <= {0, 255}
 
 
+def test_design_for_builds_each_variant_once():
+    assert _design_for("plain")[1] is None
+    for variant, groups in (("record1", 1), ("record2", 2)):
+        f, design = _design_for(variant)
+        again = _design_for(variant)
+        assert again[0] is f and again[1] is design
+        assert f == make_maj9()
+        assert design == transform(make_maj9(),
+                                   RecordConfig.checkerboard(f, groups))
+
+
+def test_demo_raises_when_decode_disagrees_with_oracle(tmp_path, capsys,
+                                                       monkeypatch):
+    real = demo._run_variant
+
+    def one_pixel_flipped(*args):
+        run = real(*args)
+        run.enhanced[0] ^= 1
+        return run
+
+    monkeypatch.setattr(demo, "_run_variant", one_pixel_flipped)
+    with pytest.raises(RuntimeError, match="oracle"):
+        demo_image(ImageDemoConfig(out_dir=str(tmp_path), seed=0))
+    assert main(["demo-image", "-o", str(tmp_path / "cli")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "oracle" in err
+
+
 def test_demo_config_validation():
     with pytest.raises(ValueError, match="variant"):
         ImageDemoConfig(out_dir="x", variant="record3")
@@ -175,9 +205,10 @@ def test_demo_config_validation():
         ImageDemoConfig(out_dir="x", noise=1.0)
 
 
-# Bitplane layer against per-pixel references. Images range from 1x1 to
-# 9x9; the explicit examples pin the 1-wide and 1-tall cases, where a
-# shift's row and column masks cover the whole plane.
+# Row-sum oracle and bitplane layer against per-pixel references. Images
+# range from 1x1 to 9x9; the explicit examples pin the 1-wide and 1-tall
+# cases, where a shift's row and column masks cover the whole plane and a
+# row sum or a column of row sums is all border.
 
 NEIGHBORS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
              if (dr, dc) != (0, 0)]
@@ -198,6 +229,20 @@ def _pixel(img, w, h, r, c):
 def _reference_differences(img, w, h):
     return [[int(img[r * w + c] != _pixel(img, w, h, r + dr, c + dc))
              for r in range(h) for c in range(w)] for dr, dc in NEIGHBORS]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_images())
+@example(([1], 1, 1))
+@example(([1, 1, 0, 1, 1, 0, 1], 1, 7))
+@example(([1, 1, 0, 1, 1, 0, 1], 7, 1))
+def test_median_filter_matches_brute_force(case):
+    img, w, h = case
+    got = median_filter(img, w, h)
+    for r in range(h):
+        for c in range(w):
+            window = window_bits(img, w, h, r, c)
+            assert got[r * w + c] == (1 if sum(window) >= 5 else 0)
 
 
 @settings(max_examples=200, deadline=None)
