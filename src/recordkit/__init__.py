@@ -2,8 +2,9 @@
 
 Transforms combinational netlists so that replicated function copies can
 be fabricated by an untrusted party while a small trusted harness (random
-bit source, encode/select/decode logic) keeps the processed data
-one-time-padded against in-situ data-leakage implants. Ships a simulator,
+bit source, encode/select/decode logic) one-time-pads every encoded input
+against in-situ data-leakage implants; a copy's internal xor of inputs in
+the same random-bit group cancels the pad. Ships a simulator,
 an attacker model with information-theoretic leakage metrics, a
 fault-tolerant spare/replay variant, cost proxies, and an image-filtering
 demonstration.

@@ -216,6 +216,11 @@ def cmd_ft_sim(args) -> int:
         save_netlist(ft.design.netlist, args.output)
     plan = FaultPlan.from_file(args.faults) if args.faults else FaultPlan()
     trace = ft_simulate(ft, _stimulus(args), RngSpec(args.seed), plan)
+    for i, inj in enumerate(plan.injections):
+        if inj.cycle >= len(trace.steps):
+            raise FaultPlanError("injection %d at step %d never fires: the "
+                                 "run has %d steps"
+                                 % (i, inj.cycle, len(trace.steps)))
     if args.csv:
         trace.to_csv(args.csv)
     doc = {"cycles": len(trace.committed),

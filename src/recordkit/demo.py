@@ -120,21 +120,6 @@ def salt_pepper(bits: Sequence[int], p: float, rng: RngSpec) -> List[int]:
     return [b ^ (draw < cut) for b, draw in zip(bits, draws)]
 
 
-def _clamp(v: int, lo: int, hi: int) -> int:
-    return lo if v < lo else hi if v > hi else v
-
-
-def window_bits(img: Sequence[int], width: int, height: int,
-                r: int, c: int) -> List[int]:
-    """3x3 window around (r, c), border pixels replicated."""
-    out = []
-    for dr, dc in _OFFSETS:
-        rr = _clamp(r + dr, 0, height - 1)
-        cc = _clamp(c + dc, 0, width - 1)
-        out.append(img[rr * width + cc])
-    return out
-
-
 def median_filter(img: Sequence[int], width: int, height: int) -> List[int]:
     """3x3 majority oracle, the reference for every variant: 3-wide sums of
     each border-replicated row, added over the clamped rows above and below."""

@@ -22,11 +22,11 @@ draws it and a replay reuses the saved bit, which is sim.r_columns' layout
 for one random bit. So ft_simulate() runs phase 1 word-parallel through
 sim: simulate_netlist() of the source netlist gives the reference, and
 simulate() of the FT design, one fault-free packed pass over all cycles,
-gives the input lanes, the selected outputs and the miscompare of every
-step that has no injection. Only a step with an injection, a packed
-miscompare or a replay is evaluated narrowly, one lane with the fault
-forced, so multi-fault plans, replay chains and the replay-limit flag keep
-the per-step semantics.
+gives the input lanes and every wire the protocol reads. The FT netlist is
+combinational, so any step of logical cycle c, a replay included, is lane c
+of that pass unless a fault is forced at it. Only such a step is evaluated
+narrowly, one lane with the fault forced, so multi-fault plans, replay
+chains and the replay-limit flag keep the per-step semantics.
 
 Under the single-transient fault assumption the committed stream equals
 the fault-free reference: the selected copy and the spare recompute
@@ -217,7 +217,8 @@ class FTTrace:
 
 def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                 faults: Optional[FaultPlan] = None) -> FTTrace:
-    """Run the two-phase detect/replay protocol over a stimulus."""
+    """Run the two-phase detect/replay protocol over a stimulus. An
+    injection at a step the run never reaches is not applied."""
     faults = faults or FaultPlan()
     faults.validate(ft)
     by_step = {inj.cycle: inj for inj in faults.injections}
@@ -229,21 +230,21 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     reference = [dict(zip(outputs, bits)) for bits in zip(*ref_lanes)]
 
     # logical cycle c draws stream bit c, as simulate's one random column
-    # does: this fault-free pass gives every phase-1 step that has no
-    # injection and no miscompare
+    # does: this fault-free pass gives every step where no fault is forced
     packed = simulate(ft.design, stim, rng)
     in_lanes = {w: unpack(packed.wires[w], count)
                 for w in ft.design.netlist.inputs}
     r_lanes = in_lanes[ft.design.random_wires[0]]
-    e_lanes = unpack(packed.wires[MISCOMPARE_WIRE], count)
-    sel_lanes = [unpack(packed.wires[selected_wire(o)], count)
-                 for o in outputs]
+    sel_wires = tuple(selected_wire(o) for o in outputs)
+    vote_wires = tuple(VOTE_PREFIX + o for o in outputs)
+    read_lanes = {w: unpack(packed.wires[w], count)
+                  for w in (MISCOMPARE_WIRE,) + sel_wires + vote_wires}
 
-    def narrow(lc: int, inj: Optional[FaultInjection]) -> Dict[str, int]:
+    def at(lc: int, inj: Optional[FaultInjection]) -> Dict[str, int]:
+        if inj is None:
+            return {w: bits[lc] for w, bits in read_lanes.items()}
         values = {w: bits[lc] for w, bits in in_lanes.items()}
-        force = None
-        if inj is not None:
-            force = {replica_wire(inj.replica, inj.wire): inj.value}
+        force = {replica_wire(inj.replica, inj.wire): inj.value}
         return ft.design.netlist.evaluator.run(values, force=force)
 
     steps: List[FTStep] = []
@@ -256,16 +257,11 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     suspected_at: Optional[int] = None
 
     while lc < count or phase == 2:
-        inj = by_step.get(step)
+        v = at(lc, by_step.get(step))
         r = r_lanes[lc]
+        mis = v[MISCOMPARE_WIRE]
         if phase == 1:
-            if inj is None and not e_lanes[lc]:
-                m = {o: bits[lc] for o, bits in zip(outputs, sel_lanes)}
-                mis = 0
-            else:
-                v = narrow(lc, inj)
-                m = {o: v[selected_wire(o)] for o in outputs}
-                mis = v[MISCOMPARE_WIRE]
+            m = {o: v[w] for o, w in zip(outputs, sel_wires)}
             if mis:
                 steps.append(FTStep(step, 1, lc, 1, r, 1, None, m))
                 phase = 2
@@ -275,10 +271,8 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                 lc += 1
         else:
             # replay of the saved logical cycle lc with its saved bit
-            v = narrow(lc, inj)
-            vote = {o: v[VOTE_PREFIX + o] for o in outputs}
+            vote = {o: v[w] for o, w in zip(outputs, vote_wires)}
             committed[lc] = vote
-            mis = v[MISCOMPARE_WIRE]
             if mis:
                 replay_faults += 1
                 if replay_faults >= REPLAY_LIMIT and suspected_at is None:

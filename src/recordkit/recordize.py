@@ -16,9 +16,10 @@ produces a partitioned design:
   re-encode (trusted)  y_o = m_o xor r1 leaves the boundary, and the decode
                      z_o = y_o xor r1 recovers plain f_o(x).
 
-Any full-visibility observer confined to the replica copies sees only
-one-time-padded data; the random wires and the raw S inputs never cross
-into the untrusted zone, which partition_check verifies structurally.
+The __t_/__tn_ encodings a copy reads are one-time-padded, and the random
+wires and the raw S inputs never cross into the untrusted zone, which
+partition_check verifies structurally. Inside a copy the pad does not hold
+for every wire: an xor of two inputs of the same group cancels it.
 partition_check is the one closure rule: trojan.tap() refuses a design
 exactly when its verdict, PartitionedDesign.closure, reports a violation.
 

@@ -229,6 +229,9 @@ _INJ = {"cycle": 1, "replica": 0, "wire": "y", "value": 0}
     ([dict(_INJ, value=True)], "injection 0: value must be int, got True"),
     ([dict(_INJ, replica="0")], "injection 0: replica must be int"),
     ([dict(_INJ, wire=5)], "injection 0: wire must be str, got 5"),
+    # well-formed injections past the last step of the 10-step run
+    ([_INJ, dict(_INJ, cycle=10), dict(_INJ, cycle=500)],
+     "injection 1 at step 10 never fires: the run has 10 steps"),
 ])
 def test_ft_sim_rejects_malformed_fault_plan(tmp_path, capsys, doc,
                                              message):

@@ -9,7 +9,7 @@ from recordkit.cli import main
 from recordkit.demo import (ImageDemoConfig, _design_for, demo_image,
                             edge_prediction, f1_score, geometric_edges,
                             median_filter, neighbor_differences, salt_pepper,
-                            synthetic_scene, window_bits, window_stimulus)
+                            synthetic_scene, window_stimulus)
 from recordkit.fixtures import make_maj9
 from recordkit.pgm import read_pgm, write_pgm
 from recordkit.recordize import RecordConfig, transform
@@ -210,8 +210,9 @@ def test_demo_config_validation():
 # cases, where a shift's row and column masks cover the whole plane and a
 # row sum or a column of row sums is all border.
 
-NEIGHBORS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
-             if (dr, dc) != (0, 0)]
+# window offsets in row-major order; index 4 is the center
+OFFSETS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+NEIGHBORS = [o for o in OFFSETS if o != (0, 0)]
 
 
 @st.composite
@@ -224,6 +225,12 @@ def _images(draw):
 
 def _pixel(img, w, h, r, c):
     return img[min(max(r, 0), h - 1) * w + min(max(c, 0), w - 1)]
+
+
+def window_bits(img, w, h, r, c):
+    """The brute-force oracle: 3x3 window around (r, c), border pixels
+    replicated."""
+    return [_pixel(img, w, h, r + dr, c + dc) for dr, dc in OFFSETS]
 
 
 def _reference_differences(img, w, h):

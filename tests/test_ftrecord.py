@@ -365,14 +365,14 @@ def test_phase_one_stays_word_parallel(monkeypatch):
     ft_simulate(ft, stim, RngSpec(1))
     assert calls == [1000, 1000]
 
-    # the reference pass, the packed FT pass, then one lane per injected
-    # or replayed step
+    # the reference pass, the packed FT pass, then one lane per step where
+    # a fault is forced; a replay with no fault reads the packed pass
     plan = FaultPlan(tuple(FaultInjection(c, c % 3, "y", (c // 3) % 2)
                            for c in range(5, 400, 7)))
     calls.clear()
     trace = ft_simulate(ft, stim, RngSpec(1), plan)
     injected = {i.cycle for i in plan.injections}
-    narrow = [s for s in trace.steps if s.phase == 2 or s.step in injected]
-    assert any(s.phase == 2 for s in narrow)
-    assert calls == [1000, 1000] + [1] * len(narrow)
+    forced = [s for s in trace.steps if s.step in injected]
+    assert any(s.phase == 2 and s.step not in injected for s in trace.steps)
+    assert calls == [1000, 1000] + [1] * len(forced)
 
