@@ -19,14 +19,13 @@ ft_simulate() runs the two-phase protocol around that datapath:
 
 Every logical cycle c draws exactly one random bit, stream bit c: phase 1
 draws it and a replay reuses the saved bit, which is sim.r_columns' layout
-for one random bit. So ft_simulate() runs phase 1 word-parallel through
-sim: simulate_netlist() of the source netlist gives the reference, and
-simulate() of the FT design, one fault-free packed pass over all cycles,
-gives the input lanes and every wire the protocol reads. The FT netlist is
-combinational, so any step of logical cycle c, a replay included, is lane c
-of that pass unless a fault is forced at it. Only such a step is evaluated
-narrowly, one lane with the fault forced, so multi-fault plans, replay
-chains and the replay-limit flag keep the per-step semantics.
+for one random bit. The FT netlist is combinational, so any step of logical
+cycle c, a replay included, is lane c of one fault-free packed pass over
+all cycles (simulate() of the FT design; simulate_netlist() of the source
+gives the reference) unless a fault is forced at it. Such a step forces
+lane c and re-evaluates only the forced wire's fanout cone, so multi-fault
+plans, replay chains and the replay-limit flag keep the per-step semantics.
+Calls on one design, stimulus and seed share one fault-free pass.
 
 Under the single-transient fault assumption the committed stream equals
 the fault-free reference: the selected copy and the spare recompute
@@ -42,7 +41,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bits import unpack
 from .netlist import Gate, Netlist
@@ -61,7 +61,7 @@ class FaultPlanError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class FTDesign:
     """The spare-augmented design and the source netlist it was built from.
     Its spare, selector, comparator and vote wires are read off recordize's
@@ -69,6 +69,16 @@ class FTDesign:
 
     design: PartitionedDesign
     source: Netlist
+
+    @cached_property
+    def fault_sites(self) -> FrozenSet[str]:
+        """The source's gate-driven wires, where a fault may be forced."""
+        return frozenset(g.out for g in self.source.gates)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """The last fault-free pass, keyed on (count, columns, rng)."""
+        return {}
 
 
 def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
@@ -131,7 +141,6 @@ class FaultPlan:
 
     def validate(self, ft: FTDesign) -> None:
         seen_cycles = set()
-        driven = {g.out for g in ft.source.gates}
         for inj in self.injections:
             if inj.cycle < 0:
                 raise FaultPlanError("negative injection cycle")
@@ -141,7 +150,7 @@ class FaultPlan:
             seen_cycles.add(inj.cycle)
             if not 0 <= inj.replica <= SPARE:
                 raise FaultPlanError("unknown replica %d" % inj.replica)
-            if inj.wire not in driven:
+            if inj.wire not in ft.fault_sites:
                 raise FaultPlanError(
                     "wire %r is not a gate-driven wire of %s; faults only "
                     "apply inside the untrusted copies"
@@ -224,28 +233,22 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     by_step = {inj.cycle: inj for inj in faults.injections}
     outputs = ft.source.outputs
     count, cols = stim.bound(len(ft.source.inputs))
-    stim = Stimulus(count, cols)  # a uniform stimulus is drawn only once
-    ref = simulate_netlist(ft.source, stim)
-    ref_lanes = [unpack(ref.wires[o], count) for o in outputs]
-    reference = [dict(zip(outputs, bits)) for bits in zip(*ref_lanes)]
+    # a read row is the random bit, __e, the selected outputs, the votes
+    reads = ((ft.design.random_wires[0], MISCOMPARE_WIRE)
+             + tuple(selected_wire(o) for o in outputs)
+             + tuple(VOTE_PREFIX + o for o in outputs))
+    votes = 2 + len(outputs)
 
-    # logical cycle c draws stream bit c, as simulate's one random column
-    # does: this fault-free pass gives every step where no fault is forced
-    packed = simulate(ft.design, stim, rng)
-    in_lanes = {w: unpack(packed.wires[w], count)
-                for w in ft.design.netlist.inputs}
-    r_lanes = in_lanes[ft.design.random_wires[0]]
-    sel_wires = tuple(selected_wire(o) for o in outputs)
-    vote_wires = tuple(VOTE_PREFIX + o for o in outputs)
-    read_lanes = {w: unpack(packed.wires[w], count)
-                  for w in (MISCOMPARE_WIRE,) + sel_wires + vote_wires}
-
-    def at(lc: int, inj: Optional[FaultInjection]) -> Dict[str, int]:
-        if inj is None:
-            return {w: bits[lc] for w, bits in read_lanes.items()}
-        values = {w: bits[lc] for w, bits in in_lanes.items()}
-        force = {replica_wire(inj.replica, inj.wire): inj.value}
-        return ft.design.netlist.evaluator.run(values, force=force)
+    key = (count, tuple(cols), rng)
+    entry = ft._memo.get(key)
+    if entry is None:
+        ref = simulate_netlist(ft.source, Stimulus(count, cols)).wires
+        wires = simulate(ft.design, Stimulus(count, cols), rng).wires
+        ft._memo.clear()
+        ft._memo[key] = entry = (
+            tuple(zip(*(unpack(ref[o], count) for o in outputs))),
+            tuple(zip(*(unpack(wires[w], count) for w in reads))), wires)
+    ref_rows, read_rows, wires = entry
 
     steps: List[FTStep] = []
     committed: List[Optional[Dict[str, int]]] = [None] * count
@@ -257,11 +260,17 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     suspected_at: Optional[int] = None
 
     while lc < count or phase == 2:
-        v = at(lc, by_step.get(step))
-        r = r_lanes[lc]
-        mis = v[MISCOMPARE_WIRE]
+        inj = by_step.get(step)
+        if inj is None:
+            row = read_rows[lc]
+        else:  # force lane lc, re-evaluate the forced wire's cone only
+            v = ft.design.netlist.evaluator.rerun(
+                wires, (1 << count) - 1, replica_wire(inj.replica, inj.wire),
+                lc, inj.value)
+            row = tuple((v[w] >> lc) & 1 for w in reads)
+        r, mis = row[:2]
         if phase == 1:
-            m = {o: v[w] for o, w in zip(outputs, sel_wires)}
+            m = dict(zip(outputs, row[2:votes]))
             if mis:
                 steps.append(FTStep(step, 1, lc, 1, r, 1, None, m))
                 phase = 2
@@ -271,7 +280,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                 lc += 1
         else:
             # replay of the saved logical cycle lc with its saved bit
-            vote = {o: v[w] for o, w in zip(outputs, vote_wires)}
+            vote = dict(zip(outputs, row[votes:]))
             committed[lc] = vote
             if mis:
                 replay_faults += 1
@@ -284,4 +293,5 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
             lc += 1
         step += 1
 
+    reference = [dict(zip(outputs, row)) for row in ref_rows]
     return FTTrace(steps, committed, reference, suspected_at)

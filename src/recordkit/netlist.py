@@ -200,14 +200,45 @@ def topo_order(n: Netlist) -> Tuple[Gate, ...]:
     return tuple(order)
 
 
+def _evaluate(ops, v: Dict[str, int], mask: int, force: Mapping) -> None:
+    """The one gate-dispatch body: evaluate ``ops`` in order into ``v``."""
+    for base, complemented, out, ins in ops:
+        if base == "AND":
+            x = v[ins[0]]
+            for w in ins[1:]:
+                x &= v[w]
+        elif base == "OR":
+            x = v[ins[0]]
+            for w in ins[1:]:
+                x |= v[w]
+        elif base == "XOR":
+            x = v[ins[0]]
+            for w in ins[1:]:
+                x ^= v[w]
+        elif base == "BUF":
+            x = v[ins[0]]
+        elif base == "MUX2":
+            s = v[ins[0]]
+            x = (v[ins[1]] & ~s) | (v[ins[2]] & s)
+        else:  # CONST0
+            x = 0
+        if complemented:
+            x ^= mask  # exact: every word stays within mask
+        if out in force:
+            x = force[out] & mask
+        v[out] = x
+
+
 class Evaluator:
-    """Reusable word-parallel evaluation plan for one netlist."""
+    """Reusable word-parallel evaluation plan for one netlist. ``run`` and
+    ``rerun`` (one forced lane, ``fanout`` only) share ``_evaluate``."""
 
     def __init__(self, n: Netlist):
         self.netlist = n
         # (base op, complemented, out, ins) in dependency order
         self._ops = tuple((*_KINDS[g.kind][3:], g.out, g.ins)
                           for g in n.order)
+        self._fanout: Dict[str, Tuple[tuple, ...]] = {}
 
     def run(self, values: Mapping[str, int], mask: int = 1,
             force: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
@@ -221,33 +252,27 @@ class Evaluator:
             if w not in values:
                 raise NetlistError("missing input assignment for %r" % w)
             v[w] = values[w] & mask
-        if force is None:
-            force = {}
-        for base, complemented, out, ins in self._ops:
-            if base == "AND":
-                x = v[ins[0]]
-                for w in ins[1:]:
-                    x &= v[w]
-            elif base == "OR":
-                x = v[ins[0]]
-                for w in ins[1:]:
-                    x |= v[w]
-            elif base == "XOR":
-                x = v[ins[0]]
-                for w in ins[1:]:
-                    x ^= v[w]
-            elif base == "BUF":
-                x = v[ins[0]]
-            elif base == "MUX2":
-                s = v[ins[0]]
-                x = (v[ins[1]] & ~s) | (v[ins[2]] & s)
-            else:  # CONST0
-                x = 0
-            if complemented:
-                x ^= mask  # exact: every word stays within mask
-            if out in force:
-                x = force[out] & mask
-            v[out] = x
+        _evaluate(self._ops, v, mask, force or {})
+        return v
+
+    def fanout(self, wire: str) -> Tuple[tuple, ...]:
+        """The ops downstream of ``wire`` in dependency order, cached."""
+        if wire not in self._fanout:
+            cone, ops = {wire}, []
+            for op in self._ops:
+                if not cone.isdisjoint(op[3]):
+                    cone.add(op[2])
+                    ops.append(op)
+            self._fanout[wire] = tuple(ops)
+        return self._fanout[wire]
+
+    def rerun(self, wires: Mapping[str, int], mask: int, wire: str,
+              lane: int, value: int) -> Dict[str, int]:
+        """A copy of ``wires``, a ``run`` pass under ``mask``, with ``wire``
+        forced to ``value`` on ``lane`` only and its fanout re-evaluated."""
+        v = dict(wires)
+        v[wire] = (v[wire] & ~(1 << lane)) | ((value & 1) << lane)
+        _evaluate(self.fanout(wire), v, mask, {})
         return v
 
 

@@ -1,9 +1,10 @@
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recordkit import netlist
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Evaluator, parse_netlist
 from recordkit.recordize import (MISCOMPARE_WIRE, SPARE_INPUT_PREFIX,
@@ -353,26 +354,88 @@ def test_word_parallel_matches_scalar_oracle(case):
 
 def test_phase_one_stays_word_parallel(monkeypatch):
     _, ft = _ft_maj9()
-    calls = []
-    run = Evaluator.run
+    calls, evaluated = [], []
+    run, evaluate_ops = Evaluator.run, netlist._evaluate
 
     def counted(self, values, mask=1, force=None):
         calls.append(mask.bit_length())
         return run(self, values, mask=mask, force=force)
 
+    def counted_ops(ops, v, mask, force):
+        evaluated.append(len(ops))
+        return evaluate_ops(ops, v, mask, force)
+
     monkeypatch.setattr(Evaluator, "run", counted)
+    monkeypatch.setattr(netlist, "_evaluate", counted_ops)
     stim = Stimulus.uniform(1000, seed=0)
+    # the reference pass and the packed FT pass, once per design,
+    # stimulus and seed
     ft_simulate(ft, stim, RngSpec(1))
     assert calls == [1000, 1000]
+    calls.clear()
+    ft_simulate(ft, stim, RngSpec(1))
+    assert calls == []
 
-    # the reference pass, the packed FT pass, then one lane per step where
-    # a fault is forced; a replay with no fault reads the packed pass
+    # a step where a fault is forced re-evaluates the forced wire's fanout
+    # cone only; a replay with no fault reads the packed pass
     plan = FaultPlan(tuple(FaultInjection(c, c % 3, "y", (c // 3) % 2)
                            for c in range(5, 400, 7)))
-    calls.clear()
+    evaluated.clear()
     trace = ft_simulate(ft, stim, RngSpec(1), plan)
     injected = {i.cycle for i in plan.injections}
-    forced = [s for s in trace.steps if s.step in injected]
     assert any(s.phase == 2 and s.step not in injected for s in trace.steps)
-    assert calls == [1000, 1000] + [1] * len(forced)
+    assert calls == []
+    ev = ft.design.netlist.evaluator
+    cones = [len(ev.fanout(replica_wire(i.replica, i.wire)))
+             for i in plan.injections]
+    assert evaluated == cones
+    assert max(cones) * 10 < len(ft.design.netlist.gates)
+
+    # another seed or another stimulus is another fault-free pass
+    for other_stim, other_rng in ((stim, RngSpec(2)),
+                                  (Stimulus.uniform(1000, seed=1),
+                                   RngSpec(2))):
+        calls.clear()
+        ft_simulate(ft, other_stim, other_rng)
+        assert calls == [1000, 1000]
+
+
+def _plan_with_replays():
+    # the spare's output stuck at 0 for ten steps, then two more faults
+    return FaultPlan(tuple(FaultInjection(c, 2, "y", 0) for c in range(3, 13))
+                     + (FaultInjection(20, 0, "y", 1),
+                        FaultInjection(21, 1, "y", 0)))
+
+
+def test_memo_never_goes_stale():
+    _, ft = _ft_maj9()
+    stims = (Stimulus.uniform(40, seed=2),
+             Stimulus.from_vectors([[(c >> b) & 1 for b in range(9)]
+                                    for c in range(0, 400, 13)]))
+    for _ in range(2):
+        for stim in stims:
+            for rng in (RngSpec(3), RngSpec(4)):
+                for plan in (None, _plan_with_replays()):
+                    fresh = _ft_maj9()[1]
+                    assert (ft_simulate(ft, stim, rng, plan)
+                            == ft_simulate(fresh, stim, rng, plan))
+
+
+def test_memo_never_aliases_a_returned_trace():
+    _, ft = _ft_maj9()
+    stim, rng = Stimulus.uniform(40, seed=2), RngSpec(3)
+    plan = _plan_with_replays()
+    trace = ft_simulate(ft, stim, rng, plan)
+    trace.reference[0]["y"] ^= 1
+    trace.committed[0]["y"] ^= 1
+    trace.steps[0].r ^= 1
+    again = ft_simulate(ft, stim, rng, plan)
+    assert again == ft_simulate(_ft_maj9()[1], stim, rng, plan)
+    assert again != trace
+
+
+def test_ft_design_is_frozen():
+    _, ft = _ft_maj9()
+    with pytest.raises(FrozenInstanceError):
+        ft.design = ft.design
 

@@ -256,6 +256,31 @@ def test_evaluator_matches_per_kind_reference_on_every_lane(n):
     assert all(0 <= word <= mask for word in got.values())
 
 
+@settings(max_examples=200, deadline=None)
+@given(_dag_over_every_kind(), st.data())
+def test_rerun_equals_a_forced_run_on_its_lane_only(n, data):
+    count = 1 << len(n.inputs)
+    mask = (1 << count) - 1
+    values = {w: sum(((j >> p) & 1) << j for j in range(count))
+              for p, w in enumerate(n.inputs)}
+    ev = Evaluator(n)
+    base = ev.run(values, mask=mask)
+    wire = data.draw(st.sampled_from(sorted(g.out for g in n.gates)))
+    lane = data.draw(st.integers(0, count - 1))
+    value = data.draw(st.integers(0, 1))
+    got = ev.rerun(base, mask, wire, lane, value)
+    forced = ev.run({w: (values[w] >> lane) & 1 for w in n.inputs},
+                    force={wire: value})
+    assert got.keys() == base.keys()
+    others = mask ^ (1 << lane)
+    for w, word in got.items():
+        assert (word >> lane) & 1 == forced[w], w
+        assert word & others == base[w] & others, w
+    assert base == ev.run(values, mask=mask)  # the pass is left as it was
+    cone = {op[2] for op in ev.fanout(wire)}
+    assert {w for w in got if got[w] != base[w]} <= cone | {wire}
+
+
 @pytest.mark.parametrize("gates, message", [
     ((Gate("AND", "y", ("a", "ghost")),), "undriven wire 'ghost'"),
     ((Gate("NOT", "y", ("a",)), Gate("BUF", "y", ("a",))),
