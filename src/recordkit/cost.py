@@ -90,12 +90,17 @@ def switching(t: SimTrace) -> ActivityReport:
     transition_mask = (1 << (t.cycles - 1)) - 1
     total = 0
     weighted = 0.0
-    toggles: Dict[int, int] = {}
+    toggles: Dict[int, int] = {}  # stream -> toggle count
+    toggles_at: Dict[int, int] = {}  # id(stream) -> toggle count
     for g in t.netlist.gates:
         s = t.wires[g.out]
-        count = toggles.get(s)
+        count = toggles_at.get(id(s))
         if count is None:
-            count = toggles[s] = ((s ^ (s >> 1)) & transition_mask).bit_count()
+            count = toggles.get(s)
+            if count is None:
+                count = toggles[s] = ((s ^ (s >> 1))
+                                      & transition_mask).bit_count()
+            toggles_at[id(s)] = count
         total += count
         weighted += count * _gate_area(g)
     return ActivityReport(total, weighted)

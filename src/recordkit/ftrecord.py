@@ -77,7 +77,8 @@ class FTDesign:
 
     @cached_property
     def _memo(self) -> dict:
-        """The last fault-free pass, keyed on (count, columns, rng)."""
+        """The last fault-free pass, keyed on the stimulus's (count,
+        columns, seed) and rng."""
         return {}
 
 
@@ -232,16 +233,19 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     faults.validate(ft)
     by_step = {inj.cycle: inj for inj in faults.injections}
     outputs = ft.source.outputs
-    count, cols = stim.bound(len(ft.source.inputs))
+    count = stim.count
     # a read row is the random bit, __e, the selected outputs, the votes
     reads = ((ft.design.random_wires[0], MISCOMPARE_WIRE)
              + tuple(selected_wire(o) for o in outputs)
              + tuple(VOTE_PREFIX + o for o in outputs))
     votes = 2 + len(outputs)
 
-    key = (count, tuple(cols), rng)
+    # a uniform stimulus is fixed by (count, seed): key without drawing it
+    cols = stim.columns
+    key = (count, cols if cols is None else tuple(cols), stim.seed, rng)
     entry = ft._memo.get(key)
     if entry is None:
+        _, cols = stim.bound(len(ft.source.inputs))
         ref = simulate_netlist(ft.source, Stimulus(count, cols)).wires
         wires = simulate(ft.design, Stimulus(count, cols), rng).wires
         ft._memo.clear()

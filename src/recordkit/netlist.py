@@ -22,7 +22,9 @@ by the encoding transform and is rejected there on user inputs.
 
 Evaluation is word-parallel: every wire value is a Python integer whose bit
 j carries the wire's value in sample j, so one pass over the gate list
-evaluates arbitrarily many input combinations at once.
+evaluates arbitrarily many input combinations at once. Structurally equal
+gates are evaluated once and share one word; fault injection (``force``,
+``rerun``) still acts on single physical gates.
 
 One table, ``_KINDS``, holds each gate kind's keyword, arity range, base op
 and complemented flag: nand, nor, xnor, not and const1 evaluate as and, or,
@@ -37,6 +39,7 @@ constructed; ``Netlist.order`` keeps the one Kahn pass that validation runs.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -62,6 +65,7 @@ _KINDS = {
     "CONST1": ("const1", 0, 0, "CONST0", True),
 }
 _KIND_OF_KEYWORD = {spec[0]: kind for kind, spec in _KINDS.items()}
+_COMMUTATIVE = frozenset({"AND", "OR", "XOR"})
 
 
 class NetlistError(Exception):
@@ -231,14 +235,52 @@ def _evaluate(ops, v: Dict[str, int], mask: int, force: Mapping) -> None:
 
 class Evaluator:
     """Reusable word-parallel evaluation plan for one netlist. ``run`` and
-    ``rerun`` (one forced lane, ``fanout`` only) share ``_evaluate``."""
+    ``rerun`` (one forced lane, ``fanout`` only) share ``_evaluate``.
+
+    ``run`` without ``force`` follows ``_plan``, where an op structurally
+    equal to an earlier one (same base op, flag and representative inputs,
+    in any order for and/or/xor; a buf or not of a gate counts as that
+    gate, complemented for not) is a BUF of it and so shares its word.
+    Forced runs and ``fanout`` follow ``_ops``, one op per physical gate,
+    so a fault never reaches a structural twin.
+    """
 
     def __init__(self, n: Netlist):
-        self.netlist = n
+        # weak: the netlist caches its evaluator, and a strong reference
+        # back would leave the pair to the cyclic garbage collector
+        self._netlist = weakref.ref(n)
+        self._inputs = n.inputs
         # (base op, complemented, out, ins) in dependency order
         self._ops = tuple((*_KINDS[g.kind][3:], g.out, g.ins)
                           for g in n.order)
+        rep: Dict[str, str] = {}  # twin's out -> first equal gate's out
+        key_of: Dict[str, tuple] = {}  # first gate's out -> its key
+        first_of: Dict[tuple, str] = {}  # key -> first gate's out
+        plan = []
+        for op in self._ops:
+            base, complemented, out, ins = op
+            if base in _COMMUTATIVE:
+                key = (base, complemented, *sorted(map(rep.get, ins, ins)))
+            else:
+                key = (base, complemented, *map(rep.get, ins, ins))
+            if base == "BUF" and key[2] in key_of:
+                # a buf or not of a gate is that gate, complemented or not
+                inner = key_of[key[2]]
+                key = (inner[0], inner[1] != complemented, *inner[2:])
+            first = first_of.setdefault(key, out)
+            if first is out:
+                key_of[out] = key
+            else:
+                rep[out] = first
+                op = ("BUF", False, out, (first,))
+            plan.append(op)
+        self._plan = tuple(plan)
         self._fanout: Dict[str, Tuple[tuple, ...]] = {}
+
+    @property
+    def netlist(self) -> Optional[Netlist]:
+        """The netlist this plan was built from, while it is alive."""
+        return self._netlist()
 
     def run(self, values: Mapping[str, int], mask: int = 1,
             force: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
@@ -248,11 +290,11 @@ class Evaluator:
         the forced word (transient-fault injection hook).
         """
         v: Dict[str, int] = {}
-        for w in self.netlist.inputs:
+        for w in self._inputs:
             if w not in values:
                 raise NetlistError("missing input assignment for %r" % w)
             v[w] = values[w] & mask
-        _evaluate(self._ops, v, mask, force or {})
+        _evaluate(self._ops if force else self._plan, v, mask, force or {})
         return v
 
     def fanout(self, wire: str) -> Tuple[tuple, ...]:

@@ -421,6 +421,27 @@ def test_memo_never_goes_stale():
                             == ft_simulate(fresh, stim, rng, plan))
 
 
+def test_memo_hit_draws_no_stimulus(monkeypatch):
+    _, ft = _ft_maj9()
+    bound, calls = Stimulus.bound, []
+
+    def counted(self, width):
+        calls.append(width)
+        return bound(self, width)
+
+    monkeypatch.setattr(Stimulus, "bound", counted)
+    stim, rng = Stimulus.uniform(32, seed=5), RngSpec(6)
+    first = ft_simulate(ft, stim, rng, _plan_with_replays())
+    drawn = len(calls)
+    assert drawn > 0
+    # an equal uniform stimulus in another object is the same key
+    again = ft_simulate(ft, Stimulus.uniform(32, seed=5), rng,
+                        _plan_with_replays())
+    assert len(calls) == drawn and again == first
+    ft_simulate(ft, Stimulus.uniform(32, seed=7), rng)
+    assert len(calls) > drawn
+
+
 def test_memo_never_aliases_a_returned_trace():
     _, ft = _ft_maj9()
     stim, rng = Stimulus.uniform(40, seed=2), RngSpec(3)

@@ -1,8 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recordkit import netlist
 from recordkit.netlist import (Evaluator, Gate, Netlist, NetlistError,
                                evaluate, parse_netlist, topo_order, validate,
                                write_netlist)
@@ -344,3 +347,121 @@ def test_evaluator_is_cached_per_netlist():
     twin = parse_netlist(INV)
     assert twin == n and hash(twin) == hash(n)
     assert twin.evaluator is not n.evaluator
+
+
+def test_dropped_netlist_is_freed_without_the_cycle_collector():
+    n = parse_netlist(INV)
+    assert n.evaluator.run({"a": 1}) == {"a": 1, "y": 0}
+    alive = weakref.ref(n)
+    gc.disable()
+    try:
+        del n
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+_COMMUTATIVE_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR")
+_FLIPPED = {"AND": "NAND", "OR": "NOR", "XOR": "XNOR", "BUF": "NOT",
+            "CONST0": "CONST1"}
+_FLIPPED.update({v: k for k, v in _FLIPPED.items()})
+
+
+@st.composite
+def _dag_with_twins(draw):
+    """A random DAG in which some gates repeat an earlier gate with its
+    inputs permuted (and/or/xor kinds) or replaced by their twins, or as a
+    buf, a double not or the not of its complemented kind, and some muxes
+    repeat an earlier mux with its data inputs swapped."""
+    n_inputs = draw(st.integers(3, 5))
+    wires = ["i%d" % k for k in range(n_inputs)]
+    gates, twins, swapped = [], [], []
+    twin_of = {}  # wire -> an earlier wire it must share a word with
+    for k in range(draw(st.integers(1, 16))):
+        out = "w%d" % k
+        move = draw(st.integers(0, 4)) if gates else 0
+        if move == 1:  # a twin of an earlier gate
+            g = draw(st.sampled_from(gates))
+            ins = [twin_of.get(w, w) if draw(st.booleans()) else w
+                   for w in g.ins]
+            if g.kind in _COMMUTATIVE_KINDS:
+                ins = draw(st.permutations(ins))
+            gates.append(Gate(g.kind, out, tuple(ins)))
+            twins.append((g.out, out))
+            twin_of[out] = g.out
+        elif move == 2:  # a mux and its copy with swapped data inputs
+            s = draw(st.sampled_from(wires))
+            a0, a1 = draw(st.permutations(wires[:n_inputs]))[:2]
+            gates.append(Gate("MUX2", out, (s, a0, a1)))
+            gates.append(Gate("MUX2", out + "s", (s, a1, a0)))
+            swapped.append((out, out + "s"))
+            wires.append(out)
+            out = out + "s"
+        elif move == 3:  # buf(g), not(not(g)) and not(g) = g's flipped kind
+            g = draw(st.sampled_from(gates))
+            gates += [Gate("BUF", out + "b", (g.out,)),
+                      Gate("NOT", out + "n", (g.out,)),
+                      Gate("NOT", out, (out + "n",))]
+            twins += [(g.out, out + "b"), (g.out, out)]
+            wires += [out + "b", out + "n"]
+            if g.kind in _FLIPPED:
+                ins = list(g.ins)
+                if g.kind in _COMMUTATIVE_KINDS:
+                    ins = draw(st.permutations(ins))
+                gates.append(Gate(_FLIPPED[g.kind], out + "f", tuple(ins)))
+                twins.append((out + "n", out + "f"))
+                wires.append(out + "f")
+        else:
+            kind = draw(st.sampled_from(sorted(_REFERENCE)))
+            lo, hi = _REF_ARITY.get(kind, (2, 4))
+            ins = draw(st.lists(st.sampled_from(wires), min_size=lo,
+                                max_size=hi))
+            gates.append(Gate(kind, out, tuple(ins)))
+        wires.append(out)
+    n = Netlist("twins", tuple(wires[:n_inputs]), (wires[-1],),
+                tuple(draw(st.permutations(gates))))
+    return n, twins, swapped
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dag_with_twins())
+def test_shared_plan_equals_the_unshared_evaluation(case):
+    n, twins, swapped = case
+    count = 1 << len(n.inputs)
+    mask = (1 << count) - 1
+    values = {w: sum(((j >> p) & 1) << j for j in range(count)) | ~mask
+              for p, w in enumerate(n.inputs)}
+    ev = Evaluator(n)
+    got = ev.run(values, mask=mask)
+    unshared = {w: values[w] & mask for w in n.inputs}
+    netlist._evaluate(ev._ops, unshared, mask, {})
+    assert got == unshared
+    # a merged op is a BUF of the first of its twins, which is not merged
+    rep = {p[2]: p[3][0] for p, o in zip(ev._plan, ev._ops) if p is not o}
+    assert rep.keys().isdisjoint(rep.values())
+    for first, twin in twins:
+        assert rep.get(first, first) == rep.get(twin, twin)
+        assert got[first] is got[twin]
+    for a, b in swapped:
+        assert rep.get(a, a) != rep.get(b, b)
+
+
+TWINS = ("module twins\ninput x y z\noutput c d\n"
+         "and a x y\nand b y x\nor c a z\nor d b z\nend")
+
+
+def test_a_fault_does_not_reach_a_structural_twin():
+    n = parse_netlist(TWINS)
+    ev = n.evaluator
+    # lane j carries x, y, z = bits 0, 1, 2 of j
+    values = {w: sum(((j >> p) & 1) << j for j in range(8))
+              for p, w in enumerate(n.inputs)}
+    base = ev.run(values, mask=0xFF)
+    assert base["a"] is base["b"] and base["c"] is base["d"]
+    lane = 3  # x = y = 1, z = 0: a = c = 1
+    forced = ev.rerun(base, 0xFF, "a", lane, 0)
+    assert forced["a"] == base["a"] ^ (1 << lane)
+    assert forced["c"] == base["c"] ^ (1 << lane)
+    assert forced["b"] == base["b"] and forced["d"] == base["d"]
+    one = ev.run({"x": 1, "y": 1, "z": 0}, force={"a": 0})
+    assert one == {"x": 1, "y": 1, "z": 0, "a": 0, "b": 1, "c": 0, "d": 1}

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from recordkit import netlist
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Evaluator, evaluate, parse_netlist
 from recordkit.recordize import RecordConfig, design_from_netlist, transform
@@ -61,6 +62,24 @@ def test_simulate_deterministic():
     t1 = simulate(d, stim, RngSpec(9))
     t2 = simulate(d, stim, RngSpec(9))
     assert t1.wires == t2.wires
+
+
+def test_structurally_equal_gates_share_one_word_in_the_trace():
+    # the naive sum of products repeats each minterm AND per output bit:
+    # of 4216 gates over 10 primary inputs, 1124 differ in their inputs,
+    # and 344 once not(xnor(x, r)) counts as xor(x, r), so that a minterm
+    # over one copy's literals is the same gate as one in another copy
+    n = fixture_generate("aes-sbox")
+    d = transform(n, RecordConfig.checkerboard(n, 2))
+    t = simulate(d, Stimulus.uniform(4096, seed=1), RngSpec(2))
+    assert len(t.wires) == 4226
+    assert len({id(v) for v in t.wires.values()}) <= 344 + 10
+    assert t.wires["__f0_t0_2b"] is t.wires["__f0_t4_2b"]
+    assert t.wires["__f1_nx7"] is t.wires["__t_x7"]
+    assert t.wires["__f1_t7_55"] is t.wires["__f0_t4_ff"]
+    unshared = {w: t.wires[w] for w in d.netlist.inputs}
+    netlist._evaluate(d.netlist.evaluator._ops, unshared, (1 << 4096) - 1, {})
+    assert t.wires == unshared
 
 
 def test_trace_values_rederivable_by_evaluate():
