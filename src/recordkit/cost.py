@@ -83,24 +83,22 @@ class ActivityReport:
 def switching(t: SimTrace) -> ActivityReport:
     """Transitions between consecutive cycles, weighted by driver area.
 
-    Only gate-driven wires carry weight; each distinct stream is counted once.
+    Only gate-driven wires carry weight; the toggles of each distinct word
+    object, found by identity, are counted once.
     """
     if t.cycles < 2:
         raise ValueError("switching needs at least 2 cycles")
     transition_mask = (1 << (t.cycles - 1)) - 1
     total = 0
     weighted = 0.0
-    toggles: Dict[int, int] = {}  # stream -> toggle count
-    toggles_at: Dict[int, int] = {}  # id(stream) -> toggle count
+    # id(stream) -> toggle count; t holds every stream alive for the loop
+    toggles_at: Dict[int, int] = {}
     for g in t.netlist.gates:
         s = t.wires[g.out]
         count = toggles_at.get(id(s))
         if count is None:
-            count = toggles.get(s)
-            if count is None:
-                count = toggles[s] = ((s ^ (s >> 1))
-                                      & transition_mask).bit_count()
-            toggles_at[id(s)] = count
+            count = toggles_at[id(s)] = ((s ^ (s >> 1))
+                                         & transition_mask).bit_count()
         total += count
         weighted += count * _gate_area(g)
     return ActivityReport(total, weighted)

@@ -313,12 +313,13 @@ def demo_image(cfg: ImageDemoConfig) -> DemoResult:
         pair_mi = {}
         for label, idx_list in (("same_group", run.same_group),
                                 ("cross_group", run.cross_group)):
-            vals = []
+            # left to right: sum() of floats is compensated from 3.12 on
+            total = 0.0
             for pos in idx_list:
                 k = _NEIGHBOR_IDX[pos]
                 truth = x5 ^ t.stream("x%d" % (k + 1))
-                vals.append(mutual_information(run.estimates[pos], truth))
-            pair_mi[label] = (sum(vals) / len(vals)) if vals else None
+                total += mutual_information(run.estimates[pos], truth)
+            pair_mi[label] = total / len(idx_list) if idx_list else None
         report["pair_mi"] = pair_mi
 
     if cfg.report_path:

@@ -23,8 +23,8 @@ by the encoding transform and is rejected there on user inputs.
 Evaluation is word-parallel: every wire value is a Python integer whose bit
 j carries the wire's value in sample j, so one pass over the gate list
 evaluates arbitrarily many input combinations at once. Structurally equal
-gates are evaluated once and share one word; fault injection (``force``,
-``rerun``) still acts on single physical gates.
+gates are evaluated once and share one word; fault injection (``rerun``)
+still acts on single physical gates.
 
 One table, ``_KINDS``, holds each gate kind's keyword, arity range, base op
 and complemented flag: nand, nor, xnor, not and const1 evaluate as and, or,
@@ -204,7 +204,7 @@ def topo_order(n: Netlist) -> Tuple[Gate, ...]:
     return tuple(order)
 
 
-def _evaluate(ops, v: Dict[str, int], mask: int, force: Mapping) -> None:
+def _evaluate(ops, v: Dict[str, int], mask: int) -> None:
     """The one gate-dispatch body: evaluate ``ops`` in order into ``v``."""
     for base, complemented, out, ins in ops:
         if base == "AND":
@@ -228,8 +228,6 @@ def _evaluate(ops, v: Dict[str, int], mask: int, force: Mapping) -> None:
             x = 0
         if complemented:
             x ^= mask  # exact: every word stays within mask
-        if out in force:
-            x = force[out] & mask
         v[out] = x
 
 
@@ -237,12 +235,12 @@ class Evaluator:
     """Reusable word-parallel evaluation plan for one netlist. ``run`` and
     ``rerun`` (one forced lane, ``fanout`` only) share ``_evaluate``.
 
-    ``run`` without ``force`` follows ``_plan``, where an op structurally
-    equal to an earlier one (same base op, flag and representative inputs,
-    in any order for and/or/xor; a buf or not of a gate counts as that
-    gate, complemented for not) is a BUF of it and so shares its word.
-    Forced runs and ``fanout`` follow ``_ops``, one op per physical gate,
-    so a fault never reaches a structural twin.
+    ``run`` follows ``_plan``, where an op structurally equal to an
+    earlier one (same base op, flag and representative inputs, in any
+    order for and/or/xor; a buf or not of a gate counts as that gate,
+    complemented for not) is a BUF of it and so shares its word.
+    ``fanout`` follows ``_ops``, one op per physical gate, so a fault
+    never reaches a structural twin.
     """
 
     def __init__(self, n: Netlist):
@@ -282,19 +280,14 @@ class Evaluator:
         """The netlist this plan was built from, while it is alive."""
         return self._netlist()
 
-    def run(self, values: Mapping[str, int], mask: int = 1,
-            force: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
-        """Value of every wire given packed primary-input words.
-
-        ``force`` overrides a wire after its gate computed, dependents see
-        the forced word (transient-fault injection hook).
-        """
+    def run(self, values: Mapping[str, int], mask: int = 1) -> Dict[str, int]:
+        """Value of every wire given packed primary-input words."""
         v: Dict[str, int] = {}
         for w in self._inputs:
             if w not in values:
                 raise NetlistError("missing input assignment for %r" % w)
             v[w] = values[w] & mask
-        _evaluate(self._ops if force else self._plan, v, mask, force or {})
+        _evaluate(self._plan, v, mask)
         return v
 
     def fanout(self, wire: str) -> Tuple[tuple, ...]:
@@ -314,7 +307,7 @@ class Evaluator:
         forced to ``value`` on ``lane`` only and its fanout re-evaluated."""
         v = dict(wires)
         v[wire] = (v[wire] & ~(1 << lane)) | ((value & 1) << lane)
-        _evaluate(self.fanout(wire), v, mask, {})
+        _evaluate(self.fanout(wire), v, mask)
         return v
 
 

@@ -231,10 +231,6 @@ class PartitionedDesign:
     def replica_count(self) -> int:
         return 1 << self.config.groups
 
-    def replica_gates(self, k: int) -> List[Gate]:
-        return [g for g in self.netlist.gates
-                if g.zone == UNTRUSTED and g.replica == k]
-
     def untrusted_gates(self) -> List[Gate]:
         return [g for g in self.netlist.gates if g.zone == UNTRUSTED]
 

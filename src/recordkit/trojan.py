@@ -20,9 +20,9 @@ Leakage is quantified with the plug-in mutual-information estimator over
 the empirical 2x2 joint histogram (log base 2, 0*log0 = 0), whose bias for
 binary streams, about 1/(2n ln 2), is negligible here. leak_report counts
 each stream's ones once and does one joint popcount per (distinct tapped
-stream, target); wires that carry one stream get equal, separate rows.
-Wires that share one int object (structurally equal gates) are matched by
-identity, so only distinct objects are hashed.
+word object, target); wires that carry one stream get equal, separate rows.
+A word object is found by identity, never hashed: wires of structurally
+equal gates share one int object and so one row.
 """
 
 from __future__ import annotations
@@ -158,17 +158,16 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
                for kind, streams in (("input", x_streams),
                                      ("output", out_streams))}
     wire_mi: Dict[str, Dict[str, Dict[str, float]]] = {}
-    row_of: Dict[int, Dict[str, Dict[str, float]]] = {}  # stream -> MI row
-    row_at: Dict[int, Dict[str, Dict[str, float]]] = {}  # id(stream) -> row
+    # id(stream) -> MI row; lt holds every stream alive for the loop
+    row_at: Dict[int, Dict[str, Dict[str, float]]] = {}
     for w, v in lt.wires.items():
-        row = row_at.get(id(v)) or row_of.get(v)
+        row = row_at.get(id(v))
         if row is None:
             cw = v.bit_count()
-            row = row_of[v] = {
+            row = row_at[id(v)] = {
                 kind: {s: _mi_counts((v & sv).bit_count(), cw, cs, n)
                        for s, sv, cs in tgts}
                 for kind, tgts in targets.items()}
-        row_at[id(v)] = row
         wire_mi[w] = {kind: dict(mis) for kind, mis in row.items()}
 
     strategies: List[StrategyScore] = []

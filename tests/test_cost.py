@@ -6,7 +6,7 @@ from recordkit.fixtures import fixture_generate
 from recordkit.netlist import _KINDS, parse_netlist
 from recordkit.recordize import RecordConfig, transform
 from recordkit.rng import RngSpec
-from recordkit.sim import Stimulus, simulate, simulate_netlist
+from recordkit.sim import SimTrace, Stimulus, simulate, simulate_netlist
 
 INV = parse_netlist("module inv\ninput a\noutput y\nnot y a\nend")
 AND2 = parse_netlist("module and2\ninput a b\noutput y\nand y a b\nend")
@@ -104,14 +104,22 @@ def _switching_per_gate(t):
     return total, weighted
 
 
+@pytest.mark.parametrize("unshared", [False, True],
+                         ids=["shared", "unshared"])
 @pytest.mark.parametrize("kind, groups, cycles, distinct", [
     ("adder4", 2, 2000, (75, 117)),
     ("aes-sbox", 1, 2000, (304, 2120)),
 ])
-def test_switching_matches_per_gate_loop(kind, groups, cycles, distinct):
+def test_switching_matches_per_gate_loop(kind, groups, cycles, distinct,
+                                         unshared):
     n = fixture_generate(kind)
     d = transform(n, RecordConfig.checkerboard(n, groups))
     t = simulate(d, Stimulus.uniform(cycles, seed=4), RngSpec(4))
+    if unshared:  # identity is only a shortcut: one object per word
+        shared = switching(t)
+        t = SimTrace(t.netlist, t.cycles,
+                     {w: (v << 1) >> 1 for w, v in t.wires.items()})
+        assert switching(t) == shared
     streams = [t.wires[g.out] for g in d.netlist.gates]
     assert (len(set(streams)), len(streams)) == distinct
     act = switching(t)

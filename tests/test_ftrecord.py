@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_netlist import stuck_at
 
 from recordkit import netlist
 from recordkit.fixtures import fixture_generate
@@ -32,7 +33,8 @@ def test_three_replicas_built():
     replicas = {g.replica for g in ft.design.untrusted_gates()}
     assert replicas == {0, 1, 2}
     for k in (0, 1, 2):
-        assert len(ft.design.replica_gates(k)) == len(m9.gates)
+        assert sum(g.replica == k
+                   for g in ft.design.untrusted_gates()) == len(m9.gates)
 
 
 def test_partition_check_passes():
@@ -234,14 +236,15 @@ def _bit_stream(spec):
 
 def _scalar_ft_simulate(ft, stim, rng, faults=None):
     """Reference stepper: every protocol step is one one-lane evaluation,
-    drawing the random bit from the stream as the step runs."""
+    drawing the random bit from the stream as the step runs; a step with a
+    fault evaluates the design stuck at the forced value instead."""
     faults = faults or FaultPlan()
     faults.validate(ft)
     count, cols = stim.bound(len(ft.source.inputs))
     rows = [{w: (c >> cyc) & 1 for w, c in zip(ft.source.inputs, cols)}
             for cyc in range(count)]
 
-    ev = Evaluator(ft.design.netlist)
+    design_ev = Evaluator(ft.design.netlist)
     ref_ev = Evaluator(ft.source)
     reference = []
     for row in rows:
@@ -264,13 +267,14 @@ def _scalar_ft_simulate(ft, stim, rng, faults=None):
 
     while lc < count or phase == 2:
         inj = next((i for i in faults.injections if i.cycle == step), None)
-        force = None
+        ev = design_ev
         if inj is not None:
-            force = {replica_wire(inj.replica, inj.wire): inj.value}
+            ev = stuck_at(ft.design.netlist, replica_wire(
+                inj.replica, inj.wire), inj.value).evaluator
         if phase == 1:
             x = rows[lc]
             r = next(r_bits)
-            v = ev.run(dict(x, **{r_wire: r}), force=force)
+            v = ev.run(dict(x, **{r_wire: r}))
             m = {o: v[selected_wire(o)] for o in outputs}
             if v[MISCOMPARE_WIRE]:
                 saved = (x, r, lc)
@@ -282,7 +286,7 @@ def _scalar_ft_simulate(ft, stim, rng, faults=None):
                 lc += 1
         else:
             x, r, saved_lc = saved
-            v = ev.run(dict(x, **{r_wire: r}), force=force)
+            v = ev.run(dict(x, **{r_wire: r}))
             vote = {o: v[VOTE_PREFIX + o] for o in outputs}
             committed[saved_lc] = vote
             mis = v[MISCOMPARE_WIRE]
@@ -357,13 +361,13 @@ def test_phase_one_stays_word_parallel(monkeypatch):
     calls, evaluated = [], []
     run, evaluate_ops = Evaluator.run, netlist._evaluate
 
-    def counted(self, values, mask=1, force=None):
+    def counted(self, values, mask=1):
         calls.append(mask.bit_length())
-        return run(self, values, mask=mask, force=force)
+        return run(self, values, mask=mask)
 
-    def counted_ops(ops, v, mask, force):
+    def counted_ops(ops, v, mask):
         evaluated.append(len(ops))
-        return evaluate_ops(ops, v, mask, force)
+        return evaluate_ops(ops, v, mask)
 
     monkeypatch.setattr(Evaluator, "run", counted)
     monkeypatch.setattr(netlist, "_evaluate", counted_ops)

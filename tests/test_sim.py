@@ -78,7 +78,7 @@ def test_structurally_equal_gates_share_one_word_in_the_trace():
     assert t.wires["__f1_nx7"] is t.wires["__t_x7"]
     assert t.wires["__f1_t7_55"] is t.wires["__f0_t4_ff"]
     unshared = {w: t.wires[w] for w in d.netlist.inputs}
-    netlist._evaluate(d.netlist.evaluator._ops, unshared, (1 << 4096) - 1, {})
+    netlist._evaluate(d.netlist.evaluator._ops, unshared, (1 << 4096) - 1)
     assert t.wires == unshared
 
 

@@ -10,7 +10,7 @@ from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Gate, parse_netlist
 from recordkit.recordize import RecordConfig, transform
 from recordkit.rng import RngSpec, rng_bits
-from recordkit.sim import Stimulus, simulate
+from recordkit.sim import SimTrace, Stimulus, simulate
 from recordkit.trojan import (LeakError, TriggerSpec, leak_report,
                               mutual_information, tap, trigger_experiment)
 
@@ -210,10 +210,17 @@ def _assert_equal_streams_get_equal_separate_rows(lt, rep):
     return dups
 
 
-def test_leak_report_rows_shared_streams_adder4_g2():
+@pytest.mark.parametrize("unshared", [False, True],
+                         ids=["shared", "unshared"])
+def test_leak_report_rows_shared_streams_adder4_g2(unshared):
     a4 = fixture_generate("adder4")
     d = transform(a4, RecordConfig.checkerboard(a4, 2))
     t = simulate(d, Stimulus.uniform(2000, seed=3), RngSpec(3))
+    if unshared:  # identity is only a shortcut: one object per word
+        shared = leak_report(d, t).to_json()
+        t = SimTrace(t.netlist, t.cycles,
+                     {w: (v << 1) >> 1 for w, v in t.wires.items()})
+        assert leak_report(d, t).to_json() == shared
     lt = tap(d, t)
     assert (len(lt.wires), len(set(lt.wires.values()))) == (92, 60)
     rep = leak_report(d, t)
