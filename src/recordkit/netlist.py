@@ -33,7 +33,8 @@ netlist's one cached, topologically sorted plan; only this module builds an
 ``Evaluator``.
 
 Every ``Netlist``, parsed or built in Python, is validated when it is
-constructed; ``Netlist.order`` keeps the one Kahn pass that validation runs.
+constructed; ``Netlist.order`` keeps the one Kahn pass that validation runs,
+which is also where a read of an undriven wire is reported.
 """
 
 from __future__ import annotations
@@ -147,8 +148,6 @@ def validate(n: Netlist) -> None:
                 % (g.kind, g.out, lo if hi == lo else "%d or more" % lo,
                    len(g.ins)), g.line)
         _check_name(g.out, "wire", g.line)
-        for w in g.ins:
-            _check_name(w, "wire", g.line)
         if g.zone not in (TRUSTED, UNTRUSTED):
             raise NetlistError("bad zone %r on wire %r" % (g.zone, g.out),
                                g.line)
@@ -158,11 +157,6 @@ def validate(n: Netlist) -> None:
         if g.out in driven:
             raise NetlistError("duplicate driver for wire %r" % g.out, g.line)
         driven.add(g.out)
-    for g in n.gates:
-        for w in g.ins:
-            if w not in driven:
-                raise NetlistError("undriven wire %r read by gate %r"
-                                   % (w, g.out), g.line)
     seen_out = set()
     for w in n.outputs:
         _check_name(w, "output")
@@ -171,12 +165,14 @@ def validate(n: Netlist) -> None:
         if w in seen_out:
             raise NetlistError("output %r listed twice" % w)
         seen_out.add(w)
-    n.order  # the one Kahn pass; raises on a cycle
+    n.order  # the one Kahn pass; raises on an undriven read or a cycle
 
 
 def topo_order(n: Netlist) -> Tuple[Gate, ...]:
-    """Gates in dependency order (Kahn); raises NetlistError on a cycle."""
+    """Gates in dependency order (Kahn); raises NetlistError on a read of
+    a wire that is neither an input nor a gate output, or on a cycle."""
     by_out = {g.out: g for g in n.gates}
+    inputs = set(n.inputs)
     pending: Dict[str, int] = {}
     readers: Dict[str, List[str]] = {}
     for g in n.gates:
@@ -185,6 +181,10 @@ def topo_order(n: Netlist) -> Tuple[Gate, ...]:
             if w in by_out:
                 deps += 1
                 readers.setdefault(w, []).append(g.out)
+            elif w not in inputs:
+                _check_name(w, "wire", g.line)  # a malformed name says so
+                raise NetlistError("undriven wire %r read by gate %r"
+                                   % (w, g.out), g.line)
         pending[g.out] = deps
     queue = [g.out for g in n.gates if pending[g.out] == 0]
     order: List[Gate] = []
@@ -327,8 +327,9 @@ def parse_netlist(text: str) -> Netlist:
     name: Optional[str] = None
     inputs: List[str] = []
     outputs: List[str] = []
-    gates: List[Gate] = []
-    attrs: List[Tuple[str, str, str, int]] = []
+    gates: List[Tuple[str, str, Tuple[str, ...], int]] = []
+    attrs: Dict[Tuple[str, str], object] = {}  # (wire, key) -> value
+    attr_line: Dict[str, int] = {}  # wire -> its first attr line
     ended = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -362,7 +363,19 @@ def parse_netlist(text: str) -> Netlist:
         if head == "attr":
             if len(tokens) != 4:
                 raise NetlistError("attr takes: wire key value", lineno)
-            attrs.append((tokens[1], tokens[2], tokens[3], lineno))
+            _, wire, key, value = tokens
+            if (wire, key) in attrs:
+                raise NetlistError("duplicate attr %s for wire %r"
+                                   % (key, wire), lineno)
+            if key == "replica":
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise NetlistError("replica must be an integer", lineno)
+            elif key != "zone":
+                raise NetlistError("unknown attr key %r" % key, lineno)
+            attrs[wire, key] = value
+            attr_line.setdefault(wire, lineno)
             continue
         kind = _KIND_OF_KEYWORD.get(head)
         if kind is None:
@@ -370,37 +383,22 @@ def parse_netlist(text: str) -> Netlist:
                                raw.index(head) + 1)
         if len(tokens) < 2:
             raise NetlistError("gate %r needs an output wire" % head, lineno)
-        gates.append(Gate(kind, tokens[1], tuple(tokens[2:]), line=lineno))
+        gates.append((kind, tokens[1], tuple(tokens[2:]), lineno))
 
     if name is None:
         raise NetlistError("empty netlist: no module statement")
     if not ended:
         raise NetlistError("missing 'end'")
 
-    by_out = {g.out: i for i, g in enumerate(gates)}
-    seen_attr = set()
-    for wire, key, value, lineno in attrs:
-        if wire not in by_out:
+    outs = {out for _, out, _, _ in gates}
+    for wire, lineno in attr_line.items():
+        if wire not in outs:
             raise NetlistError("attr on %r, which is not a gate output" % wire,
                                lineno)
-        if (wire, key) in seen_attr:
-            raise NetlistError("duplicate attr %s for wire %r" % (key, wire),
-                               lineno)
-        seen_attr.add((wire, key))
-        i = by_out[wire]
-        g = gates[i]
-        if key == "zone":
-            gates[i] = Gate(g.kind, g.out, g.ins, value, g.replica, g.line)
-        elif key == "replica":
-            try:
-                idx = int(value)
-            except ValueError:
-                raise NetlistError("replica must be an integer", lineno)
-            gates[i] = Gate(g.kind, g.out, g.ins, g.zone, idx, g.line)
-        else:
-            raise NetlistError("unknown attr key %r" % key, lineno)
-
-    return Netlist(name, tuple(inputs), tuple(outputs), tuple(gates))
+    return Netlist(name, tuple(inputs), tuple(outputs), tuple(
+        Gate(kind, out, ins, attrs.get((out, "zone"), TRUSTED),
+             attrs.get((out, "replica")), lineno)
+        for kind, out, ins, lineno in gates))
 
 
 def write_netlist(n: Netlist) -> str:

@@ -185,15 +185,16 @@ class PartitionedDesign:
         """Read off the encode gates: __t_<x> = x xor __r<g> puts x in g."""
         assignment: Dict[str, int] = {}
         by_out = self.netlist.drivers()
+        group_of = {w: k for k, w in enumerate(self.random_wires, start=1)}
         for i in self.source_inputs:
             g = by_out.get(ENCODE_PREFIX + i)
             if g is None:
                 continue
-            r_ins = [w for w in g.ins if w.startswith(RANDOM_PREFIX)]
+            groups = [group_of[w] for w in g.ins if w in group_of]
             if (g.kind != "XOR" or len(g.ins) != 2 or i not in g.ins
-                    or not r_ins):
+                    or not groups):
                 raise NetlistError("unrecognized encode gate for input %r" % i)
-            assignment[i] = int(r_ins[0][len(RANDOM_PREFIX):])
+            assignment[i] = groups[0]
         return RecordConfig(tuple(assignment), len(self.random_wires),
                             assignment)
 

@@ -92,8 +92,7 @@ class Stimulus:
                                       "%d design inputs"
                                       % (len(self.columns), width))
             return self.count, self.columns
-        stream = packed_bits(RngSpec(self.seed), self.count * width)
-        return self.count, transpose(stream, self.count, width)
+        return self.count, r_columns(RngSpec(self.seed), self.count, width)
 
 
 @dataclass

@@ -139,8 +139,9 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
     """Measure what the implant's view reveals.
 
     Per tapped wire: MI against every source input and every true output.
-    Per requested wire pair (a, b): MI of the xor of the two tapped streams
-    against the xor of their underlying inputs. ``strategies`` holds the
+    Per requested wire pair (a, b), each on the input bus of any tapped
+    copy: MI of the xor of the two tapped streams against the xor of their
+    underlying inputs. ``strategies`` holds the
     attacks' accuracies: pick-replica per visible replica output, then
     input-echo per tapped input wire of the viewed replica (replica 0 when
     unrestricted) in wire order, then gradient per pair. ``replica``
@@ -151,8 +152,11 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
     x_streams = {i: t.stream(i) for i in d.source_inputs}
     out_streams = {o: t.stream(z)
                    for o, z in zip(d.source_outputs, d.decoded_outputs)}
+    copies = range(d.replica_count) if replica is None else (replica,)
     source_of = {w: i for i, w in d.replica_input_wires(replica or 0).items()
                  if w in lt}
+    pair_source = {w: i for k in copies
+                   for i, w in d.replica_input_wires(k).items() if w in lt}
 
     targets = {kind: [(s, b.value, b.count()) for s, b in streams.items()]
                for kind, streams in (("input", x_streams),
@@ -171,7 +175,7 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
         wire_mi[w] = {kind: dict(mis) for kind, mis in row.items()}
 
     strategies: List[StrategyScore] = []
-    for k in range(d.replica_count) if replica is None else (replica,):
+    for k in copies:
         for o in d.source_outputs:
             w = d.replica_output_wire(k, o)
             if w in lt:
@@ -187,11 +191,11 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
         for w in (a, b):
             if w not in lt:
                 raise LeakError("pair references untapped wire %r" % w)
-            if w not in source_of:
+            if w not in pair_source:
                 raise LeakError("pair wire %r has no associated source "
                                 "input" % w)
         guess = lt.stream(a) ^ lt.stream(b)
-        truth = x_streams[source_of[a]] ^ x_streams[source_of[b]]
+        truth = x_streams[pair_source[a]] ^ x_streams[pair_source[b]]
         pair_list.append(PairMI(a, b, mutual_information(guess, truth)))
         strategies.append(StrategyScore("gradient(%s,%s)" % (a, b),
                                         guess.accuracy(truth)))

@@ -198,6 +198,17 @@ def test_trigger_rates(tmp_path, capsys):
     assert doc["analytic_rate"] == 0.25
 
 
+def test_trigger_needs_a_cycle(tmp_path, capsys):
+    src = tmp_path / "maj9.nl"
+    enc = tmp_path / "enc.nl"
+    run("fixture", "maj9", "-o", src)
+    run("recordize", src, "-o", enc)
+    capsys.readouterr()
+    assert run("trigger", enc, "--pattern", "101010101",
+               "--cycles", "0") == 1
+    assert capsys.readouterr().err == "error: need at least one cycle\n"
+
+
 def test_ft_sim_clean_and_faulted(tmp_path, capsys):
     src = tmp_path / "maj9.nl"
     run("fixture", "maj9", "-o", src)
@@ -388,6 +399,25 @@ def test_loading_a_design_runs_the_closure_check(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: partition closure violated")
     assert "'__f0_leak'" in err and "'__r1'" in err
+
+
+@pytest.mark.parametrize("pad", ["__rx", "__r7"])
+def test_encode_gate_padded_by_a_gate_output_is_rejected(tmp_path, capsys,
+                                                         pad):
+    src = tmp_path / "maj9.nl"
+    bad = tmp_path / "bad.nl"
+    run("fixture", "maj9", "-o", src)
+    run("recordize", src, "-o", bad)
+    encode = "\nxor __t_x1 x1 __r1\n"
+    text = bad.read_text()
+    assert encode in text
+    # x1's pad is a gate-driven wire with a random-looking name
+    bad.write_text(text.replace(
+        encode, "\nxor __t_x1 x1 %s\nbuf %s x1\n" % (pad, pad)))
+    capsys.readouterr()
+    assert run("simulate", bad, "--cycles", "10") == 1
+    assert capsys.readouterr().err == \
+        "error: unrecognized encode gate for input 'x1'\n"
 
 
 def test_fixture_rejects_a_parameter_its_kind_does_not_take(tmp_path,

@@ -70,6 +70,8 @@ def test_syntax_errors_carry_line_numbers():
         parse_netlist("module m\ninput a\noutput a")
     with pytest.raises(NetlistError, match="after 'end'"):
         parse_netlist("module m\ninput a\noutput a\nend\nnot y a")
+    with pytest.raises(NetlistError, match="line 4: invalid wire name 'b-c'"):
+        parse_netlist("module m\ninput a\noutput y\nand y a b-c\nend")
 
 
 def test_comments_and_blank_lines():
@@ -89,6 +91,10 @@ def test_attrs_parse_and_persist():
     assert "attr y zone untrusted" in out
     assert "attr y replica 3" in out
     assert parse_netlist(out) == n
+    # attr lines may come before the gate they annotate
+    early = parse_netlist("module m\ninput a\noutput y\nattr y replica 3\n"
+                          "attr y zone untrusted\nnot y a\nend")
+    assert early == n and early.gates[0].line == 6
 
 
 def test_attr_errors():
@@ -103,6 +109,11 @@ def test_attr_errors():
         parse_netlist(base % "attr y replica x")
     with pytest.raises(NetlistError, match="negative replica index"):
         parse_netlist(base % "attr y replica -1")
+    with pytest.raises(NetlistError,
+                       match="line 6: duplicate attr zone for wire 'y'"):
+        parse_netlist(base % "attr y zone untrusted\nattr y zone trusted")
+    with pytest.raises(NetlistError, match="line 5: attr takes"):
+        parse_netlist(base % "attr y zone")
 
 
 def test_zone_defaults_to_trusted():
@@ -300,7 +311,9 @@ def test_rerun_equals_a_stuck_at_run_on_its_lane_only(n, data):
     ((Gate("AND", "y", ("a",)),), "AND 'y' takes 2 or more inputs, got 1"),
     ((Gate("AND", "w", ("a", "y")), Gate("AND", "y", ("a", "w"))),
      "cycle detected through wire 'w'"),
-], ids=["undriven-read", "duplicate-driver", "one-input-and", "cycle"])
+    ((Gate("AND", "y", ("a", "b-c")),), "invalid wire name 'b-c'"),
+], ids=["undriven-read", "duplicate-driver", "one-input-and", "cycle",
+        "invalid-read-name"])
 def test_construction_rejects_invalid_netlists(gates, message):
     with pytest.raises(NetlistError, match=message):
         Netlist("m", ("a",), ("y",), gates)

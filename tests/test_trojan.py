@@ -195,6 +195,20 @@ def test_leak_report_isolated_replica_keys_on_its_own_bus():
         "pick-replica(1,y)", "input-echo(__tn_x1)"]
 
 
+def test_leak_report_full_view_pair_on_another_copys_bus():
+    m9, d = _maj9_design(1)
+    t = simulate(d, Stimulus.uniform(4000, seed=72), RngSpec(73))
+    assert "__tn_x1" in tap(d, t) and "__tn_x2" in tap(d, t)
+    full = leak_report(d, t, [("__tn_x1", "__tn_x2")])
+    alone = leak_report(d, t, [("__tn_x1", "__tn_x2")], replica=1)
+    assert full.pairs == alone.pairs
+    assert _scores(full)["gradient(__tn_x1,__tn_x2)"] == 1.0
+    # input-echo stays on replica 0's bus in the full view
+    assert {s.name for s in full.strategies
+            if s.name.startswith("input-echo")} == {
+        "input-echo(__t_%s)" % i for i in m9.inputs}
+
+
 def _assert_equal_streams_get_equal_separate_rows(lt, rep):
     """Check every wire against the first wire with its stream; return the
     (first, later) pairs so a caller can see duplicates were present."""
