@@ -39,8 +39,10 @@ def unpack(value: int, n: int) -> List[int]:
 def transpose(stream: int, count: int, width: int) -> Tuple[int, ...]:
     """Split a cycle-major stream (bit c*width+i is cycle c of column i)
     into width packed columns of count bits each."""
-    text = format(stream, "0%db" % (count * width))[::-1][:count * width]
-    return tuple(int(text[i::width][::-1] or "0", 2) for i in range(width))
+    n = count * width
+    text = format(stream & ((1 << n) - 1), "0%db" % n)
+    return tuple(int(text[width - 1 - i::width] or "0", 2)
+                 for i in range(width))
 
 
 @dataclass(frozen=True)

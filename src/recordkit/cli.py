@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from .cost import cost_report
@@ -265,6 +266,7 @@ def cmd_demo_image(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)  # no mutable defaults: one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="recordkit",

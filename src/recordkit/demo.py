@@ -43,6 +43,8 @@ Scoring, defined here and used by the acceptance checks:
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -53,7 +55,7 @@ from .fixtures import make_maj9
 from .netlist import Netlist
 from .pgm import read_pgm, write_pgm
 from .recordize import PartitionedDesign, RecordConfig, transform
-from .rng import RngSpec, derive, words
+from .rng import RngSpec, derive, packed_bits
 from .sim import SimTrace, Stimulus, simulate, simulate_netlist
 from .trojan import mutual_information
 
@@ -116,7 +118,10 @@ def salt_pepper(bits: Sequence[int], p: float, rng: RngSpec) -> List[int]:
     Pixel i draws stream bits 16i..16i+15, so each 64-bit word serves four
     pixels, low half-word first."""
     cut = int(p * 65536)
-    draws = ((w >> k) & 0xFFFF for w in words(rng) for k in (0, 16, 32, 48))
+    draws = array("H", packed_bits(rng, 16 * len(bits)).to_bytes(
+        2 * len(bits), "little"))
+    if sys.byteorder == "big":
+        draws.byteswap()
     return [b ^ (draw < cut) for b, draw in zip(bits, draws)]
 
 

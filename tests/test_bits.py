@@ -88,12 +88,22 @@ def test_pack_unpack_match_shift_loops(bits):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 200), st.integers(0, 12), st.data())
-def test_transpose_matches_shift_loop(count, width, data):
-    stream = data.draw(st.integers(0, (1 << (count * width)) - 1))
+@given(st.integers(0, 200), st.integers(0, 12), st.integers(0, 1 << 80),
+       st.data())
+def test_transpose_matches_shift_loop(count, width, high, data):
+    """Bits at and above count*width (high) are ignored."""
+    low = data.draw(st.integers(0, (1 << (count * width)) - 1))
+    stream = low | high << (count * width)
     cols = transpose(stream, count, width)
     assert cols == _naive_transpose(stream, count, width)
-    assert all(0 <= c < 1 << count for c in cols)
+    assert cols == transpose(low, count, width)
+    assert len(cols) == width and all(0 <= c < 1 << count for c in cols)
+
+
+@pytest.mark.parametrize("stream", [0, 1, 0b1011, (1 << 200) - 1])
+@pytest.mark.parametrize("width", [0, 1, 3])
+def test_transpose_of_zero_cycles_is_empty_columns(stream, width):
+    assert transpose(stream, 0, width) == (0,) * width
 
 
 def test_unpack_reads_only_the_low_bits():

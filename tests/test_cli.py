@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import recordkit
 from recordkit import recordize
 from recordkit.cli import main
 
@@ -324,6 +328,25 @@ def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, seed):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--seed: %s is outside 0..2^64-1" % seed in err
+
+
+def test_reused_parser_falls_back_to_the_default_seed(tmp_path):
+    """One parser serves every main() call in a process: a --seed given to
+    one command must not leak into the next."""
+    src = tmp_path / "maj9.nl"
+    enc = tmp_path / "enc.nl"
+    run("fixture", "maj9", "-o", src)
+    run("recordize", src, "-o", enc)
+    seeded, later, fresh = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
+    assert run("simulate", enc, "--cycles", "16", "--seed", "5",
+               "--csv", seeded) == 0
+    assert run("simulate", enc, "--cycles", "16", "--csv", later) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(recordkit.__file__).parents[1]))
+    subprocess.run([sys.executable, "-m", "recordkit.cli", "simulate",
+                    str(enc), "--cycles", "16", "--csv", str(fresh)],
+                   env=env, check=True, capture_output=True)
+    assert later.read_text() == fresh.read_text()
+    assert seeded.read_text() != later.read_text()
 
 
 def test_seed_range_endpoints_accepted(tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_sim import words
 
 from recordkit import demo
 from recordkit.bits import Bits
@@ -83,6 +84,22 @@ def test_salt_pepper_rate_and_determinism():
     assert 350 <= flips <= 650  # wide band around 500
     assert salt_pepper(img, 0.05, RngSpec(3)) == noisy
     assert salt_pepper(img, 0.0, RngSpec(3)) == img
+
+
+def _scalar_salt_pepper(bits, p, rng):
+    """Per-word reference: four 16-bit draws per oracle word, low first."""
+    cut = int(p * 65536)
+    draws = ((w >> k) & 0xFFFF for w in words(rng) for k in (0, 16, 32, 48))
+    return [b ^ (draw < cut) for b, draw in zip(bits, draws)]
+
+
+@pytest.mark.parametrize("size", [0, 1, 3, 5, 4097])
+@pytest.mark.parametrize("p", [0, 0.015, 0.5, 65535 / 65536])
+def test_salt_pepper_matches_per_word_reference(size, p):
+    img = [(i * 7 >> 2) & 1 for i in range(size)]
+    for seed in (0, 9, (1 << 64) - 1):
+        assert (salt_pepper(img, p, RngSpec(seed))
+                == _scalar_salt_pepper(img, p, RngSpec(seed)))
 
 
 def test_edge_prediction_and_f1():

@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_netlist import stuck_at
+from test_sim import words
 
 from recordkit import netlist
 from recordkit.fixtures import fixture_generate
@@ -11,7 +12,7 @@ from recordkit.netlist import Evaluator, parse_netlist
 from recordkit.recordize import (MISCOMPARE_WIRE, SPARE_INPUT_PREFIX,
                                  VOTE_PREFIX, RecordConfig, partition_check,
                                  replica_wire, selected_wire)
-from recordkit.rng import RngSpec, words
+from recordkit.rng import RngSpec
 from recordkit.ftrecord import (REPLAY_LIMIT, SPARE, FaultInjection,
                                 FaultPlan, FaultPlanError, FTStep, FTTrace,
                                 ft_simulate, transform_ft)

@@ -1,12 +1,14 @@
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recordkit import netlist
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Evaluator, evaluate, parse_netlist
 from recordkit.recordize import RecordConfig, design_from_netlist, transform
-from recordkit.rng import RngSpec, rng_bits
+from recordkit.rng import MASK64, RngSpec, packed_bits, rng_bits
 from recordkit.sim import (EXHAUSTIVE_BIT_LIMIT, SimulationError, Stimulus,
                            simulate, simulate_netlist, verify_equivalence)
 
@@ -15,6 +17,45 @@ AND2 = parse_netlist("module and2\ninput a b\noutput y\nand y a b\nend")
 # Reference value for the seed-0 stream, cross-checked against an
 # independent implementation of the same mixer.
 SPLITMIX_SEED0_WORD0 = 0xE220A8397B1DCDAF
+
+
+def words(spec):
+    """Scalar SplitMix64 oracle: the stream one 64-bit word at a time."""
+    state = spec.seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
+
+
+def oracle_bits(spec, n):
+    """First n stream bits from the scalar oracle, bit i at position i."""
+    data = b"".join(w.to_bytes(8, "little")
+                    for w in islice(words(spec), (n + 63) // 64))
+    return int.from_bytes(data, "little") & ((1 << n) - 1)
+
+
+# Every length up to 300 bits, and one bit either side of 2^k - 1, 2^k and
+# 2^k + 1 words: odd and even word counts across every doubling boundary.
+ORACLE_LENGTHS = sorted(set(range(301)) | {
+    64 * (2 ** k + d) + e for k in range(11) for d in (-1, 0, 1)
+    for e in (-1, 0, 1) if 2 ** k + d > 0})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1 << 63, MASK64])
+def test_packed_bits_matches_scalar_oracle(seed):
+    spec = RngSpec(seed)
+    ref = oracle_bits(spec, ORACLE_LENGTHS[-1])
+    for n in ORACLE_LENGTHS:
+        assert packed_bits(spec, n) == ref & ((1 << n) - 1), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, MASK64), st.integers(0, 5000))
+def test_packed_bits_matches_scalar_oracle_at_any_seed(seed, n):
+    assert packed_bits(RngSpec(seed), n) == oracle_bits(RngSpec(seed), n)
 
 
 def test_rng_reference_vector():
