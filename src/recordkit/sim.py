@@ -7,7 +7,8 @@ random inputs consume G fresh stream bits per cycle, group 1 first.
 Exhaustive equivalence checking drives every wire with the classic binary
 counter columns (input p toggles with period 2^(p+1)); the first
 counterexample in counter order is reported, which keeps the verdict
-deterministic no matter how the sweep might be split up.
+deterministic no matter how the sweep might be split up. The columns come
+from ``exhaustive_columns``, which trojan's per-vector leak counts share.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .rng import RngSpec, packed_bits
 
 __all__ = [
     "EXHAUSTIVE_BIT_LIMIT", "Counterexample", "RngSpec", "SimTrace",
-    "SimulationError", "Stimulus", "Verdict", "r_columns", "simulate",
-    "simulate_netlist", "verify_equivalence",
+    "SimulationError", "Stimulus", "Verdict", "exhaustive_columns",
+    "r_columns", "simulate", "simulate_netlist", "verify_equivalence",
 ]
 
 EXHAUSTIVE_BIT_LIMIT = 22
@@ -136,6 +137,14 @@ def r_columns(rng: RngSpec, cycles: int, groups: int) -> Tuple[int, ...]:
     return transpose(packed_bits(rng, cycles * groups), cycles, groups)
 
 
+def exhaustive_columns(k: int) -> Tuple[int, ...]:
+    """The k binary counter columns over 2^k lanes: lane j carries bit p of
+    j in column p, so lane j holds the input vector whose bit p is input p."""
+    ones = (1 << (1 << k)) - 1  # column p: 2^p zeros, 2^p ones, repeated
+    return tuple((((1 << b) - 1) << b) * (ones // ((1 << 2 * b) - 1))
+                 for b in (1 << p for p in range(k)))
+
+
 def simulate(d: PartitionedDesign, stim: Stimulus,
              rng: Optional[RngSpec] = None) -> SimTrace:
     """Drive a partitioned design: stimulus on the source inputs, fresh
@@ -178,15 +187,6 @@ class Verdict:
         return self.counterexample is None
 
 
-def _counter_column(p: int, total_bits: int) -> int:
-    """Packed column where sample j carries bit p of j, over 2^total_bits
-    samples."""
-    total = 1 << total_bits
-    block = 1 << p
-    unit = ((1 << block) - 1) << block
-    return unit * (((1 << total) - 1) // ((1 << (2 * block)) - 1))
-
-
 def check_interface(original: Netlist, d: PartitionedDesign) -> None:
     """Raise ValueError unless d was transformed from original's ports."""
     if original.inputs != d.source_inputs:
@@ -219,7 +219,7 @@ def verify_equivalence(original: Netlist, d: PartitionedDesign,
                 "exhaustive sweep needs %d bits, limit is %d; use sampled "
                 "mode" % (total_bits, EXHAUSTIVE_BIT_LIMIT))
         count = 1 << total_bits
-        cols = [_counter_column(p, total_bits) for p in range(total_bits)]
+        cols = exhaustive_columns(total_bits)
     elif mode == "sampled":
         if samples < 1:
             raise ValueError("need at least one sample")

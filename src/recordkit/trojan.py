@@ -19,10 +19,16 @@ inputs as the xor of their tapped wires a and b.
 Leakage is quantified with the plug-in mutual-information estimator over
 the empirical 2x2 joint histogram (log base 2, 0*log0 = 0), whose bias for
 binary streams, about 1/(2n ln 2), is negligible here. leak_report counts
-each stream's ones once and does one joint popcount per (distinct tapped
-word object, target); wires that carry one stream get equal, separate rows.
-A word object is found by identity, never hashed: wires of structurally
-equal gates share one int object and so one row.
+each stream's ones once and does one joint count per (distinct tapped word
+object, target); wires that carry one stream get equal, separate rows. A
+word object is found by identity, never hashed: wires of structurally
+equal gates share one int object and so one row. The counts are taken on
+the trace's n-bit words or, once n >= _CYCLES_PER_VECTOR * 2^k for a
+netlist of k inputs (random wires included), on one evaluation over the
+2^k input vectors with lane p weighted by h[p], the number of cycles whose
+input vector is p. That is exact because the netlist is a DAG: wire w in
+cycle c is f_w(vector_c), so the ones of f_w & g are sum_p h[p] f_w(p)
+g(p), and both bases give byte-identical reports of a trace of the design.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bits import Bits
 from .recordize import PartitionedDesign
 from .rng import RngSpec
-from .sim import SimTrace, Stimulus, simulate
+from .sim import SimTrace, Stimulus, exhaustive_columns, simulate
 
 
 class LeakError(Exception):
@@ -95,6 +101,40 @@ def _mi_counts(c11: int, ca: int, cb: int, n: int) -> float:
     return max(mi, 0.0)
 
 
+# measured cycles per input vector from which the vector basis is faster
+_CYCLES_PER_VECTOR = 64
+
+
+def _counting_basis(d: PartitionedDesign, t: SimTrace):
+    """(words, count) with count(words[a] & words[b]) the number of trace
+    cycles in which wires a and b are both 1: the trace's own words and
+    popcount, or the vector basis (module docstring) once it pays off."""
+    inputs = d.netlist.inputs
+    k = len(inputs)
+    if t.cycles < _CYCLES_PER_VECTOR << k:
+        return t.wires, int.bit_count
+    columns = [t.wires[i] for i in inputs]
+    planes = [0] * t.cycles.bit_length()  # plane b: bit b of every h[p]
+
+    def split(j: int, cycles: int, p: int) -> None:
+        # depth first: O(k) classes of cycles alive at once, never all 2^k
+        if j == k:
+            h = cycles.bit_count()
+            for b in range(h.bit_length()):
+                planes[b] |= (h >> b & 1) << p
+        elif cycles:
+            one = cycles & columns[j]
+            split(j + 1, cycles ^ one, p)
+            split(j + 1, one, p | 1 << j)
+
+    split(0, (1 << t.cycles) - 1, 0)
+    weighted = [(b, plane) for b, plane in enumerate(planes) if plane]
+    words = d.netlist.evaluator.run(dict(zip(inputs, exhaustive_columns(k))),
+                                    mask=(1 << (1 << k)) - 1)
+    return words, lambda v: sum((v & plane).bit_count() << b
+                                for b, plane in weighted)
+
+
 def mutual_information(a: Bits, b: Bits) -> float:
     """Plug-in estimate of I(a;b) in bits for two equal-length bit streams."""
     n = len(a)
@@ -147,6 +187,8 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
     unrestricted) in wire order, then gradient per pair. ``replica``
     restricts the view to one physically isolated copy. Uniform stimulus
     and at least ~10^4 cycles are what make these numbers meaningful.
+    ``t`` must be a trace of ``d``, as made by ``simulate(d, ...)``: see
+    the module docstring for the two bases of the per-wire counts.
     """
     lt, n = tap(d, t, replica=replica), t.cycles
     x_streams = {i: t.stream(i) for i in d.source_inputs}
@@ -158,18 +200,21 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
     pair_source = {w: i for k in copies
                    for i, w in d.replica_input_wires(k).items() if w in lt}
 
-    targets = {kind: [(s, b.value, b.count()) for s, b in streams.items()]
-               for kind, streams in (("input", x_streams),
-                                     ("output", out_streams))}
+    words, count = _counting_basis(d, t)
+    targets = {kind: [(s, words[w], count(words[w])) for s, w in named]
+               for kind, named in (
+                   ("input", zip(d.source_inputs, d.source_inputs)),
+                   ("output", zip(d.source_outputs, d.decoded_outputs)))}
     wire_mi: Dict[str, Dict[str, Dict[str, float]]] = {}
-    # id(stream) -> MI row; lt holds every stream alive for the loop
+    # id(word) -> MI row; words holds every word alive for the loop
     row_at: Dict[int, Dict[str, Dict[str, float]]] = {}
-    for w, v in lt.wires.items():
+    for w in lt.wires:
+        v = words[w]
         row = row_at.get(id(v))
         if row is None:
-            cw = v.bit_count()
+            cw = count(v)
             row = row_at[id(v)] = {
-                kind: {s: _mi_counts((v & sv).bit_count(), cw, cs, n)
+                kind: {s: _mi_counts(count(v & sv), cw, cs, n)
                        for s, sv, cs in tgts}
                 for kind, tgts in targets.items()}
         wire_mi[w] = {kind: dict(mis) for kind, mis in row.items()}

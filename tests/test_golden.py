@@ -84,6 +84,16 @@ GOLDEN = {
         "4fb8f4e95c86b8e8a3e2fdf00c35e5009771b304c0f701eb6ab444f1dc833af1",
     "leak_report/adder4/G2/all":
         "fbf720479655398047912711b7e775515cfdb2df4a6b42bd82d0ac68fd2175f0",
+    # 2^17 cycles put these on leak_report's per-input-vector counting
+    # basis; pinned from the popcount-per-trace-stream code
+    "leak_report/maj9/G1/all/131072":
+        "250f04cd40cf948ffd5fd9052cc03047fe889cf54c55852c468c73734b1f45d0",
+    "leak_report/maj9/G1/0/131072":
+        "53a365b5628c07012e65eeb02a0a9325c95478b04d45d76cae8d269deb2c7330",
+    "leak_report/adder4/G1/all/131072":
+        "a656782a93ba5e65ab50fecac269586b8f09a57485a23a8d6d2c0632ca92484f",
+    "leak_report/adder4/G2/1/131072":
+        "f39798cc3e30ba00c9ee5681311fadbf1e64aec67cb8569eed159fcd5bfb6066",
     "cost_report/aes-sbox/G1":
         "b2e9dcb5c3f142c3d16f530930d301e3b9584921d7b8163780655486a8befd64",
     "cost_report/aes-sbox/G2":
@@ -263,7 +273,8 @@ def _artifact(key: str):
     if parts[0] == "leak_report":
         n = _fixture(parts[1])
         d = transform(n, RecordConfig.checkerboard(n, int(parts[2][1:])))
-        t = simulate(d, Stimulus.uniform(3000, seed=7), RngSpec(7))
+        cycles = int(parts[4]) if len(parts) > 4 else 3000
+        t = simulate(d, Stimulus.uniform(cycles, seed=7), RngSpec(7))
         replica = None if parts[3] == "all" else int(parts[3])
         s = list(d.config.randomized_inputs)
         # the pairs of `recordkit attack --pairs all-t [--isolate k]`

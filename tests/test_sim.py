@@ -10,7 +10,8 @@ from recordkit.netlist import Evaluator, evaluate, parse_netlist
 from recordkit.recordize import RecordConfig, design_from_netlist, transform
 from recordkit.rng import MASK64, RngSpec, packed_bits, rng_bits
 from recordkit.sim import (EXHAUSTIVE_BIT_LIMIT, SimulationError, Stimulus,
-                           simulate, simulate_netlist, verify_equivalence)
+                           exhaustive_columns, simulate, simulate_netlist,
+                           verify_equivalence)
 
 AND2 = parse_netlist("module and2\ninput a b\noutput y\nand y a b\nend")
 
@@ -152,6 +153,16 @@ def test_r_bits_fresh_per_cycle_group_order():
     for c in range(32):
         assert t.value("__r1", c) == raw[2 * c]
         assert t.value("__r2", c) == raw[2 * c + 1]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_exhaustive_columns_lane_j_is_vector_j(k):
+    cols = exhaustive_columns(k)
+    assert len(cols) == k
+    for j in range(1 << k):
+        assert [(c >> j) & 1 for c in cols] == [(j >> p) & 1
+                                                for p in range(k)]
+    assert all(c < 1 << (1 << k) for c in cols)
 
 
 def test_verify_and2_exhaustive():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_recordize import designs
 
+from recordkit import trojan
 from recordkit.bits import Bits
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Gate, parse_netlist
@@ -264,7 +265,10 @@ def test_property_report_floats_equal_mutual_information(groups, view,
     replica = (None if view == "full"
                else data.draw(st.integers(0, d.replica_count - 1)))
     seed = data.draw(st.integers(0, 2 ** 16))
-    t = simulate(d, Stimulus.uniform(257, seed=seed), RngSpec(seed))
+    # just below, at and above the cycle count where the vector basis starts
+    start = trojan._CYCLES_PER_VECTOR << len(d.netlist.inputs)
+    cycles = start + data.draw(st.integers(-1, 1) | st.integers(2, start))
+    t = simulate(d, Stimulus.uniform(cycles, seed=seed), RngSpec(seed))
     lt = tap(d, t, replica=replica)
     bus = d.replica_input_wires(replica or 0)
     tapped = [i for i in cfg.randomized_inputs if bus[i] in lt]
@@ -286,6 +290,26 @@ def test_property_report_floats_equal_mutual_information(groups, view,
         assert p.mi == mutual_information(
             t.stream(p.a) ^ t.stream(p.b),
             t.stream(src[p.a]) ^ t.stream(src[p.b]))
+
+
+@pytest.mark.parametrize("view", [None, 1], ids=["full", "isolated"])
+@pytest.mark.parametrize("groups", [1, 2])
+@pytest.mark.parametrize("fixture", ["adder4", "maj9"])
+def test_leak_report_same_bytes_on_both_counting_bases(fixture, groups, view,
+                                                       monkeypatch):
+    n = fixture_generate(fixture)
+    d = transform(n, RecordConfig.checkerboard(n, groups))
+    t = simulate(d, Stimulus.uniform(3001, seed=11), RngSpec(11))
+    bus = d.replica_input_wires(view or 0)
+    s = d.config.randomized_inputs
+    pairs = [(bus[a], bus[b]) for k, a in enumerate(s) for b in s[k + 1:]]
+    reports = []
+    for per_vector in (1 << 30, 1):  # the trace basis, then the vector one
+        monkeypatch.setattr(trojan, "_CYCLES_PER_VECTOR", per_vector)
+        vector = trojan._counting_basis(d, t)[1] is not int.bit_count
+        assert vector == (per_vector == 1)
+        reports.append(leak_report(d, t, pairs, replica=view).to_json())
+    assert reports[0] == reports[1]
 
 
 def test_trigger_g1_rate_half():
