@@ -15,42 +15,22 @@ from .netlist import Gate, Netlist
 FIXTURE_KINDS = ("aes-sbox", "maj9", "adder4", "and-tree-n")
 
 
-def gf_mul(a: int, b: int) -> int:
-    """Multiply in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1."""
-    p = 0
-    for _ in range(8):
-        if b & 1:
-            p ^= a
-        hi = a & 0x80
-        a = (a << 1) & 0xFF
-        if hi:
-            a ^= 0x1B
-        b >>= 1
-    return p
-
-
-def gf_inverse(x: int) -> int:
-    """Multiplicative inverse in GF(2^8); 0 maps to 0 (x^254 by squaring)."""
-    if x == 0:
-        return 0
-    r, base, e = 1, x, 254
-    while e:
-        if e & 1:
-            r = gf_mul(r, base)
-        base = gf_mul(base, base)
-        e >>= 1
-    return r
-
-
 def _rotl8(b: int, k: int) -> int:
     return ((b << k) | (b >> (8 - k))) & 0xFF
 
 
 def aes_sbox_table() -> Tuple[int, ...]:
-    """The 256-entry AES S-box: GF(2^8) inverse followed by the affine map."""
+    """The 256-entry AES S-box: GF(2^8) inverse followed by the affine map.
+    The inverse is read off exp/log tables over the generator 3, modulo
+    x^8 + x^4 + x^3 + x + 1; 0 maps to 0."""
+    exp, log = [0] * 255, [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i], log[x] = x, i
+        x ^= (x << 1) ^ (0x11B if x & 0x80 else 0)  # x * 3
     table = []
     for x in range(256):
-        b = gf_inverse(x)
+        b = exp[(255 - log[x]) % 255] if x else 0
         table.append(b ^ _rotl8(b, 1) ^ _rotl8(b, 2) ^ _rotl8(b, 3)
                      ^ _rotl8(b, 4) ^ 0x63)
     return tuple(table)

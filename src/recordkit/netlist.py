@@ -33,8 +33,11 @@ netlist's one cached, topologically sorted plan; only this module builds an
 ``Evaluator``.
 
 Every ``Netlist``, parsed or built in Python, is validated when it is
-constructed; ``Netlist.order`` keeps the one Kahn pass that validation runs,
-which is also where a read of an undriven wire is reported.
+constructed; ``Netlist.order`` keeps the one ordering pass that validation
+runs, which is also where a read of an undriven wire is reported. That order
+is the file order when it is a dependency order, as in every netlist this
+package emits; otherwise it is the gates that read only earlier wires, in
+file order, followed by Kahn's order over the late gates.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ class Netlist:
 
     @cached_property
     def order(self) -> Tuple[Gate, ...]:
-        """Gates in dependency order, sorted once and kept."""
+        """Gates in dependency order (``topo_order``), found once and kept:
+        the file order when it is one."""
         return topo_order(self)
 
     @cached_property
@@ -165,29 +169,44 @@ def validate(n: Netlist) -> None:
         if w in seen_out:
             raise NetlistError("output %r listed twice" % w)
         seen_out.add(w)
-    n.order  # the one Kahn pass; raises on an undriven read or a cycle
+    # the one ordering pass: file order, Kahn only over gates that read a
+    # later wire; raises on an undriven read or a cycle
+    n.order
 
 
 def topo_order(n: Netlist) -> Tuple[Gate, ...]:
-    """Gates in dependency order (Kahn); raises NetlistError on a read of
-    a wire that is neither an input nor a gate output, or on a cycle."""
-    by_out = {g.out: g for g in n.gates}
-    inputs = set(n.inputs)
+    """Gates in dependency order: ``n.gates`` itself when no gate reads a
+    wire driven later, else the gates that read only inputs and earlier
+    such gates, in file order, followed by Kahn's order over the rest (the
+    late gates). Raises NetlistError on a read of a wire that is neither an
+    input nor a gate output, or on a cycle."""
+    done = set(n.inputs)
+    late: List[Gate] = []
+    for g in n.gates:
+        if done.issuperset(g.ins):
+            done.add(g.out)
+        else:
+            late.append(g)
+    if not late:
+        return n.gates
+    # No in-order gate reads a late one, so Kahn counts only reads of late
+    # outputs; its residual, and so the wire a cycle names, is unchanged.
+    by_out = {g.out: g for g in late}
     pending: Dict[str, int] = {}
     readers: Dict[str, List[str]] = {}
-    for g in n.gates:
+    for g in late:
         deps = 0
         for w in g.ins:
             if w in by_out:
                 deps += 1
                 readers.setdefault(w, []).append(g.out)
-            elif w not in inputs:
+            elif w not in done:
                 _check_name(w, "wire", g.line)  # a malformed name says so
                 raise NetlistError("undriven wire %r read by gate %r"
                                    % (w, g.out), g.line)
         pending[g.out] = deps
-    queue = [g.out for g in n.gates if pending[g.out] == 0]
-    order: List[Gate] = []
+    queue = [g.out for g in late if pending[g.out] == 0]
+    order = [g for g in n.gates if g.out in done]
     i = 0
     while i < len(queue):
         out = queue[i]

@@ -173,6 +173,10 @@ class PartitionedDesign:
             raise NetlistError("encoded and decoded output names disagree")
         self.config.validate(self.netlist)
         replicas = {g.replica for g in self.untrusted_gates()}
+        if None in replicas:
+            g = next(g for g in self.untrusted_gates() if g.replica is None)
+            raise NetlistError("untrusted gate %r has no replica index"
+                               % g.out, g.line)
         copies = self.replica_count
         if MISCOMPARE_WIRE in self.netlist.outputs:
             copies += 1  # an FT netlist also carries the spare copy 2^G

@@ -424,6 +424,26 @@ def test_loading_a_design_runs_the_closure_check(tmp_path, capsys, argv):
     assert "'__f0_leak'" in err and "'__r1'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("attack", "{bad}", "--cycles", "100"),
+    ("verify", "{src}", "{bad}"),
+])
+def test_missing_replica_index_names_the_gate(tmp_path, capsys, argv):
+    src = tmp_path / "maj9.nl"
+    bad = tmp_path / "bad.nl"
+    run("fixture", "maj9", "-o", src)
+    run("recordize", src, "-o", bad, "--rand-bits", "2")
+    lines = bad.read_text().splitlines(keepends=True)
+    lines.remove("attr __f1_t0 replica 1\n")
+    bad.write_text("".join(lines))
+    line = lines.index("and __f1_t0 __tn_x1 __t_x2 __tn_x3 __t_x4 __tn_x5\n")
+    capsys.readouterr()
+    assert run(*(a.format(src=src, bad=bad) for a in argv)) == 1
+    assert capsys.readouterr().err == ("error: line %d: untrusted gate "
+                                       "'__f1_t0' has no replica index\n"
+                                       % (line + 1))
+
+
 @pytest.mark.parametrize("pad", ["__rx", "__r7"])
 def test_encode_gate_padded_by_a_gate_output_is_rejected(tmp_path, capsys,
                                                          pad):

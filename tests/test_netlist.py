@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recordkit import netlist
+from recordkit import (RecordConfig, fixture_generate, netlist, transform,
+                       transform_ft)
 from recordkit.netlist import (Evaluator, Gate, Netlist, NetlistError,
                                evaluate, parse_netlist, topo_order, validate,
                                write_netlist)
@@ -360,6 +361,78 @@ def test_order_is_cached_per_netlist():
     assert n.order is n.order
     assert n.order == topo_order(n)
     assert [g.out for g in n.order] == ["w", "y"]
+
+
+def _is_dependency_order(n, order):
+    seen = set(n.inputs)
+    for g in order:
+        if not seen.issuperset(g.ins):
+            return False
+        seen.add(g.out)
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dag_over_every_kind())
+def test_order_is_a_dependency_permutation_of_the_gates(n):
+    assert sorted(n.order, key=repr) == sorted(n.gates, key=repr)
+    assert _is_dependency_order(n, n.order)
+    if _is_dependency_order(n, n.gates):
+        assert n.order is n.gates
+
+
+def _emitted_netlists():
+    for kind, params in [("aes-sbox", {}), ("maj9", {}), ("adder4", {}),
+                         ("and-tree-n", {"n": 7})]:
+        n = fixture_generate(kind, **params)
+        yield kind, n
+        for groups in (1, 2):
+            d = transform(n, RecordConfig.checkerboard(n, groups))
+            yield "%s-G%d" % (kind, groups), d.netlist
+        ft = transform_ft(n, RecordConfig.checkerboard(n, 1))
+        yield kind + "-ft", ft.design.netlist
+
+
+def test_every_emitted_netlist_keeps_its_file_order():
+    for name, n in _emitted_netlists():
+        assert n.order is n.gates, name
+        assert parse_netlist(write_netlist(n)).order == n.gates, name
+
+
+# Each message is the one the full Kahn pass over every gate reports: the
+# first gate in file order with an undriven read, and the least wire left
+# in Kahn's residual, which includes gates downstream of a cycle.
+@pytest.mark.parametrize("body, message", [
+    ("and y w ghost1\nnot w a\nbuf z ghost0",
+     "line 4: undriven wire 'ghost1' read by gate 'y'"),
+    ("and y w b-c\nnot w a\nbuf z ghost0",
+     "line 4: invalid wire name 'b-c'"),
+    ("buf b0 c0\nand q a p\nnot aa a\nbuf p q\nxor n2 m2 aa\n"
+     "or m2 n2 a\nnot c0 a\nand y q n2 aa",
+     "line 9: cycle detected through wire 'm2'"),
+    ("buf b0 c0\nand q a p\nnot aa a\nbuf p q\nbuf d1 p\nxor n2 m2 aa\n"
+     "or m2 n2 a\nnot c0 a\nand y q n2 aa",
+     "line 8: cycle detected through wire 'd1'"),
+], ids=["undriven-late-read", "invalid-late-read", "two-cycles",
+        "two-cycles-and-a-reader"])
+def test_late_gates_report_the_full_kahn_error(body, message):
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist("module m\ninput a\noutput y\n%s\nend\n" % body)
+    assert str(exc.value) == message
+
+
+def test_reversed_buf_chain_orders_and_its_ring_raises():
+    size = 20000
+    chain = [Gate("BUF", "w%d" % k, ("w%d" % (k - 1) if k else "a",))
+             for k in range(size)]
+    last = "w%d" % (size - 1)
+    n = Netlist("chain", ("a",), (last,), tuple(reversed(chain)))
+    assert n.order == tuple(chain)
+    assert evaluate(n, {"a": 1}) == {last: 1}
+    ring = (Gate("BUF", "w0", (last,)),) + tuple(chain[1:])
+    with pytest.raises(NetlistError,
+                       match="^cycle detected through wire 'w0'$"):
+        Netlist("ring", ("a",), (last,), tuple(reversed(ring)))
 
 
 def test_evaluator_is_cached_per_netlist():
