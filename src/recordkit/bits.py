@@ -8,8 +8,9 @@ counting run word-parallel over arbitrary lengths.
 
 This module owns every list<->packed conversion: ``pack`` (0/1 sequence to
 integer), ``unpack`` (integer to 0/1 list) and ``transpose`` (cycle-major
-stream to per-column integers). Each is a linear pass over one binary
-string, so no other module shifts a packed integer one bit at a time.
+stream to per-column integers). Each is a few C-level passes over one
+binary string (a 256-entry translate table, slicing, int<->text), so no
+Python code runs once per bit.
 """
 
 from __future__ import annotations
@@ -17,23 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Tuple
 
-_DIGIT = {0: "0", 1: "1"}
+_ASCII = b"01" + b"x" * 254  # bytes 0/1 to binary digits; others invalid
+_BIT = bytes.maketrans(b"01", b"\0\1")
 
 
 def pack(bits: Iterable[int]) -> int:
-    """Pack a 0/1 sequence, element i at bit position i."""
+    """Pack a 0/1 sequence (ints or bools), element i at bit position i."""
     seq = list(bits)
     try:
-        text = "".join([_DIGIT[b] for b in reversed(seq)])
-    except (KeyError, TypeError):
-        bad = next(b for b in seq if b not in (0, 1))
+        return int(bytes(seq)[::-1].translate(_ASCII) or b"0", 2)
+    except (TypeError, ValueError):
+        bad = next(b for b in seq if not isinstance(b, int) or b not in (0, 1))
         raise ValueError("bit sequence contains %r" % (bad,)) from None
-    return int(text or "0", 2)
 
 
 def unpack(value: int, n: int) -> List[int]:
     """Bits 0..n-1 of a packed integer as 0/1 ints."""
-    return list(map(int, format(value, "0%db" % n)[::-1][:n]))
+    return list(format(value, "0%db" % n)[::-1][:n].encode().translate(_BIT))
 
 
 def transpose(stream: int, count: int, width: int) -> Tuple[int, ...]:

@@ -43,8 +43,6 @@ Scoring, defined here and used by the acceptance checks:
 from __future__ import annotations
 
 import json
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -116,13 +114,19 @@ def salt_pepper(bits: Sequence[int], p: float, rng: RngSpec) -> List[int]:
     """Flip each pixel independently with probability p (quantized 1/2^16).
 
     Pixel i draws stream bits 16i..16i+15, so each 64-bit word serves four
-    pixels, low half-word first."""
-    cut = int(p * 65536)
-    draws = array("H", packed_bits(rng, 16 * len(bits)).to_bytes(
-        2 * len(bits), "little"))
-    if sys.byteorder == "big":
-        draws.byteswap()
-    return [b ^ (draw < cut) for b, draw in zip(bits, draws)]
+    pixels, low half-word first. draw < cut is compared a byte at a time,
+    each byte test a table that maps every draw to a 0/1 byte lane."""
+    n = len(bits)
+    cut_hi, cut_lo = divmod(int(p * 65536), 256)
+    draws = packed_bits(rng, 16 * n).to_bytes(2 * n, "little")
+
+    def below(lanes: bytes, t: int) -> int:
+        table = (b"\1" * t + bytes(256))[:256]
+        return int.from_bytes(lanes.translate(table), "little")
+    hi, lo = draws[1::2], draws[0::2]
+    noise = below(hi, cut_hi) | (below(hi, cut_hi + 1) & below(lo, cut_lo))
+    return list((noise ^ int.from_bytes(bytes(bits), "little"))
+                .to_bytes(n, "little"))
 
 
 def median_filter(img: Sequence[int], width: int, height: int) -> List[int]:
@@ -249,14 +253,17 @@ def _run_variant(variant: str, noisy: Sequence[int], width: int, height: int,
     return _VariantRun(enhanced, estimates, same, cross, trace, design)
 
 
-def leaked_image(run: _VariantRun, width: int, height: int) -> List[int]:
-    """Render difference estimates as gray levels; enhanced image for plain.
+def leaked_image(run: _VariantRun, width: int, height: int) -> bytes:
+    """Gray levels 0..255, one byte per pixel; the enhanced image for plain.
     Planes read as hex add one pixel per nibble (8 planes, so no carry)."""
     if run.design is None:
-        return [255 * p for p in run.enhanced]
-    level = {"%x" % c: 255 * c // len(run.estimates) for c in range(16)}
+        return bytes(run.enhanced).translate(_WHITE)
+    votes = len(run.estimates)
+    level = bytes.maketrans(b"0123456789abcdef"[:votes + 1],
+                            bytes(255 * c // votes for c in range(votes + 1)))
     total = sum(int(format(m.value, "b"), 16) for m in run.estimates)
-    return [level[c] for c in format(total, "0%dx" % (width * height))[::-1]]
+    text = format(total, "0%dx" % (width * height))[::-1]
+    return text.encode().translate(level)
 
 
 def demo_image(cfg: ImageDemoConfig) -> DemoResult:

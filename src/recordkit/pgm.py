@@ -60,9 +60,8 @@ def read_pgm(path) -> Tuple[int, int, int, List[int]]:
     else:
         raise ValueError("malformed PGM: unknown magic %r in %s"
                          % (magic, path))
-    for p in pixels:
-        if not 0 <= p <= maxval:
-            raise ValueError("malformed PGM: pixel out of range in %s" % path)
+    if min(pixels) < 0 or max(pixels) > maxval:
+        raise ValueError("malformed PGM: pixel out of range in %s" % path)
     return width, height, maxval, pixels
 
 

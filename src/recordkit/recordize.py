@@ -39,10 +39,11 @@ rejects a loaded design whose verdict fails.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .netlist import Gate, Netlist, NetlistError, UNTRUSTED, gate_lines
 from .rng import RngSpec
@@ -67,6 +68,9 @@ def random_wire(g: int) -> str:
 def replica_wire(k: int, w: str) -> str:
     """Copy k's instance of the source gate output w."""
     return "__f%d_%s" % (k, w)
+
+
+_REPLICA_NAME = re.compile(r"__f(\d+)_")  # replica_wire's names
 
 
 def selected_wire(o: str, path: str = "") -> str:
@@ -183,6 +187,38 @@ class PartitionedDesign:
         if replicas != set(range(copies)):
             raise NetlistError("expected replica indices 0..%d, found %s"
                                % (copies - 1, sorted(replicas)))
+        self._check_copies(copies)
+
+    def _check_copies(self, copies: int) -> None:
+        """A gate is named replica_wire(k, ...) exactly when it is untrusted
+        with replica k, and no copy reads a wire of another copy."""
+        prefix = [replica_wire(k, "") for k in range(copies)]
+        outs: List[Set[str]] = [set() for _ in range(copies)]
+        reads: List[Set[str]] = [set() for _ in range(copies)]
+        for g in self.netlist.gates:
+            if g.zone != UNTRUSTED:
+                if _REPLICA_NAME.match(g.out):
+                    raise NetlistError("copy gate %r is not untrusted"
+                                       % g.out, g.line)
+            elif g.out.startswith(prefix[g.replica]):
+                outs[g.replica].add(g.out)
+                reads[g.replica].update(g.ins)
+            else:
+                raise NetlistError("untrusted gate %r has replica %d but is "
+                                   "not named %s..." % (g.out, g.replica,
+                                                        prefix[g.replica]),
+                                   g.line)
+        every = set().union(*outs)
+        for k in range(copies):
+            foreign = every - outs[k]
+            if not foreign.isdisjoint(reads[k]):
+                g, w = next((g, w) for g in self.netlist.gates
+                            if g.out in outs[k] for w in g.ins
+                            if w in foreign)
+                raise NetlistError("copy %d gate %r reads copy %s wire %r"
+                                   % (k, g.out,
+                                      _REPLICA_NAME.match(w).group(1), w),
+                                   g.line)
 
     @cached_property
     def config(self) -> RecordConfig:

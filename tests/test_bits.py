@@ -117,3 +117,22 @@ def test_unpack_reads_only_the_low_bits():
 def test_pack_names_the_bad_element(bits, bad):
     with pytest.raises(ValueError, match="bit sequence contains %s" % bad):
         pack(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=200),
+       st.sampled_from([list, bytes, bytearray,
+                        lambda b: tuple(map(bool, b)),
+                        lambda b: (x for x in b)]))
+def test_pack_takes_any_bit_iterable(bits, kind):
+    assert pack(kind(bits)) == _naive_pack(bits)
+    assert type(unpack(pack(bits), len(bits))) is list
+
+
+@pytest.mark.parametrize("bits, bad", [([1, 0.0], "0.0"), ([1.0], "1.0"),
+                                       ([0, 48], "48"), ([256], "256"),
+                                       ([-1], "-1"), (b"\0\1\2", "2")])
+def test_pack_rejects_every_non_bit(bits, bad):
+    """Floats are not bits, and no byte other than 0 and 1 reads as one."""
+    with pytest.raises(ValueError, match="bit sequence contains %s" % bad):
+        pack(bits)

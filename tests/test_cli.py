@@ -444,6 +444,38 @@ def test_missing_replica_index_names_the_gate(tmp_path, capsys, argv):
                                        % (line + 1))
 
 
+# Copy partitions no transform builds, on the maj9 G=2 text: a gate that
+# changes its tag, its zone or its reads, each named by its line.
+COPY_EDITS = [
+    ("attr __f0_t0 replica 0\n", "attr __f0_t0 replica 1\n",
+     "and __f0_t0 ", "untrusted gate '__f0_t0' has replica 1 but is not "
+     "named __f1_..."),
+    ("attr __f1_t1 zone untrusted\n", "",
+     "and __f1_t1 ", "copy gate '__f1_t1' is not untrusted"),
+    ("and __f3_t0 ", "and __f3_t0 __f0_t0 ",
+     "and __f3_t0 ", "copy 3 gate '__f3_t0' reads copy 0 wire '__f0_t0'"),
+]
+
+
+@pytest.mark.parametrize("old, new, gate, message", COPY_EDITS)
+def test_impossible_copy_partition_names_the_gate(tmp_path, capsys, old, new,
+                                                   gate, message):
+    src = tmp_path / "maj9.nl"
+    bad = tmp_path / "bad.nl"
+    run("fixture", "maj9", "-o", src)
+    run("recordize", src, "-o", bad, "--rand-bits", "2")
+    text = bad.read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    bad.write_text(text)
+    line = next(i for i, t in enumerate(text.splitlines(), 1)
+                if t.startswith(gate))
+    capsys.readouterr()
+    assert run("attack", bad, "--cycles", "64") == 1
+    assert capsys.readouterr().err == "error: line %d: %s\n" % (line,
+                                                                 message)
+
+
 @pytest.mark.parametrize("pad", ["__rx", "__r7"])
 def test_encode_gate_padded_by_a_gate_output_is_rejected(tmp_path, capsys,
                                                          pad):

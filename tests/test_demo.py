@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -57,6 +58,14 @@ def test_pgm_malformed(tmp_path):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("raster", ["0 -1 2 3", "0 1 2 16"])
+def test_pgm_pixel_out_of_range(tmp_path, raster):
+    p = tmp_path / "bad.pgm"
+    p.write_text("P2\n2 2\n15\n%s\n" % raster)
+    with pytest.raises(ValueError, match="pixel out of range"):
+        read_pgm(p)
+
+
 def test_write_pgm_checks_size(tmp_path):
     with pytest.raises(ValueError, match="pixel count"):
         write_pgm(tmp_path / "x.pgm", 2, 2, [0, 0, 0])
@@ -93,13 +102,29 @@ def _scalar_salt_pepper(bits, p, rng):
     return [b ^ (draw < cut) for b, draw in zip(bits, draws)]
 
 
+# 256, 255 and 257 (/65536) are the edges of the byte-split compare: a
+# low cut byte of 0, a high cut byte of 0, and both bytes set.
 @pytest.mark.parametrize("size", [0, 1, 3, 5, 4097])
-@pytest.mark.parametrize("p", [0, 0.015, 0.5, 65535 / 65536])
+@pytest.mark.parametrize("p", [0, 0.015, 0.5, 65535 / 65536, 256 / 65536,
+                               255 / 65536, 257 / 65536])
 def test_salt_pepper_matches_per_word_reference(size, p):
     img = [(i * 7 >> 2) & 1 for i in range(size)]
     for seed in (0, 9, (1 << 64) - 1):
         assert (salt_pepper(img, p, RngSpec(seed))
                 == _scalar_salt_pepper(img, p, RngSpec(seed)))
+
+
+def test_salt_pepper_flips_strictly_below_the_cut():
+    """A draw equal to the cut keeps its pixel; one below the cut flips it.
+    Cuts at the first draws themselves pin both byte compares' edges."""
+    img = [0, 1] * 8
+    first = [(w >> k) & 0xFFFF for w in itertools.islice(words(RngSpec(5)), 4)
+             for k in (0, 16, 32, 48)]
+    for i, draw in enumerate(first):
+        for cut in (draw, draw + 1):
+            noisy = salt_pepper(img, cut / 65536, RngSpec(5))
+            assert noisy == _scalar_salt_pepper(img, cut / 65536, RngSpec(5))
+            assert noisy[i] ^ img[i] == (cut > draw)
 
 
 def test_edge_prediction_and_f1():
@@ -183,6 +208,23 @@ def test_demo_reads_user_image(tmp_path):
     w, h, _, pixels = read_pgm(res.enhanced_path)
     assert (w, h) == (16, 16)
     assert set(pixels) <= {0, 255}
+
+
+@pytest.mark.parametrize("variant", demo.VARIANTS)
+def test_leaked_image_is_the_vote_share_in_gray(variant):
+    """One byte per pixel: 255 * (set estimates) // (estimates), or the
+    enhanced image in black and white for plain."""
+    w, h = 12, 9
+    img = [int((r * 5 + c * 3) % 7 < 3) for r in range(h) for c in range(w)]
+    run = demo._run_variant(variant, img, w, h, 4)
+    leaked = demo.leaked_image(run, w, h)
+    assert type(leaked) is bytes and len(leaked) == w * h
+    if variant == "plain":
+        assert list(leaked) == [255 * p for p in run.enhanced]
+        return
+    votes = len(run.estimates)
+    assert list(leaked) == [255 * sum(m[i] for m in run.estimates) // votes
+                            for i in range(w * h)]
 
 
 def test_design_for_builds_each_variant_once():
