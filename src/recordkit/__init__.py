@@ -24,7 +24,7 @@ from .netlist import (Gate, Netlist, NetlistError, evaluate, parse_netlist,
 from .recordize import (ClosureReport, PartitionedDesign, RecordConfig,
                         design_from_netlist, partition_check, rekey,
                         transform, untrusted_zone_text, user_view)
-from .rng import RngSpec, rng_bits
+from .rng import RngSpec
 from .sim import (SimTrace, Stimulus, Verdict, simulate, simulate_netlist,
                   verify_equivalence)
 from .trojan import (LeakReport, LeakTrace, TriggerSpec, leak_report,

@@ -58,22 +58,13 @@ class Bits:
             raise ValueError("value does not fit in %d bits" % self.n)
 
     @classmethod
-    def from_iterable(cls, bits: Iterable[int]) -> "Bits":
-        seq = list(bits)
-        return cls(pack(seq), len(seq))
-
-    @classmethod
     def from_str(cls, text: str) -> "Bits":
         """Parse '0101...'; the leftmost character is index 0."""
-        return cls.from_iterable(int(c) for c in text)
+        return cls(pack(int(c) for c in text), len(text))
 
     @classmethod
     def zeros(cls, n: int) -> "Bits":
         return cls(0, n)
-
-    @classmethod
-    def ones(cls, n: int) -> "Bits":
-        return cls((1 << n) - 1, n)
 
     @property
     def mask(self) -> int:
@@ -81,11 +72,6 @@ class Bits:
 
     def __len__(self) -> int:
         return self.n
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.value >> i) & 1
 
     def __iter__(self) -> Iterator[int]:
         return iter(unpack(self.value, self.n))
@@ -112,17 +98,9 @@ class Bits:
     def count(self) -> int:
         return self.value.bit_count()
 
-    def fraction(self) -> float:
-        if self.n == 0:
-            raise ValueError("empty bit vector")
-        return self.count() / self.n
-
     def accuracy(self, other: "Bits") -> float:
         """Fraction of positions where both vectors agree."""
         self._same_len(other)
         if self.n == 0:
             raise ValueError("empty bit vector")
         return 1.0 - (self.value ^ other.value).bit_count() / self.n
-
-    def to01(self) -> str:
-        return "".join(str(b) for b in self)

@@ -107,7 +107,9 @@ def synthetic_scene(width: int = 64, height: int = 64) -> List[int]:
 
 
 def binarize(pixels: Sequence[int], threshold: int) -> List[int]:
-    return [1 if p >= threshold else 0 for p in pixels]
+    """0/1 pixel p >= threshold for 8-bit pixels, by one table pass."""
+    table = (bytes(max(threshold, 0)) + b"\1" * 256)[:256]
+    return list(bytes(pixels).translate(table))
 
 
 def salt_pepper(bits: Sequence[int], p: float, rng: RngSpec) -> List[int]:

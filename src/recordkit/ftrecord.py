@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -48,8 +48,9 @@ from .bits import unpack
 from .netlist import Gate, Netlist
 from .recordize import (COMPARE_PREFIX, MISCOMPARE_WIRE, SPARE_INPUT_PREFIX,
                         VOTE_PAIR_PREFIXES, VOTE_PREFIX, PartitionedDesign,
-                        RecordConfig, build_replica, replica_wire,
-                        selected_wire, transform)
+                        RecordConfig, _record_parts, build_replica,
+                        random_wire, replica_input_map, replica_wire,
+                        selected_wire)
 from .rng import RngSpec
 from .sim import Stimulus, simulate, simulate_netlist
 
@@ -87,12 +88,10 @@ def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
     if cfg.groups != 1:
         raise ValueError("the fault-tolerant construction uses exactly one "
                          "random bit (got %d groups)" % cfg.groups)
-    d = transform(n, cfg)
-    gates = list(d.netlist.gates)
-
-    r1 = d.random_wires[0]
-    rep0 = d.replica_input_wires(0)
-    rep1 = d.replica_input_wires(1)
+    name, inputs, outputs, gates, leaves = _record_parts(n, cfg)
+    r1 = random_wire(1)
+    rep0 = replica_input_map(cfg, n.inputs, 0)
+    rep1 = replica_input_map(cfg, n.inputs, 1)
     spare_inputs = {i: SPARE_INPUT_PREFIX + i for i in n.inputs}
     for i, w in spare_inputs.items():
         gates.append(Gate("MUX2", w, (r1, rep0[i], rep1[i])))
@@ -108,19 +107,16 @@ def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
         gates.append(Gate("OR", MISCOMPARE_WIRE, cmp_wires))
 
     for o in n.outputs:
-        a = d.replica_output_wire(0, o)
-        b = d.replica_output_wire(1, o)
-        c = spare_outputs[o]
+        a, b, c = leaves[0][o], leaves[1][o], spare_outputs[o]
         terms = tuple(p + o for p in VOTE_PAIR_PREFIXES)
         for w, ins in zip(terms, ((a, b), (a, c), (b, c))):
             gates.append(Gate("AND", w, ins))
         gates.append(Gate("OR", VOTE_PREFIX + o, terms))
 
-    netlist = Netlist(d.netlist.name + "_ft", d.netlist.inputs,
-                      d.netlist.outputs + (MISCOMPARE_WIRE,)
+    netlist = Netlist(name + "_ft", inputs, outputs + (MISCOMPARE_WIRE,)
                       + tuple(VOTE_PREFIX + o for o in n.outputs),
                       tuple(gates))
-    return FTDesign(replace(d, netlist=netlist), n)
+    return FTDesign(PartitionedDesign(netlist), n)
 
 
 @dataclass(frozen=True)

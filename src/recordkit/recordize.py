@@ -315,6 +315,16 @@ def build_replica(n: Netlist, k: int, inputs: Mapping[str, str]
 
 def transform(n: Netlist, cfg: RecordConfig) -> PartitionedDesign:
     """Apply the randomized-encoding construction described above."""
+    name, inputs, outputs, gates, _ = _record_parts(n, cfg)
+    return PartitionedDesign(Netlist(name, inputs, outputs, tuple(gates)))
+
+
+def _record_parts(n: Netlist, cfg: RecordConfig) -> Tuple[
+        str, Tuple[str, ...], Tuple[str, ...], List[Gate],
+        List[Dict[str, str]]]:
+    """transform's netlist as unvalidated (name, inputs, outputs, gates),
+    plus the wire carrying each output of each copy, so that a caller
+    extending the gate list builds and checks one netlist."""
     cfg.validate(n)
     _reject_reserved(n)
     g_of = cfg.group_assignment
@@ -353,12 +363,10 @@ def transform(n: Netlist, cfg: RecordConfig) -> PartitionedDesign:
         gates.append(Gate("XOR", y, (m, r1)))
         gates.append(Gate("XOR", z, (y, r1)))
 
-    out_netlist = Netlist("%s_record%d" % (n.name, big_g),
-                          n.inputs + r_wires,
-                          tuple(ENCODED_OUT_PREFIX + o for o in n.outputs)
-                          + tuple(DECODED_OUT_PREFIX + o for o in n.outputs),
-                          tuple(gates))
-    return PartitionedDesign(out_netlist)
+    return ("%s_record%d" % (n.name, big_g), n.inputs + r_wires,
+            tuple(ENCODED_OUT_PREFIX + o for o in n.outputs)
+            + tuple(DECODED_OUT_PREFIX + o for o in n.outputs),
+            gates, leaves)
 
 
 @dataclass(frozen=True)

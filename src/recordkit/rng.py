@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import Bits
-
 MASK64 = (1 << 64) - 1
 _INCREMENT = 0x9E3779B97F4A7C15
 
@@ -59,11 +57,6 @@ def packed_bits(spec: RngSpec, n: int) -> int:
     even = _mixed_slots(spec.seed + _INCREMENT, (count + 1) // 2)
     odd = _mixed_slots(spec.seed + 2 * _INCREMENT, count // 2)
     return (even | odd << 64) & ((1 << n) - 1)
-
-
-def rng_bits(spec: RngSpec, n: int) -> Bits:
-    """First n bits of the deterministic stream."""
-    return Bits(packed_bits(spec, n), n)
 
 
 def derive(spec: RngSpec, tag: int) -> RngSpec:

@@ -18,17 +18,21 @@ inputs as the xor of their tapped wires a and b.
 
 Leakage is quantified with the plug-in mutual-information estimator over
 the empirical 2x2 joint histogram (log base 2, 0*log0 = 0), whose bias for
-binary streams, about 1/(2n ln 2), is negligible here. leak_report counts
-each stream's ones once and does one joint count per (distinct tapped word
-object, target); wires that carry one stream get equal, separate rows. A
-word object is found by identity, never hashed: wires of structurally
-equal gates share one int object and so one row. The counts are taken on
-the trace's n-bit words or, once n >= _CYCLES_PER_VECTOR * 2^k for a
-netlist of k inputs (random wires included), on one evaluation over the
-2^k input vectors with lane p weighted by h[p], the number of cycles whose
-input vector is p. That is exact because the netlist is a DAG: wire w in
-cycle c is f_w(vector_c), so the ones of f_w & g are sum_p h[p] f_w(p)
-g(p), and both bases give byte-identical reports of a trace of the design.
+binary streams, about 1/(2n ln 2), is negligible here. Every figure of a
+report is a count of ones on one counting basis: an MI takes the ones of
+a, b and a & b, an accuracy is 1 - ones(guess ^ truth)/n, and a pair's
+guess and truth are the xors of two tapped and two source-input words.
+leak_report counts each word's ones once and does one joint count per
+(distinct tapped word object, target); wires that carry one stream get
+equal, separate rows. A word object is found by identity, never hashed:
+wires of structurally equal gates share one int object and so one row.
+The basis is the trace's n-bit words or, once n >= _CYCLES_PER_VECTOR *
+2^k for a netlist of k inputs (random wires included), one evaluation
+over the 2^k input vectors with lane p weighted by h[p], the number of
+cycles whose input vector is p. That is exact because the netlist is a
+DAG: wire w in cycle c is f_w(vector_c), so the ones of f_w & g are
+sum_p h[p] f_w(p) g(p), a count is linear over lanes, and both bases give
+byte-identical reports of a trace of the design.
 """
 
 from __future__ import annotations
@@ -53,11 +57,6 @@ class LeakTrace:
 
     cycles: int
     wires: Dict[str, int]
-
-    def stream(self, wire: str) -> Bits:
-        if wire not in self.wires:
-            raise LeakError("wire %r is not visible in this tap" % wire)
-        return Bits(self.wires[wire], self.cycles)
 
     def __contains__(self, wire: str) -> bool:
         return wire in self.wires
@@ -187,13 +186,11 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
     unrestricted) in wire order, then gradient per pair. ``replica``
     restricts the view to one physically isolated copy. Uniform stimulus
     and at least ~10^4 cycles are what make these numbers meaningful.
-    ``t`` must be a trace of ``d``, as made by ``simulate(d, ...)``: see
-    the module docstring for the two bases of the per-wire counts.
+    ``t`` must be a trace of ``d``, as made by ``simulate(d, ...)``: every
+    figure is counted on one of the two bases in the module docstring.
     """
     lt, n = tap(d, t, replica=replica), t.cycles
-    x_streams = {i: t.stream(i) for i in d.source_inputs}
-    out_streams = {o: t.stream(z)
-                   for o, z in zip(d.source_outputs, d.decoded_outputs)}
+    decoded = dict(zip(d.source_outputs, d.decoded_outputs))
     copies = range(d.replica_count) if replica is None else (replica,)
     source_of = {w: i for i, w in d.replica_input_wires(replica or 0).items()
                  if w in lt}
@@ -204,7 +201,7 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
     targets = {kind: [(s, words[w], count(words[w])) for s, w in named]
                for kind, named in (
                    ("input", zip(d.source_inputs, d.source_inputs)),
-                   ("output", zip(d.source_outputs, d.decoded_outputs)))}
+                   ("output", decoded.items()))}
     wire_mi: Dict[str, Dict[str, Dict[str, float]]] = {}
     # id(word) -> MI row; words holds every word alive for the loop
     row_at: Dict[int, Dict[str, Dict[str, float]]] = {}
@@ -219,17 +216,20 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
                 for kind, tgts in targets.items()}
         wire_mi[w] = {kind: dict(mis) for kind, mis in row.items()}
 
+    def accuracy(guess: int, truth: int) -> float:
+        return 1.0 - count(guess ^ truth) / n
+
     strategies: List[StrategyScore] = []
     for k in copies:
-        for o in d.source_outputs:
+        for o, z in decoded.items():
             w = d.replica_output_wire(k, o)
             if w in lt:
                 strategies.append(StrategyScore(
                     "pick-replica(%d,%s)" % (k, o),
-                    lt.stream(w).accuracy(out_streams[o])))
+                    accuracy(words[w], words[z])))
     for w, i in sorted(source_of.items()):
         strategies.append(StrategyScore("input-echo(%s)" % w,
-                                        lt.stream(w).accuracy(x_streams[i])))
+                                        accuracy(words[w], words[i])))
 
     pair_list: List[PairMI] = []
     for a, b in pairs:
@@ -239,11 +239,12 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
             if w not in pair_source:
                 raise LeakError("pair wire %r has no associated source "
                                 "input" % w)
-        guess = lt.stream(a) ^ lt.stream(b)
-        truth = x_streams[pair_source[a]] ^ x_streams[pair_source[b]]
-        pair_list.append(PairMI(a, b, mutual_information(guess, truth)))
+        guess = words[a] ^ words[b]
+        truth = words[pair_source[a]] ^ words[pair_source[b]]
+        pair_list.append(PairMI(a, b, _mi_counts(
+            count(guess & truth), count(guess), count(truth), n)))
         strategies.append(StrategyScore("gradient(%s,%s)" % (a, b),
-                                        guess.accuracy(truth)))
+                                        accuracy(guess, truth)))
     return LeakReport(wire_mi, pair_list, strategies)
 
 

@@ -127,11 +127,18 @@ def test_salt_pepper_flips_strictly_below_the_cut():
             assert noisy[i] ^ img[i] == (cut > draw)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=300), st.integers(-2, 258))
+def test_binarize_matches_per_pixel_threshold(pixels, threshold):
+    assert demo.binarize(pixels, threshold) == [
+        1 if p >= threshold else 0 for p in pixels]
+
+
 def test_edge_prediction_and_f1():
     maps = [Bits.from_str("1100"), Bits.from_str("1010"),
             Bits.from_str("1001")]
     pred = edge_prediction(maps)  # votes: 3,1,1,1 -> only pixel 0
-    assert pred.to01() == "1000"
+    assert pred == Bits.from_str("1000")
     assert f1_score(pred, Bits.from_str("1000")) == 1.0
     assert f1_score(pred, Bits.from_str("0100")) == 0.0
     assert f1_score(Bits.from_str("1100"), Bits.from_str("1010")) \
@@ -140,7 +147,7 @@ def test_edge_prediction_and_f1():
 
 def test_geometric_edges_rectangle():
     scene = synthetic_scene()
-    edges = geometric_edges(scene, 64, 64)
+    edges = list(geometric_edges(scene, 64, 64))
     # interior of the first rectangle is not an edge, its border is
     assert edges[18 * 64 + 18] == 0
     assert edges[8 * 64 + 6] == 1
@@ -223,8 +230,8 @@ def test_leaked_image_is_the_vote_share_in_gray(variant):
         assert list(leaked) == [255 * p for p in run.enhanced]
         return
     votes = len(run.estimates)
-    assert list(leaked) == [255 * sum(m[i] for m in run.estimates) // votes
-                            for i in range(w * h)]
+    assert list(leaked) == [255 * sum(m.value >> i & 1 for m in run.estimates)
+                            // votes for i in range(w * h)]
 
 
 def test_design_for_builds_each_variant_once():

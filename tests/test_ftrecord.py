@@ -10,8 +10,8 @@ from recordkit import netlist
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Evaluator, parse_netlist
 from recordkit.recordize import (MISCOMPARE_WIRE, SPARE_INPUT_PREFIX,
-                                 VOTE_PREFIX, RecordConfig, partition_check,
-                                 replica_wire, selected_wire)
+                                 VOTE_PREFIX, PartitionedDesign, RecordConfig,
+                                 partition_check, replica_wire, selected_wire)
 from recordkit.rng import RngSpec
 from recordkit.ftrecord import (REPLAY_LIMIT, SPARE, FaultInjection,
                                 FaultPlan, FaultPlanError, FTStep, FTTrace,
@@ -47,6 +47,18 @@ def test_rejects_two_groups():
     m9 = fixture_generate("maj9")
     with pytest.raises(ValueError, match="one random bit"):
         transform_ft(m9, RecordConfig.checkerboard(m9, 2))
+
+
+def test_transform_ft_validates_and_wraps_one_netlist(monkeypatch):
+    m9 = fixture_generate("maj9")
+    calls = []
+    validate, post_init = netlist.validate, PartitionedDesign.__post_init__
+    monkeypatch.setattr(netlist, "validate",
+                        lambda n: calls.append(n.name) or validate(n))
+    monkeypatch.setattr(PartitionedDesign, "__post_init__",
+                        lambda d: calls.append(d) or post_init(d))
+    ft = transform_ft(m9, RecordConfig.checkerboard(m9, 1))
+    assert calls == ["maj9_record1_ft", ft.design]
 
 
 def test_spare_mirrors_selected_exhaustively():

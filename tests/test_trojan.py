@@ -10,7 +10,7 @@ from recordkit.bits import Bits
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Gate, parse_netlist
 from recordkit.recordize import RecordConfig, transform
-from recordkit.rng import RngSpec, rng_bits
+from recordkit.rng import RngSpec, packed_bits
 from recordkit.sim import SimTrace, Stimulus, simulate
 from recordkit.trojan import (LeakError, TriggerSpec, leak_report,
                               mutual_information, tap, trigger_experiment)
@@ -69,19 +69,19 @@ def test_tap_unknown_replica():
 
 
 def test_mi_identical_alternating():
-    a = Bits.from_iterable([i % 2 for i in range(1000)])
+    a = Bits.from_str("01" * 500)
     assert mutual_information(a, a) == pytest.approx(1.0)
 
 
 def test_mi_complement_is_deterministic_bijection():
-    a = Bits.from_iterable([i % 2 for i in range(1000)])
+    a = Bits.from_str("01" * 500)
     assert mutual_information(a, ~a) == pytest.approx(1.0)
 
 
 def test_mi_independent_streams_small():
     n = 100000
-    a = rng_bits(RngSpec(1), n)
-    b = rng_bits(RngSpec(2), n)
+    a = Bits(packed_bits(RngSpec(1), n), n)
+    b = Bits(packed_bits(RngSpec(2), n), n)
     mi = mutual_information(a, b)
     # plug-in bias for a 2x2 table is about 1/(2n ln 2)
     assert mi < 0.01
@@ -90,7 +90,7 @@ def test_mi_independent_streams_small():
 
 def test_mi_constant_stream_is_zero():
     a = Bits.zeros(100)
-    b = rng_bits(RngSpec(3), 100)
+    b = Bits(packed_bits(RngSpec(3), 100), 100)
     assert mutual_information(a, b) == 0.0
 
 
@@ -102,8 +102,8 @@ def test_mi_errors():
 
 
 def test_mi_symmetry():
-    a = rng_bits(RngSpec(5), 4096)
-    b = rng_bits(RngSpec(6), 4096) | a
+    a = Bits(packed_bits(RngSpec(5), 4096), 4096)
+    b = Bits(packed_bits(RngSpec(6), 4096), 4096) | a
     assert mutual_information(a, b) == pytest.approx(
         mutual_information(b, a))
 
@@ -290,6 +290,21 @@ def test_property_report_floats_equal_mutual_information(groups, view,
         assert p.mi == mutual_information(
             t.stream(p.a) ^ t.stream(p.b),
             t.stream(src[p.a]) ^ t.stream(src[p.b]))
+    # every attack's accuracy against the Bits-level oracle, in report order
+    oracle = {}
+    for k in range(d.replica_count) if replica is None else (replica,):
+        for o, z in zip(d.source_outputs, d.decoded_outputs):
+            w = d.replica_output_wire(k, o)
+            if w in lt:
+                oracle["pick-replica(%d,%s)" % (k, o)] = \
+                    t.stream(w).accuracy(t.stream(z))
+    for w in sorted(w for w in src if w in lt):
+        oracle["input-echo(%s)" % w] = t.stream(w).accuracy(t.stream(src[w]))
+    for a, b in pairs:
+        oracle["gradient(%s,%s)" % (a, b)] = (t.stream(a) ^ t.stream(b)) \
+            .accuracy(t.stream(src[a]) ^ t.stream(src[b]))
+    assert [(s.name, s.accuracy) for s in rep.strategies] == \
+        list(oracle.items())
 
 
 @pytest.mark.parametrize("view", [None, 1], ids=["full", "isolated"])
