@@ -23,8 +23,9 @@ _BIT = bytes.maketrans(b"01", b"\0\1")
 
 
 def pack(bits: Iterable[int]) -> int:
-    """Pack a 0/1 sequence (ints or bools), element i at bit position i."""
-    seq = list(bits)
+    """Pack a 0/1 sequence (ints or bools, or bytes as they are), element i
+    at bit position i."""
+    seq = bits if isinstance(bits, bytes) else list(bits)
     try:
         return int(bytes(seq)[::-1].translate(_ASCII) or b"0", 2)
     except (TypeError, ValueError):

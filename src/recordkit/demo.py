@@ -17,9 +17,9 @@ The image is a packed bitplane (pixel r*width+c at bit r*width+c), so the
 nine window inputs are nine shifted copies of that plane and each
 neighbor-difference map is the plane xored with one shifted copy; a shift
 replicates the border with row and column masks. The independent oracle is
-median_filter, a 3x3 majority by row sums over the 0/1 pixel list that
-shares nothing with the bitplane path: every call cross-checks the enhanced
-image bit for bit against it.
+median_filter, a 3x3 majority by row sums in byte lanes (one byte per
+pixel) that shares nothing with the bitplane path: every call cross-checks
+the enhanced image bit for bit against it.
 
 The implant runs the gradient strategy: per window it xors the visible
 encoded center against each visible encoded neighbor, an estimate of the
@@ -66,6 +66,7 @@ _OFFSETS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
 _NEIGHBOR_IDX = [0, 1, 2, 3, 5, 6, 7, 8]
 
 _WHITE = bytes.maketrans(b"\0\1", b"\0\xff")  # 0/1 pixels to 0/255 bytes
+_MAJORITY = bytes(5) + b"\1" * 5 + bytes(246)  # window sums 5..9 to 1
 
 
 @dataclass
@@ -131,20 +132,32 @@ def salt_pepper(bits: Sequence[int], p: float, rng: RngSpec) -> List[int]:
                 .to_bytes(n, "little"))
 
 
+def _check_shape(img: Sequence[int], width: int, height: int) -> None:
+    if width < 1 or height < 1 or len(img) != width * height:
+        raise ValueError("image of %d pixels is not %dx%d"
+                         % (len(img), width, height))
+
+
 def median_filter(img: Sequence[int], width: int, height: int) -> List[int]:
     """3x3 majority oracle, the reference for every variant: 3-wide sums of
-    each border-replicated row, added over the clamped rows above and below."""
-    sums = []
-    for r in range(height):
-        row = img[r * width:(r + 1) * width]
-        ext = row[:1] + row + row[-1:]
-        sums.append([a + b + c for a, b, c in zip(ext, row, ext[2:])])
-    out: List[int] = []
-    for r in range(height):
-        out.extend(1 if a + b + c >= 5 else 0 for a, b, c in
-                   zip(sums[max(r - 1, 0)], sums[r],
-                       sums[min(r + 1, height - 1)]))
-    return out
+    each border-replicated row, added over the clamped rows above and below.
+    Pixel i is byte lane i of an integer, so each sum is one integer add of
+    shifted copies; a lane holds at most 9, so no lane carries."""
+    _check_shape(img, width, height)
+    row = bytes(img)
+    stray = row.translate(None, b"\0\1")
+    if stray:
+        raise ValueError("pixel %d is not 0 or 1" % stray[0])
+    left = bytearray(row[:1] + row[:-1])  # pixel c-1; column 0 kept
+    left[::width] = row[::width]
+    right = bytearray(row[1:] + row[-1:])  # pixel c+1; last column kept
+    right[width - 1::width] = row[width - 1::width]
+
+    def lanes(*parts: bytes) -> int:
+        return sum(int.from_bytes(part, "little") for part in parts)
+    h = lanes(left, row, right).to_bytes(len(row), "little")
+    v = lanes(h[:width] + h[:-width], h, h[width:] + h[-width:])
+    return list(v.to_bytes(len(row), "little").translate(_MAJORITY))
 
 
 def _shift(plane: int, dr: int, dc: int, width: int, height: int) -> int:
@@ -169,6 +182,7 @@ def _shift(plane: int, dr: int, dc: int, width: int, height: int) -> int:
 def window_stimulus(img: Sequence[int], width: int, height: int) -> Stimulus:
     """One cycle per pixel in raster order; input x(k+1) is the k-th
     window offset's shifted plane."""
+    _check_shape(img, width, height)
     plane = pack(img)
     cols = tuple(_shift(plane, dr, dc, width, height) for dr, dc in _OFFSETS)
     return Stimulus(width * height, cols)
@@ -177,6 +191,7 @@ def window_stimulus(img: Sequence[int], width: int, height: int) -> Stimulus:
 def neighbor_differences(img: Sequence[int], width: int,
                          height: int) -> List[Bits]:
     """For each of the 8 neighbor directions, the per-pixel difference map."""
+    _check_shape(img, width, height)
     plane = pack(img)
     return [Bits(plane ^ _shift(plane, *_OFFSETS[k], width, height),
                  width * height) for k in _NEIGHBOR_IDX]
@@ -277,8 +292,8 @@ def demo_image(cfg: ImageDemoConfig) -> DemoResult:
         width, height, _maxval, pixels = read_pgm(cfg.input_path)
         clean = binarize(pixels, cfg.threshold)
 
-    noisy = salt_pepper(clean, cfg.noise,
-                        derive(RngSpec(cfg.seed), _NOISE_TAG))
+    noisy = bytes(salt_pepper(clean, cfg.noise,
+                              derive(RngSpec(cfg.seed), _NOISE_TAG)))
     run = _run_variant(cfg.variant, noisy, width, height, cfg.seed)
 
     oracle = median_filter(noisy, width, height)
@@ -290,8 +305,7 @@ def demo_image(cfg: ImageDemoConfig) -> DemoResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {name: str(out_dir / ("%s.pgm" % name))
              for name in ("original", "enhanced", "leaked")}
-    write_pgm(paths["original"], width, height,
-              bytes(noisy).translate(_WHITE))
+    write_pgm(paths["original"], width, height, noisy.translate(_WHITE))
     write_pgm(paths["enhanced"], width, height,
               bytes(oracle).translate(_WHITE))
     leaked = leaked_image(run, width, height)

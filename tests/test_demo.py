@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_sim import words
 
-from recordkit import demo
+from recordkit import bits, demo
 from recordkit.bits import Bits
 from recordkit.cli import main
 from recordkit.demo import (ImageDemoConfig, _design_for, demo_image,
@@ -13,6 +13,7 @@ from recordkit.demo import (ImageDemoConfig, _design_for, demo_image,
                             median_filter, neighbor_differences, salt_pepper,
                             synthetic_scene, window_stimulus)
 from recordkit.fixtures import make_maj9
+from recordkit.netlist import Evaluator
 from recordkit.pgm import read_pgm, write_pgm
 from recordkit.recordize import RecordConfig, transform
 from recordkit.rng import RngSpec
@@ -304,18 +305,65 @@ def _reference_differences(img, w, h):
              for r in range(h) for c in range(w)] for dr, dc in NEIGHBORS]
 
 
+def _brute_majority(img, w, h):
+    return [int(sum(window_bits(img, w, h, r, c)) >= 5)
+            for r in range(h) for c in range(w)]
+
+
+# All ones puts every byte lane at its maximum sum of 9; the checkerboard
+# and the strips put column 0 and the last column next to each other.
 @settings(max_examples=200, deadline=None)
 @given(_images())
 @example(([1], 1, 1))
 @example(([1, 1, 0, 1, 1, 0, 1], 1, 7))
 @example(([1, 1, 0, 1, 1, 0, 1], 7, 1))
+@example(([1] * 81, 9, 9))
+@example(([1, 0, 0, 1], 2, 2))
+@example(([1, 1, 0, 1, 1, 0, 1, 1, 1], 1, 9))
+@example(([1, 1, 0, 1, 1, 0, 1, 1, 1], 9, 1))
 def test_median_filter_matches_brute_force(case):
     img, w, h = case
     got = median_filter(img, w, h)
-    for r in range(h):
-        for c in range(w):
-            window = window_bits(img, w, h, r, c)
-            assert got[r * w + c] == (1 if sum(window) >= 5 else 0)
+    assert type(got) is list
+    assert got == _brute_majority(img, w, h)
+
+
+def test_median_filter_matches_brute_force_128x128():
+    rng = random.Random(24)
+    img = [rng.getrandbits(1) for _ in range(128 * 128)]
+    assert median_filter(img, 128, 128) == _brute_majority(img, 128, 128)
+
+
+def test_median_filter_shares_nothing_with_the_bitplane_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the bitplane path")
+
+    for owner, name in ((bits, "pack"), (bits, "unpack"),
+                        (bits, "transpose"), (demo, "pack"),
+                        (demo, "_shift"), (Evaluator, "run")):
+        monkeypatch.setattr(owner, name, refuse)
+    rng = random.Random(5)
+    for w, h in ((1, 1), (3, 1), (1, 4), (5, 7), (16, 16)):
+        img = [rng.getrandbits(1) for _ in range(w * h)]
+        assert median_filter(img, w, h) == _brute_majority(img, w, h)
+
+
+def test_median_filter_rejects_a_non_bit_pixel():
+    with pytest.raises(ValueError, match="pixel 2 is not 0 or 1"):
+        median_filter([0, 1, 2, 1], 2, 2)
+
+
+@pytest.mark.parametrize("helper", [median_filter, window_stimulus,
+                                    neighbor_differences, geometric_edges])
+@pytest.mark.parametrize("img, w, h, text", [
+    ([1, 1, 1, 1], 3, 1, "4 pixels is not 3x1"),
+    ([1, 0], 1, 1, "2 pixels is not 1x1"),
+    ([], 0, 0, "0 pixels is not 0x0"),
+    ([], 3, 0, "0 pixels is not 3x0"),
+])
+def test_image_helpers_reject_a_wrong_shape(helper, img, w, h, text):
+    with pytest.raises(ValueError, match=text):
+        helper(img, w, h)
 
 
 @settings(max_examples=200, deadline=None)
