@@ -10,7 +10,6 @@ fault-tolerant spare/replay variant, cost proxies, and an image-filtering
 demonstration.
 """
 
-from .bits import Bits
 from .cost import (ActivityReport, CostReport, area, cost_report, depth,
                    switching)
 from .demo import (DemoResult, ImageDemoConfig, demo_image, median_filter,

@@ -13,13 +13,14 @@ through the chosen variant:
             and its four edge-adjacent neighbors sit in opposite groups.
 
 Windows are processed in raster order with fresh random bits per window.
-The image is a packed bitplane (pixel r*width+c at bit r*width+c), so the
-nine window inputs are nine shifted copies of that plane and each
-neighbor-difference map is the plane xored with one shifted copy; a shift
-replicates the border with row and column masks. The independent oracle is
-median_filter, a 3x3 majority by row sums in byte lanes (one byte per
-pixel) that shares nothing with the bitplane path: every call cross-checks
-the enhanced image bit for bit against it.
+The image is a packed bitplane, a plain int with pixel r*width+c at bit
+r*width+c whose length width*height the caller carries, so the nine window
+inputs are nine shifted copies of that plane and each neighbor-difference
+map is the plane xored with one shifted copy; a shift replicates the
+border with row and column masks. The independent oracle is median_filter,
+a 3x3 majority by row sums in byte lanes (one byte per pixel) that shares
+nothing with the bitplane path: every call cross-checks the enhanced image
+bit for bit against it.
 
 The implant runs the gradient strategy: per window it xors the visible
 encoded center against each visible encoded neighbor, an estimate of the
@@ -48,7 +49,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bits import Bits, pack
+from .bits import pack, unpack
 from .fixtures import make_maj9
 from .netlist import Netlist
 from .pgm import read_pgm, write_pgm
@@ -189,37 +190,38 @@ def window_stimulus(img: Sequence[int], width: int, height: int) -> Stimulus:
 
 
 def neighbor_differences(img: Sequence[int], width: int,
-                         height: int) -> List[Bits]:
-    """For each of the 8 neighbor directions, the per-pixel difference map."""
+                         height: int) -> List[int]:
+    """The per-pixel difference bitplane of each neighbor direction."""
     _check_shape(img, width, height)
     plane = pack(img)
-    return [Bits(plane ^ _shift(plane, *_OFFSETS[k], width, height),
-                 width * height) for k in _NEIGHBOR_IDX]
+    return [plane ^ _shift(plane, *_OFFSETS[k], width, height)
+            for k in _NEIGHBOR_IDX]
 
 
-def geometric_edges(img: Sequence[int], width: int, height: int) -> Bits:
-    """Pixels whose value differs from at least one 8-neighbor."""
-    acc = Bits.zeros(width * height)
+def geometric_edges(img: Sequence[int], width: int, height: int) -> int:
+    """Bitplane of the pixels that differ from at least one 8-neighbor."""
+    acc = 0
     for m in neighbor_differences(img, width, height):
-        acc = acc | m
+        acc |= m
     return acc
 
 
-def edge_prediction(diff_maps: Sequence[Bits]) -> Bits:
-    """Pixels where at least two difference estimates are set."""
+def edge_prediction(diff_maps: Sequence[int]) -> int:
+    """Bitplane of pixels where at least two difference estimates are set."""
     if not diff_maps:
         raise ValueError("no difference estimates")
     ones = twos = 0
     for m in diff_maps:
-        twos |= ones & m.value
-        ones |= m.value
-    return Bits(twos, len(diff_maps[0]))
+        twos |= ones & m
+        ones |= m
+    return twos
 
 
-def f1_score(pred: Bits, truth: Bits) -> float:
-    tp = (pred & truth).count()
-    fp = (pred & ~truth).count()
-    fn = (~pred & truth).count()
+def f1_score(pred: int, truth: int) -> float:
+    """F1 of two bitplanes; an & with a non-negative int needs no mask."""
+    tp = (pred & truth).bit_count()
+    fp = (pred & ~truth).bit_count()
+    fn = (~pred & truth).bit_count()
     if 2 * tp + fp + fn == 0:
         return 1.0
     return 2 * tp / (2 * tp + fp + fn)
@@ -237,7 +239,7 @@ def _design_for(variant: str) -> Tuple[Netlist, Optional[PartitionedDesign]]:
 @dataclass
 class _VariantRun:
     enhanced: List[int]
-    estimates: List[Bits]            # 8 neighbor-difference estimates
+    estimates: List[int]             # 8 neighbor-difference bitplanes
     same_group: List[int]            # indices into estimates
     cross_group: List[int]
     trace: Optional[SimTrace]
@@ -250,18 +252,18 @@ def _run_variant(variant: str, noisy: Sequence[int], width: int, height: int,
     stim = window_stimulus(noisy, width, height)
     if design is None:
         trace = simulate_netlist(f, stim)
-        enhanced = list(trace.stream("y"))
+        enhanced = unpack(trace.wires["y"], trace.cycles)
         est = neighbor_differences(enhanced, width, height)
         return _VariantRun(enhanced, est, list(range(8)), [], None, None)
 
     trace = simulate(design, stim, RngSpec(seed))
-    enhanced = list(trace.stream(design.decoded_outputs[0]))
-    center = trace.stream(design.encode_wire("x5"))
+    enhanced = unpack(trace.wires[design.decoded_outputs[0]], trace.cycles)
+    center = trace.wires[design.encode_wire("x5")]
     estimates = []
     same, cross = [], []
     g_of = design.config.group_assignment
     for pos, k in enumerate(_NEIGHBOR_IDX):
-        neighbor = trace.stream(design.encode_wire("x%d" % (k + 1)))
+        neighbor = trace.wires[design.encode_wire("x%d" % (k + 1))]
         estimates.append(center ^ neighbor)
         if g_of["x%d" % (k + 1)] == g_of["x5"]:
             same.append(pos)
@@ -278,7 +280,7 @@ def leaked_image(run: _VariantRun, width: int, height: int) -> bytes:
     votes = len(run.estimates)
     level = bytes.maketrans(b"0123456789abcdef"[:votes + 1],
                             bytes(255 * c // votes for c in range(votes + 1)))
-    total = sum(int(format(m.value, "b"), 16) for m in run.estimates)
+    total = sum(int(format(m, "b"), 16) for m in run.estimates)
     text = format(total, "0%dx" % (width * height))[::-1]
     return text.encode().translate(level)
 
@@ -311,6 +313,7 @@ def demo_image(cfg: ImageDemoConfig) -> DemoResult:
     leaked = leaked_image(run, width, height)
     write_pgm(paths["leaked"], width, height, leaked)
 
+    n = width * height  # bits of every bitplane and trace word
     truth_edges = geometric_edges(clean, width, height)
     scores: Dict[str, Optional[float]] = {
         "structural": f1_score(edge_prediction(run.estimates), truth_edges),
@@ -323,21 +326,19 @@ def demo_image(cfg: ImageDemoConfig) -> DemoResult:
             truth_edges)
     if run.cross_group:
         true_diffs = neighbor_differences(noisy, width, height)
-        total_bits = 0
         agree = 0.0
         for i in run.cross_group:
-            total_bits += len(run.estimates[i])
-            agree += run.estimates[i].accuracy(true_diffs[i]) \
-                * len(run.estimates[i])
-        scores["cross_group_accuracy"] = agree / total_bits
+            wrong = (run.estimates[i] ^ true_diffs[i]).bit_count()
+            agree += (1.0 - wrong / n) * n
+        scores["cross_group_accuracy"] = agree / (n * len(run.cross_group))
 
     report = {"variant": cfg.variant, "seed": cfg.seed, "noise": cfg.noise,
               "scores": scores}
     if run.design is not None and run.trace is not None:
         d, t = run.design, run.trace
-        x5 = t.stream("x5")
-        t5 = t.stream(d.encode_wire("x5"))
-        report["mi_center_vs_encoded"] = mutual_information(t5, x5)
+        x5 = t.wires["x5"]
+        t5 = t.wires[d.encode_wire("x5")]
+        report["mi_center_vs_encoded"] = mutual_information(t5, x5, n)
         pair_mi = {}
         for label, idx_list in (("same_group", run.same_group),
                                 ("cross_group", run.cross_group)):
@@ -345,8 +346,8 @@ def demo_image(cfg: ImageDemoConfig) -> DemoResult:
             total = 0.0
             for pos in idx_list:
                 k = _NEIGHBOR_IDX[pos]
-                truth = x5 ^ t.stream("x%d" % (k + 1))
-                total += mutual_information(run.estimates[pos], truth)
+                truth = x5 ^ t.wires["x%d" % (k + 1)]
+                total += mutual_information(run.estimates[pos], truth, n)
             pair_mi[label] = total / len(idx_list) if idx_list else None
         report["pair_mi"] = pair_mi
 

@@ -175,7 +175,10 @@ class PartitionedDesign:
         if tuple(w[len(DECODED_OUT_PREFIX):]
                  for w in self.decoded_outputs) != self.source_outputs:
             raise NetlistError("encoded and decoded output names disagree")
-        self.config.validate(self.netlist)
+        try:
+            self.config.validate(self.netlist)
+        except ValueError as e:  # e.g. a declared __r3 that pads no input
+            raise NetlistError(str(e)) from None
         replicas = {g.replica for g in self.untrusted_gates()}
         if None in replicas:
             g = next(g for g in self.untrusted_gates() if g.replica is None)

@@ -2,8 +2,8 @@
 
 The generator is SplitMix64: word k of the stream is the counter state
 seed + (k+1)*gamma (mod 2^64), with gamma the golden-ratio increment,
-finalized by two xor-multiply rounds and a last xor-shift. Bits are
-consumed LSB-first within each output word, so the stream is reproducible
+finalized by two xor-multiply rounds and a last xor-shift. The bits are
+taken LSB-first within each output word, so the stream is reproducible
 from the seed alone across implementations.
 
 Because word k depends only on k, ``packed_bits`` evaluates every word at

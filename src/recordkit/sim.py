@@ -2,6 +2,7 @@
 
 A trace stores one packed integer per wire, bit c holding the wire's value
 in cycle c, so an entire run is a single word-parallel evaluation. The
+trace's ``cycles`` is the length of every one of those words. The
 random inputs consume G fresh stream bits per cycle, group 1 first.
 
 Exhaustive equivalence checking drives every wire with the classic binary
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .bits import Bits, pack, transpose, unpack
+from .bits import pack, transpose, unpack
 from .netlist import Netlist
 from .recordize import PartitionedDesign
 from .rng import RngSpec, packed_bits
@@ -104,11 +105,6 @@ class SimTrace:
     cycles: int
     wires: Dict[str, int]
 
-    def stream(self, wire: str) -> Bits:
-        if wire not in self.wires:
-            raise KeyError("no wire %r in trace" % wire)
-        return Bits(self.wires[wire], self.cycles)
-
     def value(self, wire: str, cycle: int) -> int:
         if not 0 <= cycle < self.cycles:
             raise IndexError(cycle)
@@ -123,8 +119,7 @@ class SimTrace:
                                 unpack(self.wires[wire], self.cycles)))
 
     def summary(self) -> dict:
-        outputs = {o: Bits(self.wires[o], self.cycles).count()
-                   for o in self.netlist.outputs}
+        outputs = {o: self.wires[o].bit_count() for o in self.netlist.outputs}
         return {"cycles": self.cycles,
                 "inputs": list(self.netlist.inputs),
                 "wire_count": len(self.wires),

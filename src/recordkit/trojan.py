@@ -16,6 +16,8 @@ output o as replica k's copy of it, input-echo(w) guesses an input as the
 tapped wire w that encodes it, and gradient(a,b) guesses the xor of two
 inputs as the xor of their tapped wires a and b.
 
+Every stream is a packed int, bit c holding cycle c, whose length is the
+trace's cycle count n; mutual_information takes n with its two words.
 Leakage is quantified with the plug-in mutual-information estimator over
 the empirical 2x2 joint histogram (log base 2, 0*log0 = 0), whose bias for
 binary streams, about 1/(2n ln 2), is negligible here. Every figure of a
@@ -41,7 +43,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bits import Bits
 from .recordize import PartitionedDesign
 from .rng import RngSpec
 from .sim import SimTrace, Stimulus, exhaustive_columns, simulate
@@ -134,12 +135,14 @@ def _counting_basis(d: PartitionedDesign, t: SimTrace):
                                 for b, plane in weighted)
 
 
-def mutual_information(a: Bits, b: Bits) -> float:
-    """Plug-in estimate of I(a;b) in bits for two equal-length bit streams."""
-    n = len(a)
-    if len(b) != n:
-        raise ValueError("streams differ in length: %d vs %d" % (n, len(b)))
-    return _mi_counts((a.value & b.value).bit_count(), a.count(), b.count(), n)
+def mutual_information(a: int, b: int, n: int) -> float:
+    """Plug-in estimate of I(a;b) in bits for two packed n-bit streams."""
+    if n < 1:
+        raise ValueError("empty streams")
+    for w in (a, b):
+        if w < 0 or w >> n:
+            raise ValueError("stream word does not fit in %d bits" % n)
+    return _mi_counts((a & b).bit_count(), a.bit_count(), b.bit_count(), n)
 
 
 @dataclass(frozen=True)
@@ -267,16 +270,16 @@ class TriggerSpec:
 @dataclass
 class TriggerStats:
     cycles: int
-    fired: Bits
+    fired: int  # bit c set when the pattern matched in cycle c
     analytic_rate: float
 
     @property
     def count(self) -> int:
-        return self.fired.count()
+        return self.fired.bit_count()
 
     @property
     def rate(self) -> float:
-        return self.fired.count() / self.cycles
+        return self.count / self.cycles
 
 
 def trigger_experiment(d: PartitionedDesign, trig: TriggerSpec,
@@ -297,11 +300,10 @@ def trigger_experiment(d: PartitionedDesign, trig: TriggerSpec,
 
     t = simulate(d, stim, rng)
     mask = (1 << t.cycles) - 1
-    ind = mask
+    fired = mask
     for w, want in zip(trig.watched, trig.pattern):
         sw = t.wires[w]
-        ind &= sw if want else ~sw & mask
-    fired = Bits(ind, t.cycles)
+        fired &= sw if want else ~sw & mask
 
     # analytic: enumerate the 2^G random vectors against the applied inputs
     s = set(d.config.randomized_inputs)

@@ -80,7 +80,8 @@ def test_criterion_3_one_time_pad():
     for groups in (1, 2):
         m9, d, t = _uniform_trace(groups)
         for i in d.config.randomized_inputs:
-            mi = mutual_information(t.stream(d.encode_wire(i)), t.stream(i))
+            mi = mutual_information(t.wires[d.encode_wire(i)], t.wires[i],
+                                    t.cycles)
             worst = max(worst, mi)
     ok = worst < 0.01
     _report(3, ok, "MI(encoded; input) at 1e5 uniform cycles, worst %.2e "
@@ -94,20 +95,21 @@ def test_criterion_4_pairwise_residual_leak():
     same_min = 1.0
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            guess = t1.stream(d1.encode_wire(names[i])) ^ \
-                t1.stream(d1.encode_wire(names[j]))
-            truth = t1.stream(names[i]) ^ t1.stream(names[j])
-            same_min = min(same_min, mutual_information(guess, truth))
+            guess = t1.wires[d1.encode_wire(names[i])] ^ \
+                t1.wires[d1.encode_wire(names[j])]
+            truth = t1.wires[names[i]] ^ t1.wires[names[j]]
+            same_min = min(same_min,
+                           mutual_information(guess, truth, t1.cycles))
 
     m9, d2, t2 = _uniform_trace(2)
     g = d2.config.group_assignment
     cross_max, same2_min = 0.0, 1.0
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            guess = t2.stream(d2.encode_wire(names[i])) ^ \
-                t2.stream(d2.encode_wire(names[j]))
-            truth = t2.stream(names[i]) ^ t2.stream(names[j])
-            mi = mutual_information(guess, truth)
+            guess = t2.wires[d2.encode_wire(names[i])] ^ \
+                t2.wires[d2.encode_wire(names[j])]
+            truth = t2.wires[names[i]] ^ t2.wires[names[j]]
+            mi = mutual_information(guess, truth, t2.cycles)
             if g[names[i]] == g[names[j]]:
                 same2_min = min(same2_min, mi)
             else:
@@ -286,7 +288,7 @@ def test_criterion_10_rekey():
     t_a = simulate(d, stim)
     t_b = simulate(d2, stim)
     zone_same = untrusted_zone_text(d) == untrusted_zone_text(d2)
-    decoded_same = t_a.stream("__z_y") == t_b.stream("__z_y")
+    decoded_same = t_a.wires["__z_y"] == t_b.wires["__z_y"]
     leak_a = tap(d, t_a)
     leak_b = tap(d2, t_b)
     traces_differ = any(leak_a.wires[w] != leak_b.wires[w]

@@ -1,57 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recordkit.bits import Bits, pack, transpose, unpack
+from recordkit.bits import pack, transpose, unpack
 
 
 def test_pack_and_index():
-    b = Bits(pack([1, 0, 1, 1]), 4)
-    assert b.value == 0b1101
-    assert len(b) == 4
-    assert list(b) == [1, 0, 1, 1]
-    assert b == Bits.from_str("1011")
-
-
-def test_from_str_roundtrip():
-    b = Bits.from_str("0110")
-    assert list(b) == [0, 1, 1, 0]
-
-
-def test_ops():
-    a = Bits.from_str("1100")
-    b = Bits.from_str("1010")
-    assert a ^ b == Bits.from_str("0110")
-    assert a & b == Bits.from_str("1000")
-    assert a | b == Bits.from_str("1110")
-    assert ~a == Bits.from_str("0011")
-    assert a.count() == 2
-
-
-def test_accuracy():
-    a = Bits.from_str("1111")
-    assert a.accuracy(Bits.from_str("1111")) == 1.0
-    assert a.accuracy(Bits.from_str("0000")) == 0.0
-    assert a.accuracy(Bits.from_str("1100")) == 0.5
-
-
-def test_length_mismatch():
-    with pytest.raises(ValueError):
-        Bits.from_str("11") ^ Bits.from_str("111")
-
-
-def test_bad_bits():
-    with pytest.raises(ValueError):
-        Bits.from_str("02")
-    with pytest.raises(ValueError):
-        Bits(4, 2)  # value wider than declared
-    with pytest.raises(ValueError):
-        Bits(0, -1)
-
-
-def test_zeros_ones():
-    assert Bits.zeros(5).count() == 0
-    assert (~Bits.zeros(5)).count() == 5
-    assert (~Bits.zeros(0)).n == 0
+    value = pack([1, 0, 1, 1])
+    assert value == 0b1101
+    assert unpack(value, 4) == [1, 0, 1, 1]
 
 
 # Test-only references: one shift per bit, the obvious way.
@@ -81,14 +37,13 @@ def test_pack_unpack_match_shift_loops(bits):
     value = pack(bits)
     assert value == _naive_pack(bits)
     assert unpack(value, len(bits)) == bits == _naive_unpack(value, len(bits))
-    assert list(Bits(value, len(bits))) == bits
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 200), st.integers(0, 12), st.integers(0, 1 << 80),
        st.data())
 def test_transpose_matches_shift_loop(count, width, high, data):
-    """Bits at and above count*width (high) are ignored."""
+    """Stream bits at and above count*width (high) are ignored."""
     low = data.draw(st.integers(0, (1 << (count * width)) - 1))
     stream = low | high << (count * width)
     cols = transpose(stream, count, width)

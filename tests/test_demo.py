@@ -1,12 +1,14 @@
 import itertools
+import os
 import random
+import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_sim import words
 
 from recordkit import bits, demo
-from recordkit.bits import Bits
 from recordkit.cli import main
 from recordkit.demo import (ImageDemoConfig, _design_for, demo_image,
                             edge_prediction, f1_score, geometric_edges,
@@ -136,19 +138,19 @@ def test_binarize_matches_per_pixel_threshold(pixels, threshold):
 
 
 def test_edge_prediction_and_f1():
-    maps = [Bits.from_str("1100"), Bits.from_str("1010"),
-            Bits.from_str("1001")]
+    maps = [bits.pack([1, 1, 0, 0]), bits.pack([1, 0, 1, 0]),
+            bits.pack([1, 0, 0, 1])]
     pred = edge_prediction(maps)  # votes: 3,1,1,1 -> only pixel 0
-    assert pred == Bits.from_str("1000")
-    assert f1_score(pred, Bits.from_str("1000")) == 1.0
-    assert f1_score(pred, Bits.from_str("0100")) == 0.0
-    assert f1_score(Bits.from_str("1100"), Bits.from_str("1010")) \
+    assert pred == bits.pack([1, 0, 0, 0])
+    assert f1_score(pred, bits.pack([1, 0, 0, 0])) == 1.0
+    assert f1_score(pred, bits.pack([0, 1, 0, 0])) == 0.0
+    assert f1_score(bits.pack([1, 1, 0, 0]), bits.pack([1, 0, 1, 0])) \
         == pytest.approx(0.5)
 
 
 def test_geometric_edges_rectangle():
     scene = synthetic_scene()
-    edges = list(geometric_edges(scene, 64, 64))
+    edges = bits.unpack(geometric_edges(scene, 64, 64), 64 * 64)
     # interior of the first rectangle is not an edge, its border is
     assert edges[18 * 64 + 18] == 0
     assert edges[8 * 64 + 6] == 1
@@ -231,7 +233,7 @@ def test_leaked_image_is_the_vote_share_in_gray(variant):
         assert list(leaked) == [255 * p for p in run.enhanced]
         return
     votes = len(run.estimates)
-    assert list(leaked) == [255 * sum(m.value >> i & 1 for m in run.estimates)
+    assert list(leaked) == [255 * sum(m >> i & 1 for m in run.estimates)
                             // votes for i in range(w * h)]
 
 
@@ -388,7 +390,9 @@ def test_window_stimulus_matches_window_bits(case):
 @example(([0, 1, 1, 0, 1, 0], 6, 1))
 def test_neighbor_differences_match_per_pixel_compare(case):
     img, w, h = case
-    got = [list(m) for m in neighbor_differences(img, w, h)]
+    maps = neighbor_differences(img, w, h)
+    assert all(0 <= m < 1 << (w * h) for m in maps)
+    got = [bits.unpack(m, w * h) for m in maps]
     assert got == _reference_differences(img, w, h)
 
 
@@ -402,4 +406,66 @@ def test_edge_prediction_matches_vote_counts(case, picked):
     chosen = [maps[k] for k in sorted(picked)]
     ref = _reference_differences(img, w, h)
     votes = [sum(ref[k][i] for k in picked) for i in range(w * h)]
-    assert list(edge_prediction(chosen)) == [int(v >= 2) for v in votes]
+    assert bits.unpack(edge_prediction(chosen), w * h) \
+        == [int(v >= 2) for v in votes]
+
+
+def _f1_per_pixel(pred, truth):
+    tp = sum(p and t for p, t in zip(pred, truth))
+    fp = sum(p and not t for p, t in zip(pred, truth))
+    fn = sum(t and not p for p, t in zip(pred, truth))
+    return 1.0 if 2 * tp + fp + fn == 0 else 2 * tp / (2 * tp + fp + fn)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                min_size=1, max_size=300))
+@example([(1, 0), (1, 0), (0, 0)])          # predictions where truth is empty
+@example([(0, 1), (1, 1), (1, 0), (0, 0)])
+def test_f1_score_matches_per_pixel_count(pairs):
+    """Unmasked complements of non-negative words count what a per-pixel
+    loop counts, including predicted pixels outside the truth."""
+    pred, truth = [p for p, _ in pairs], [t for _, t in pairs]
+    assert f1_score(bits.pack(pred), bits.pack(truth)) \
+        == _f1_per_pixel(pred, truth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_images(), st.sampled_from(demo.VARIANTS), st.integers(0, 2 ** 16))
+@example(([0, 0, 0, 0, 0, 0], 3, 2), "record2", 1)  # no true edge at all
+def test_demo_scores_match_per_pixel_counts(case, variant, seed):
+    """Every score of demo_image equals the same formula over 0/1 lists:
+    the per-pixel edge F1s and, summed in the report's float order, the
+    cross-group accuracy."""
+    img, w, h = case
+    n = w * h
+    real, runs = demo._run_variant, []
+
+    def capture(*args):
+        runs.append(real(*args))
+        return runs[-1]
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(demo, "_run_variant", capture):
+        path = os.path.join(out, "in.pgm")
+        write_pgm(path, w, h, [255 * p for p in img])
+        scores = demo_image(ImageDemoConfig(
+            out_dir=out, input_path=path, variant=variant, seed=seed,
+            noise=0.0)).scores
+    (run,) = runs
+    est = [bits.unpack(m, n) for m in run.estimates]
+    ref = _reference_differences(img, w, h)
+    edges = [int(any(m[i] for m in ref)) for i in range(n)]
+
+    def predicted(idx):
+        return [int(sum(est[k][i] for k in idx) >= 2) for i in range(n)]
+    assert scores["structural"] == _f1_per_pixel(predicted(range(8)), edges)
+    if run.same_group:
+        assert scores["same_group_edge_f1"] == \
+            _f1_per_pixel(predicted(run.same_group), edges)
+    if run.cross_group:
+        agree = 0.0
+        for k in run.cross_group:
+            wrong = sum(e != r for e, r in zip(est[k], ref[k]))
+            agree += (1.0 - wrong / n) * n
+        assert scores["cross_group_accuracy"] == \
+            agree / (n * len(run.cross_group))

@@ -11,15 +11,13 @@ import hashlib
 import json
 import os
 import random
-import re
-import shlex
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from test_readme import run_tour
 
-from recordkit.cli import main
 from recordkit.cost import cost_report
 from recordkit.demo import (ImageDemoConfig, demo_image, salt_pepper,
                             synthetic_scene)
@@ -33,7 +31,6 @@ from recordkit.rng import RngSpec, derive
 from recordkit.sim import Stimulus, r_columns, simulate, simulate_netlist
 from recordkit.trojan import leak_report
 
-README = Path(__file__).resolve().parents[1] / "README.md"
 FIXTURES = {"aes-sbox": {}, "maj9": {}, "adder4": {}, "and-tree-5": {"n": 5}}
 NOISE_TAG = 0x6E6F6973655F5F31  # the image demo's noise sub-stream tag
 
@@ -215,18 +212,11 @@ def _csv_bytes(trace) -> bytes:
 def _tour_tree() -> bytes:
     """Run the README command tour in an empty directory; every file it
     leaves as relative path, size and bytes, in sorted path order."""
-    block = re.search(r"^## Command-line tour\n\n```sh\n(.*?)^```",
-                      README.read_text(), re.M | re.S).group(1)
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for line in block.replace("\\\n", " ").splitlines():
-                argv = shlex.split(line, comments=True)
-                if argv[:1] == ["echo"]:  # echo '<text>' > <file>
-                    Path(argv[3]).write_text(argv[1] + "\n")
-                elif argv:
-                    assert argv[0] == "recordkit" and main(argv[1:]) == 0
+            run_tour()
         finally:
             os.chdir(here)
         out = b""

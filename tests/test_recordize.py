@@ -1,6 +1,7 @@
 import random
 import re
 from dataclasses import FrozenInstanceError, fields, replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,9 +193,9 @@ def test_self_dual_shortcut_per_cycle():
     m9 = fixture_generate("maj9")
     d = transform(m9, RecordConfig.checkerboard(m9, 1))
     t = simulate(d, Stimulus.uniform(2000, seed=11), RngSpec(3))
-    r0 = t.stream(d.replica_output_wire(0, "y"))
-    r1 = t.stream(d.replica_output_wire(1, "y"))
-    assert r1 == ~r0
+    r0 = t.wires[d.replica_output_wire(0, "y")]
+    r1 = t.wires[d.replica_output_wire(1, "y")]
+    assert r1 == r0 ^ ((1 << t.cycles) - 1)
 
 
 def test_rekey_leaves_untrusted_zone_untouched():
@@ -213,8 +214,8 @@ def test_rekey_same_decode_different_leak():
     stim = Stimulus.uniform(500, seed=4)
     t1 = simulate(d, stim)
     t2 = simulate(d2, stim)
-    assert t1.stream("__z_y") == t2.stream("__z_y")
-    assert t1.stream("__t_x1") != t2.stream("__t_x1")
+    assert t1.wires["__z_y"] == t2.wires["__z_y"]
+    assert t1.wires["__t_x1"] != t2.wires["__t_x1"]
 
 
 def test_reserved_name_collision_rejected():
@@ -363,6 +364,8 @@ STRUCTURAL_EDITS = [
      "unrecognized encode gate"),
     (lambda t: t.replace("attr __f1_t0 replica 1", "attr __f1_t0 replica 3"),
      "expected replica indices"),
+    (lambda t: t.replace(" __r1\n", " __r1 __r2\n", 1),
+     "group 2 has no inputs"),
 ]
 
 
@@ -419,3 +422,74 @@ def test_config_is_frozen_and_its_grouping_read_only():
     assert cfg.group_assignment == {"x1": 1}
     assert cfg.to_json() == {"subset": ["x1"], "groups": 1,
                              "assignment": {"x1": 1}}
+
+
+# Edits of a design's text: replace or insert a reserved or fixture token,
+# insert a line of such tokens, or delete a line.
+EDIT_TOKENS = (
+    "__r1", "__r2", "__r3", "__t_x1", "__tn_x1", "__t_a0", "__tn_b0",
+    "__f0_y", "__f1_y", "__f3_y", "__f0_s0", "__f1_s0", "__f2_c2",
+    "__y_y", "__z_y", "__y_s0", "__z_s0", "__m_y", "__s_x1", "__e",
+    "x1", "x5", "a0", "b3", "y", "s0", "cout", "module", "input", "output",
+    "attr", "zone", "trusted", "untrusted", "replica", "xor", "xnor", "and",
+    "or", "not", "buf", "mux2", "end", "0", "1", "2", "3")
+
+
+def edit_text(text: str, rng: random.Random) -> str:
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        words = lines[i].split()
+        kind = rng.randrange(4)
+        if kind == 0 and words:
+            words[rng.randrange(len(words))] = rng.choice(EDIT_TOKENS)
+            lines[i] = " ".join(words)
+        elif kind == 1:
+            words.insert(rng.randint(0, len(words)), rng.choice(EDIT_TOKENS))
+            lines[i] = " ".join(words)
+        elif kind == 2:
+            lines.insert(i, " ".join(rng.choice(EDIT_TOKENS)
+                                     for _ in range(rng.randint(1, 4))))
+        else:
+            del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def _assert_copy_rules(d: PartitionedDesign) -> None:
+    """A gate is untrusted exactly when it is named __f<k>_ and carries
+    replica k, and no copy reads a wire that another copy drives."""
+    copy_of = {}
+    for g in d.netlist.gates:
+        m = re.fullmatch(r"__f(\d+)_.*", g.out)
+        tagged = m is not None and g.replica == int(m.group(1))
+        assert (g.zone == "untrusted") == tagged, g
+        if tagged:
+            copy_of[g.out] = g.replica
+    for g in d.netlist.gates:
+        if g.out in copy_of:
+            assert all(copy_of.get(w, g.replica) == g.replica
+                       for w in g.ins), g
+
+
+@lru_cache(maxsize=None)
+def _design_text(fixture: str, groups: int) -> str:
+    n = fixture_generate(fixture)
+    text = write_netlist(transform(n, RecordConfig.checkerboard(n, groups))
+                         .netlist)
+    _assert_copy_rules(design_from_netlist(parse_netlist(text)))
+    return text
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+@pytest.mark.parametrize("fixture", ["maj9", "adder4"])
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_edited_design_text_is_a_design_or_a_netlist_error(fixture, groups,
+                                                           rng):
+    text = _design_text(fixture, groups)
+    try:
+        d = design_from_netlist(parse_netlist(edit_text(text, rng)))
+    except NetlistError:
+        return
+    assert isinstance(d, PartitionedDesign)
+    _assert_copy_rules(d)

@@ -93,7 +93,7 @@ def test_simulate_and_design_constant_ones():
     d = transform(AND2, RecordConfig.checkerboard(AND2, 1))
     stim = Stimulus.from_vectors([(1, 1)] * 64)
     t = simulate(d, stim, RngSpec(5))
-    assert t.stream("__z_y").count() == 64
+    assert t.wires["__z_y"].bit_count() == 64
 
 
 def test_simulate_deterministic():
@@ -141,7 +141,7 @@ def test_r_frequency_near_half():
     m9 = fixture_generate("maj9")
     d = transform(m9, RecordConfig.checkerboard(m9, 1))
     t = simulate(d, Stimulus.uniform(10000, seed=6), RngSpec(0))
-    assert 0.47 <= t.stream("__r1").count() / 10000 <= 0.53
+    assert 0.47 <= t.wires["__r1"].bit_count() / 10000 <= 0.53
 
 
 def test_r_bits_fresh_per_cycle_group_order():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from test_recordize import designs
 
 from recordkit import trojan
-from recordkit.bits import Bits
+from recordkit.bits import pack
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Gate, parse_netlist
 from recordkit.recordize import RecordConfig, transform
@@ -68,44 +68,51 @@ def test_tap_unknown_replica():
         tap(d, t, replica=5)
 
 
+def _accuracy(guess, truth, n):
+    """Fraction of the n cycles in which the two packed words agree."""
+    return 1.0 - (guess ^ truth).bit_count() / n
+
+
 def test_mi_identical_alternating():
-    a = Bits.from_str("01" * 500)
-    assert mutual_information(a, a) == pytest.approx(1.0)
+    a = pack([0, 1] * 500)
+    assert mutual_information(a, a, 1000) == pytest.approx(1.0)
 
 
 def test_mi_complement_is_deterministic_bijection():
-    a = Bits.from_str("01" * 500)
-    assert mutual_information(a, ~a) == pytest.approx(1.0)
+    a = pack([0, 1] * 500)
+    assert mutual_information(a, a ^ ((1 << 1000) - 1), 1000) \
+        == pytest.approx(1.0)
 
 
 def test_mi_independent_streams_small():
     n = 100000
-    a = Bits(packed_bits(RngSpec(1), n), n)
-    b = Bits(packed_bits(RngSpec(2), n), n)
-    mi = mutual_information(a, b)
+    a = packed_bits(RngSpec(1), n)
+    b = packed_bits(RngSpec(2), n)
+    mi = mutual_information(a, b, n)
     # plug-in bias for a 2x2 table is about 1/(2n ln 2)
     assert mi < 0.01
     assert mi == pytest.approx(1 / (2 * n * math.log(2)), abs=2e-4)
 
 
 def test_mi_constant_stream_is_zero():
-    a = Bits.zeros(100)
-    b = Bits(packed_bits(RngSpec(3), 100), 100)
-    assert mutual_information(a, b) == 0.0
+    b = packed_bits(RngSpec(3), 100)
+    assert mutual_information(0, b, 100) == 0.0
 
 
 def test_mi_errors():
-    with pytest.raises(ValueError, match="length"):
-        mutual_information(Bits.zeros(3), Bits.zeros(4))
-    with pytest.raises(ValueError, match="empty"):
-        mutual_information(Bits.zeros(0), Bits.zeros(0))
+    for a, b in ((1 << 3, 0), (0, 0b1111), (-1, 0), (0, -2)):
+        with pytest.raises(ValueError, match="does not fit in 3 bits"):
+            mutual_information(a, b, 3)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="empty"):
+            mutual_information(0, 0, n)
 
 
 def test_mi_symmetry():
-    a = Bits(packed_bits(RngSpec(5), 4096), 4096)
-    b = Bits(packed_bits(RngSpec(6), 4096), 4096) | a
-    assert mutual_information(a, b) == pytest.approx(
-        mutual_information(b, a))
+    a = packed_bits(RngSpec(5), 4096)
+    b = packed_bits(RngSpec(6), 4096) | a
+    assert mutual_information(a, b, 4096) == pytest.approx(
+        mutual_information(b, a, 4096))
 
 
 def test_leak_report_one_time_pad_and_pairs():
@@ -152,7 +159,7 @@ def test_pick_replica_accuracy_half_for_self_dual():
     t = simulate(d, Stimulus.uniform(10000, seed=30), RngSpec(31))
     acc = _scores(leak_report(d, t))["pick-replica(0,y)"]
     # replica 0 emits f(x) when r=0 and, by self-duality, not-f(x) when r=1
-    assert acc == t.stream("__f0_y").accuracy(t.stream("__z_y"))
+    assert acc == _accuracy(t.wires["__f0_y"], t.wires["__z_y"], t.cycles)
     assert abs(acc - 0.5) < 3 * 0.5 / math.sqrt(10000)
 
 
@@ -160,7 +167,7 @@ def test_input_echo_accuracy_half():
     m9, d = _maj9_design(1)
     t = simulate(d, Stimulus.uniform(10000, seed=40), RngSpec(41))
     acc = _scores(leak_report(d, t))["input-echo(__t_x4)"]
-    assert acc == t.stream("__t_x4").accuracy(t.stream("x4"))
+    assert acc == _accuracy(t.wires["__t_x4"], t.wires["x4"], t.cycles)
     assert abs(acc - 0.5) < 3 * 0.5 / math.sqrt(10000)
 
 
@@ -187,11 +194,11 @@ def test_leak_report_isolated_replica_keys_on_its_own_bus():
         w = d.replica_input_wires(1)[i]
         assert w == "__tn_" + i
         assert scores["input-echo(%s)" % w] == \
-            t.stream(w).accuracy(t.stream(i))
+            _accuracy(t.wires[w], t.wires[i], t.cycles)
     # x1 and x2 share the group's pad, so the complements cancel it too
     assert scores["gradient(__tn_x1,__tn_x2)"] == 1.0
-    truth = t.stream("x1") ^ t.stream("x2")
-    assert rep.pairs[0].mi == mutual_information(truth, truth)
+    truth = t.wires["x1"] ^ t.wires["x2"]
+    assert rep.pairs[0].mi == mutual_information(truth, truth, t.cycles)
     assert [s.name for s in rep.strategies][:2] == [
         "pick-replica(1,y)", "input-echo(__tn_x1)"]
 
@@ -239,12 +246,13 @@ def test_leak_report_rows_shared_streams_adder4_g2(unshared):
     lt = tap(d, t)
     assert (len(lt.wires), len(set(lt.wires.values()))) == (92, 60)
     rep = leak_report(d, t)
+    n = t.cycles
     for w, kinds in rep.wire_mi.items():
-        ws = t.stream(w)
+        ws = t.wires[w]
         for i, mi in kinds["input"].items():
-            assert mi == mutual_information(ws, t.stream(i))
+            assert mi == mutual_information(ws, t.wires[i], n)
         for o, z in zip(d.source_outputs, d.decoded_outputs):
-            assert kinds["output"][o] == mutual_information(ws, t.stream(z))
+            assert kinds["output"][o] == mutual_information(ws, t.wires[z], n)
     dups = _assert_equal_streams_get_equal_separate_rows(lt, rep)
     assert len(dups) == 92 - 60
     a, b = dups[0]
@@ -276,33 +284,32 @@ def test_property_report_floats_equal_mutual_information(groups, view,
              for b in tapped[k + 1:]]
     rep = leak_report(d, t, pairs, replica=replica)
     assert list(rep.wire_mi) == list(lt.wires)
+    v, n = t.wires, t.cycles
     for w, kinds in rep.wire_mi.items():
-        ws = t.stream(w)
-        assert kinds["input"] == {i: mutual_information(ws, t.stream(i))
+        assert kinds["input"] == {i: mutual_information(v[w], v[i], n)
                                   for i in d.source_inputs}
         assert kinds["output"] == {
-            o: mutual_information(ws, t.stream(z))
+            o: mutual_information(v[w], v[z], n)
             for o, z in zip(d.source_outputs, d.decoded_outputs)}
     _assert_equal_streams_get_equal_separate_rows(lt, rep)
     src = {w: i for i, w in bus.items()}
     assert [(p.a, p.b) for p in rep.pairs] == pairs
     for p in rep.pairs:
         assert p.mi == mutual_information(
-            t.stream(p.a) ^ t.stream(p.b),
-            t.stream(src[p.a]) ^ t.stream(src[p.b]))
-    # every attack's accuracy against the Bits-level oracle, in report order
+            v[p.a] ^ v[p.b], v[src[p.a]] ^ v[src[p.b]], n)
+    # every attack's accuracy against a per-word oracle, in report order
     oracle = {}
     for k in range(d.replica_count) if replica is None else (replica,):
         for o, z in zip(d.source_outputs, d.decoded_outputs):
             w = d.replica_output_wire(k, o)
             if w in lt:
                 oracle["pick-replica(%d,%s)" % (k, o)] = \
-                    t.stream(w).accuracy(t.stream(z))
+                    _accuracy(v[w], v[z], n)
     for w in sorted(w for w in src if w in lt):
-        oracle["input-echo(%s)" % w] = t.stream(w).accuracy(t.stream(src[w]))
+        oracle["input-echo(%s)" % w] = _accuracy(v[w], v[src[w]], n)
     for a, b in pairs:
-        oracle["gradient(%s,%s)" % (a, b)] = (t.stream(a) ^ t.stream(b)) \
-            .accuracy(t.stream(src[a]) ^ t.stream(src[b]))
+        oracle["gradient(%s,%s)" % (a, b)] = _accuracy(
+            v[a] ^ v[b], v[src[a]] ^ v[src[b]], n)
     assert [(s.name, s.accuracy) for s in rep.strategies] == \
         list(oracle.items())
 
