@@ -20,9 +20,9 @@ from .ftrecord import (REPLAY_LIMIT, FTDesign, FTTrace, FaultInjection,
                        FaultPlan, ft_simulate, transform_ft)
 from .netlist import (Gate, Netlist, NetlistError, evaluate, parse_netlist,
                       read_netlist, save_netlist, write_netlist)
-from .recordize import (ClosureReport, PartitionedDesign, RecordConfig,
-                        design_from_netlist, partition_check, rekey,
-                        transform, untrusted_zone_text, user_view)
+from .recordize import (PartitionedDesign, RecordConfig, design_from_netlist,
+                        partition_check, rekey, transform,
+                        untrusted_zone_text, user_view)
 from .rng import RngSpec
 from .sim import (SimTrace, Stimulus, Verdict, simulate, simulate_netlist,
                   verify_equivalence)

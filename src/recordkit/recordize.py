@@ -20,8 +20,8 @@ The __t_/__tn_ encodings a copy reads are one-time-padded, and the random
 wires and the raw S inputs never cross into the untrusted zone, which
 partition_check verifies structurally. Inside a copy the pad does not hold
 for every wire: an xor of two inputs of the same group cancels it.
-partition_check is the one closure rule: trojan.tap() refuses a design
-exactly when its verdict, PartitionedDesign.closure, reports a violation.
+partition_check is the one closure rule, and PartitionedDesign
+construction runs it, so no caller can hold a design that breaks it.
 
 The complemented encoding is emitted as a single xnor per randomized input
 (an inverter folded into the encoder) so the whole harness adds exactly one
@@ -32,9 +32,10 @@ of the fault-tolerant variant. A design is its netlist and its random
 stream: the config is read off the __t_ encode gates, and every wire role
 (random inputs, source ports, encoded and decoded outputs, replica copies,
 FT selectors and votes) is read off those names, never stored beside them.
-Every design is checked against those names when it is constructed, and
-its closure verdict is computed once per design; design_from_netlist
-rejects a loaded design whose verdict fails.
+Every design, from transform(), transform_ft(), rekey() or a loaded file,
+is checked against those names and the closure rule when it is
+constructed, once per design object, and a failed check raises
+NetlistError.
 """
 
 from __future__ import annotations
@@ -157,7 +158,8 @@ class RecordConfig:
 class PartitionedDesign:
     """A transformed netlist and its random stream. The config and every
     wire role are read off the reserved names in the netlist, so no stored
-    copy can disagree with it; construction checks those names."""
+    copy can disagree with it; construction checks those names and ends
+    with the closure rule."""
 
     netlist: Netlist
     rng: RngSpec = field(default_factory=RngSpec)
@@ -191,6 +193,7 @@ class PartitionedDesign:
             raise NetlistError("expected replica indices 0..%d, found %s"
                                % (copies - 1, sorted(replicas)))
         self._check_copies(copies)
+        partition_check(self)
 
     def _check_copies(self, copies: int) -> None:
         """A gate is named replica_wire(k, ...) exactly when it is untrusted
@@ -240,11 +243,6 @@ class PartitionedDesign:
             assignment[i] = groups[0]
         return RecordConfig(tuple(assignment), len(self.random_wires),
                             assignment)
-
-    @cached_property
-    def closure(self) -> "ClosureReport":
-        """The closure verdict, computed once per design."""
-        return partition_check(self)
 
     @property
     def random_wires(self) -> Tuple[str, ...]:
@@ -372,36 +370,23 @@ def _record_parts(n: Netlist, cfg: RecordConfig) -> Tuple[
             gates, leaves)
 
 
-@dataclass(frozen=True)
-class Violation:
-    gate_out: str
-    wire: str
-    reason: str
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    violations: Tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def partition_check(d: PartitionedDesign) -> ClosureReport:
+def partition_check(d: PartitionedDesign) -> None:
     """Structural closure: no untrusted gate reads a random wire or a raw
-    randomized input. Violations are report entries, not exceptions."""
+    randomized input. Raises NetlistError naming every such read; the last
+    step of PartitionedDesign construction."""
     randoms = set(d.random_wires)
     raw = set(d.config.randomized_inputs)
-    violations: List[Violation] = []
+    violations: List[str] = []
     for g in d.untrusted_gates():
         for w in g.ins:
             if w in randoms:
-                violations.append(Violation(g.out, w, "random wire"))
+                violations.append("%r reads random wire %r" % (g.out, w))
             elif w in raw:
-                violations.append(Violation(g.out, w,
-                                            "raw randomized input"))
-    return ClosureReport(tuple(violations))
+                violations.append("%r reads raw randomized input %r"
+                                  % (g.out, w))
+    if violations:
+        raise NetlistError("partition closure violated: "
+                           + ", ".join(violations))
 
 
 def user_view(d: PartitionedDesign) -> Netlist:
@@ -412,7 +397,8 @@ def user_view(d: PartitionedDesign) -> Netlist:
 
 
 def rekey(d: PartitionedDesign, new_rng: RngSpec) -> PartitionedDesign:
-    """Swap the harness random stream; no gate is touched."""
+    """Swap the harness random stream; no gate is touched. The copy is
+    constructed anew, so it passes every construction check again."""
     return replace(d, rng=new_rng)
 
 
@@ -428,12 +414,7 @@ def design_from_netlist(n: Netlist, rng: Optional[RngSpec] = None
 
     Construction checks the reserved names written by transform(): __rK
     inputs, __t_ encode gates (the config is read off them), __y_/__z_
-    output pairs and replica attributes. A design whose closure verdict,
-    computed once and kept, fails is rejected with the wires that break it.
+    output pairs and replica attributes, then the closure rule; a design
+    that fails any of them raises NetlistError.
     """
-    d = PartitionedDesign(n, rng if rng is not None else RngSpec())
-    if d.closure.violations:
-        raise NetlistError("partition closure violated: %s" % ", ".join(
-            "%r reads %s %r" % (v.gate_out, v.reason, v.wire)
-            for v in d.closure.violations))
-    return d
+    return PartitionedDesign(n, rng if rng is not None else RngSpec())

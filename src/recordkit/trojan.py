@@ -3,13 +3,12 @@
 The adversary modeled here is a passive implant with per-cycle visibility
 of every wire the untrusted zone touches: the replica gates' outputs and
 whatever feeds them (the encoded t/tn wires and any pass-through inputs).
-It never sees the random wires or the raw randomized inputs; tap() checks
-that on every call because it is the security property everything else
-rests on, and takes its verdict from d.closure, which
-recordize.partition_check computes once per design, so the closure rule
-has a single implementation. Isolation mode restricts the view to a
-single replica, the situation where physically separated copies cannot
-pool their observations.
+It never sees the random wires or the raw randomized inputs: that is the
+security property everything else rests on, and recordize.partition_check,
+its single implementation, runs when a PartitionedDesign is constructed,
+so tap() is never handed a design that breaks it. Isolation mode restricts
+the view to a single replica, the situation where physically separated
+copies cannot pool their observations.
 
 leak_report scores three attacks on that view: pick-replica(k,o) guesses
 output o as replica k's copy of it, input-echo(w) guesses an input as the
@@ -68,16 +67,13 @@ def tap(d: PartitionedDesign, t: SimTrace,
     """Project a trace onto the implant-visible wires.
 
     replica=None gives the full untrusted view; an index restricts to that
-    replica's gates and boundary wires. Raises LeakError whenever
-    d.closure reports a violation, whichever view is asked for.
+    replica's gates and boundary wires. d passed the closure rule when it
+    was constructed, so no view holds a random wire or a raw randomized
+    input.
     """
     if replica is not None and not 0 <= replica < d.replica_count:
         raise LeakError("no replica %d in a %d-copy design"
                         % (replica, d.replica_count))
-    if d.closure.violations:
-        leaked = sorted({v.wire for v in d.closure.violations})
-        raise LeakError("partition closure violated: %s visible to the "
-                        "untrusted zone" % leaked)
     visible = set()
     for g in d.untrusted_gates():
         if replica is None or g.replica == replica:

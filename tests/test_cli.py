@@ -22,6 +22,39 @@ def test_fixture_then_check(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_check_loads_a_design_and_reports_its_copies(tmp_path, capsys):
+    src = tmp_path / "maj9.nl"
+    run("fixture", "maj9", "-o", src)
+    run("recordize", src, "--rand-bits", "2", "-o", tmp_path / "r2.nl")
+    run("ft-sim", src, "--cycles", "10", "-o", tmp_path / "ft.nl")
+    capsys.readouterr()
+    for name, facts in [
+            ("maj9.nl", "9 inputs, 1 outputs, 127 gates"),
+            ("r2.nl", "11 inputs, 2 outputs, 531 gates, 4 copies, G=2"),
+            ("ft.nl", "10 inputs, 4 outputs, 417 gates, 3 copies, G=1")]:
+        assert run("check", tmp_path / name) == 0
+        assert capsys.readouterr().out == "%s: ok (%s)\n" % (
+            tmp_path / name, facts)
+
+
+def test_check_and_attack_reject_a_design_alike(tmp_path, capsys):
+    src = tmp_path / "maj9.nl"
+    bad = tmp_path / "bad.nl"
+    run("fixture", "maj9", "-o", src)
+    run("recordize", src, "-o", bad)
+    text = bad.read_text()
+    assert text.count("attr __f0_t0 replica 0\n") == 1
+    bad.write_text(text.replace("attr __f0_t0 replica 0\n",
+                                "attr __f0_t0 replica 1\n"))
+    capsys.readouterr()
+    errors = []
+    for argv in (("check", bad), ("attack", bad, "--cycles", "64")):
+        assert run(*argv) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: line 22: untrusted gate '__f0_t0' has replica "
+                      "1 but is not named __f1_...\n"] * 2
+
+
 def test_check_invalid_file(tmp_path, capsys):
     bad = tmp_path / "bad.nl"
     bad.write_text("module m\ninput a\noutput y\nnot y a\nnot y a\nend")
@@ -512,6 +545,8 @@ def test_fixture_rejects_a_parameter_its_kind_does_not_take(tmp_path,
     ("attack", "{enc}", "--cycles", "100", "--isolate", "1"),
     ("trigger", "{enc}", "--pattern", "101010101", "--cycles", "100"),
     ("cost", "{src}", "{enc}", "--cycles", "100"),
+    ("ft-sim", "{src}", "--cycles", "20"),
+    ("check", "{enc}"),
 ])
 def test_closure_verdict_computed_once_per_command(tmp_path, monkeypatch,
                                                    argv):

@@ -39,8 +39,8 @@ def test_three_replicas_built():
 
 
 def test_partition_check_passes():
-    _, ft = _ft_maj9()
-    assert partition_check(ft.design).ok
+    _, ft = _ft_maj9()  # construction ran the check once; it raises if not
+    partition_check(ft.design)
 
 
 def test_rejects_two_groups():
@@ -134,9 +134,12 @@ def test_repeat_injection_flags_permanent_suspect():
     plan = FaultPlan(tuple(FaultInjection(c, 0, "y", 0) for c in range(80)))
     trace = ft_simulate(ft, stim, RngSpec(7), plan)
     assert trace.permanent_fault_suspected
-    assert trace.suspected_at_step is not None
     replays = [s for s in trace.steps if s.phase == 2]
-    assert len(replays) >= 3
+    assert all(s.miscompare for s in replays)
+    # suspicion is raised at the REPLAY_LIMIT-th miscompared replay in a
+    # row and kept there while miscompared replays go on after it
+    assert trace.suspected_at_step == replays[REPLAY_LIMIT - 1].step == 12
+    assert len(replays) > REPLAY_LIMIT
 
 
 def test_clean_replay_resets_replay_limit_count():

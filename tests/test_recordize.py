@@ -101,39 +101,35 @@ def test_partition_check_clean_on_transform_output():
     for groups in (1, 2):
         m9 = fixture_generate("maj9")
         d = transform(m9, RecordConfig.checkerboard(m9, groups))
-        assert partition_check(d).ok
+        partition_check(d)
 
 
-def _rewire_first_replica_gate(d: PartitionedDesign, new_wire: str):
+def _rewire_first_replica_gate(d: PartitionedDesign, new_wire: str
+                               ) -> Netlist:
+    """d's netlist with its first replica-0 gate reading new_wire first."""
     gates = list(d.netlist.gates)
     for i, g in enumerate(gates):
         if g.zone == "untrusted" and g.replica == 0:
             gates[i] = Gate(g.kind, g.out, (new_wire,) + g.ins[1:],
                             g.zone, g.replica)
             break
-    n = Netlist(d.netlist.name, d.netlist.inputs, d.netlist.outputs,
-                tuple(gates))
-    return replace(d, netlist=n)
+    return Netlist(d.netlist.name, d.netlist.inputs, d.netlist.outputs,
+                   tuple(gates))
 
 
-def test_partition_check_flags_random_wire():
+# an untrusted read of each random wire of a G=2 design, not only __r1
+@pytest.mark.parametrize("groups, wire, reason", [
+    (1, "__r1", "random wire"),
+    (2, "__r2", "random wire"),
+    (1, "x1", "raw randomized input"),
+], ids=["__r1", "__r2", "x1"])
+def test_partition_check_flags_untrusted_read(groups, wire, reason):
     m9 = fixture_generate("maj9")
-    d = transform(m9, RecordConfig.checkerboard(m9, 1))
-    bad = _rewire_first_replica_gate(d, "__r1")
-    report = partition_check(bad)
-    assert len(report.violations) == 1
-    assert report.violations[0].wire == "__r1"
-    assert report.violations[0].reason == "random wire"
-
-
-def test_partition_check_flags_raw_input():
-    m9 = fixture_generate("maj9")
-    d = transform(m9, RecordConfig.checkerboard(m9, 1))
-    bad = _rewire_first_replica_gate(d, "x1")
-    report = partition_check(bad)
-    assert len(report.violations) == 1
-    assert report.violations[0].wire == "x1"
-    assert report.violations[0].reason == "raw randomized input"
+    d = transform(m9, RecordConfig.checkerboard(m9, groups))
+    with pytest.raises(NetlistError) as e:
+        replace(d, netlist=_rewire_first_replica_gate(d, wire))
+    assert str(e.value) == ("partition closure violated: '__f0_t0' reads "
+                            "%s %r" % (reason, wire))
 
 
 def test_user_view_and2():
@@ -186,7 +182,7 @@ def test_subset_inputs_pass_through_unmodified():
                  if not w.startswith("__")}
     assert raw_reads == set(m9.inputs) - set(subset)
     assert brute_force_equivalent(m9, d)
-    assert partition_check(d).ok
+    partition_check(d)
 
 
 def test_self_dual_shortcut_per_cycle():
@@ -261,7 +257,7 @@ def test_passthrough_output_supported():
     n = parse_netlist("module m\ninput a b\noutput a y\nand y a b\nend")
     d = transform(n, RecordConfig.checkerboard(n, 1))
     assert brute_force_equivalent(n, d)
-    assert partition_check(d).ok
+    partition_check(d)
 
 
 def _random_dag(rng: random.Random, n_inputs: int, n_gates: int) -> Netlist:
@@ -295,7 +291,7 @@ def test_property_random_netlists_closure_and_equivalence():
             groups = 1
             assignment = {w: 1 for w in subset}
         d = transform(n, RecordConfig(subset, groups, assignment))
-        assert partition_check(d).ok, "trial %d" % trial
+        partition_check(d)
         assert brute_force_equivalent(n, d), "trial %d" % trial
 
 
@@ -331,7 +327,7 @@ def test_property_roundtrip_closure_equivalence(case):
     assert back == d
     assert d.config == cfg
     assert back.config == cfg
-    assert partition_check(d).ok
+    partition_check(d)
     assert verify_equivalence(n, d, mode="exhaustive").passed
 
 
@@ -394,15 +390,19 @@ def test_config_is_read_off_the_netlist_not_stored():
     assert rekey(d, RngSpec(5)).config == d.config
 
 
-def test_closure_verdict_is_kept_and_immutable():
+def test_no_violating_design_can_be_constructed():
     m9 = fixture_generate("maj9")
     d = transform(m9, RecordConfig.checkerboard(m9, 1))
-    bad = _rewire_first_replica_gate(d, "x2")
-    assert bad.closure is bad.closure
-    assert isinstance(bad.closure.violations, tuple)
+    n = _rewire_first_replica_gate(d, "x2")
+    message = ("partition closure violated: '__f0_t0' reads raw randomized "
+               "input 'x2'")
+    for build in (lambda: replace(d, netlist=n), lambda: PartitionedDesign(n),
+                  lambda: design_from_netlist(n)):
+        with pytest.raises(NetlistError) as e:
+            build()
+        assert str(e.value) == message
     with pytest.raises(FrozenInstanceError):
-        bad.closure.violations = ()
-    assert [v.wire for v in bad.closure.violations] == ["x2"]
+        d.netlist = n
 
 
 def test_config_is_frozen_and_its_grouping_read_only():
@@ -484,12 +484,17 @@ def _design_text(fixture: str, groups: int) -> str:
 @pytest.mark.parametrize("fixture", ["maj9", "adder4"])
 @settings(max_examples=200, deadline=None)
 @given(rng=st.randoms(use_true_random=False))
-def test_edited_design_text_is_a_design_or_a_netlist_error(fixture, groups,
-                                                           rng):
-    text = _design_text(fixture, groups)
+def test_edited_design_text_is_a_design_or_a_netlist_error(
+        tmp_path_factory, fixture, groups, rng):
+    text = edit_text(_design_text(fixture, groups), rng)
     try:
-        d = design_from_netlist(parse_netlist(edit_text(text, rng)))
+        d = design_from_netlist(parse_netlist(text))
     except NetlistError:
-        return
-    assert isinstance(d, PartitionedDesign)
-    _assert_copy_rules(d)
+        d = None
+    # `check` accepts exactly the texts the design commands accept
+    path = tmp_path_factory.getbasetemp() / "edited.nl"
+    path.write_text(text)
+    assert (main(["check", str(path)]) == 0) == (d is not None)
+    if d is not None:
+        assert isinstance(d, PartitionedDesign)
+        _assert_copy_rules(d)
