@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from functools import lru_cache
 from typing import Optional
 
@@ -17,6 +18,7 @@ from .cost import cost_report
 from .demo import ImageDemoConfig, demo_image
 from .fixtures import FIXTURE_KINDS, fixture_generate
 from .ftrecord import FaultPlan, FaultPlanError, ft_simulate, transform_ft
+from .jsontext import dumps
 from .netlist import (UNTRUSTED, NetlistError, evaluate, read_netlist,
                       save_netlist)
 from .recordize import (RANDOM_PREFIX, RecordConfig, design_from_netlist,
@@ -28,12 +30,9 @@ from .trojan import LeakError, TriggerSpec, leak_report, trigger_experiment
 
 
 def _write_json(path: Optional[str], doc) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(path, "w", encoding="utf-8") if path else nullcontext(
+            sys.stdout) as f:
+        f.write(dumps(doc))
 
 
 def _bit_flag(flag: str, text: str) -> tuple:

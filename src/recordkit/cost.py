@@ -104,6 +104,10 @@ def switching(t: SimTrace) -> ActivityReport:
     return ActivityReport(total, weighted)
 
 
+def _ratio(num: float, den: float) -> Optional[float]:  # None: undefined
+    return num / den if den else None
+
+
 @dataclass
 class CostReport:
     area_original: float
@@ -115,20 +119,20 @@ class CostReport:
     activity_transformed: float
 
     @property
-    def area_ratio(self) -> float:
-        return self.area_transformed / self.area_original
+    def area_ratio(self) -> Optional[float]:
+        return _ratio(self.area_transformed, self.area_original)
 
     @property
-    def untrusted_area_ratio(self) -> float:
-        return self.area_untrusted / self.area_original
+    def untrusted_area_ratio(self) -> Optional[float]:
+        return _ratio(self.area_untrusted, self.area_original)
 
     @property
     def depth_delta(self) -> float:
         return self.depth_transformed - self.depth_original
 
     @property
-    def activity_ratio(self) -> float:
-        return self.activity_transformed / self.activity_original
+    def activity_ratio(self) -> Optional[float]:
+        return _ratio(self.activity_transformed, self.activity_original)
 
     def to_json(self) -> dict:
         return {

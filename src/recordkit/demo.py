@@ -43,7 +43,6 @@ Scoring, defined here and used by the acceptance checks:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -51,6 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bits import pack, unpack
 from .fixtures import make_maj9
+from .jsontext import dumps
 from .netlist import Netlist
 from .pgm import read_pgm, write_pgm
 from .recordize import PartitionedDesign, RecordConfig, transform
@@ -352,9 +352,7 @@ def demo_image(cfg: ImageDemoConfig) -> DemoResult:
         report["pair_mi"] = pair_mi
 
     if cfg.report_path:
-        with open(cfg.report_path, "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
+        Path(cfg.report_path).write_text(dumps(report), encoding="utf-8")
 
     return DemoResult(paths["original"], paths["enhanced"], paths["leaked"],
                       scores, report)

@@ -32,6 +32,11 @@ xor, buf and const0 followed by ``x ^= mask``. ``Netlist.evaluator`` is the
 netlist's one cached, topologically sorted plan; only this module builds an
 ``Evaluator``.
 
+``parse_netlist`` reads ``text.splitlines()`` in one pass, gate statements
+tested first, and builds the gates at the end, as an attr line may come
+before its gate. An error's line number counts every line end that
+``str.splitlines`` knows: ``\\f``, ``\\x1c``, ``\\u2028``, ``\\r\\n`` once.
+
 Every ``Netlist``, parsed or built in Python, is validated when it is
 constructed; ``Netlist.order`` keeps the one ordering pass that validation
 runs, which is also where a read of an undriven wire is reported. That order
@@ -46,9 +51,11 @@ import re
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 WIRE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
+_NAMES_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_.]*\n)*\Z")
 
 TRUSTED = "trusted"
 UNTRUSTED = "untrusted"
@@ -133,11 +140,16 @@ def _check_name(name: str, what: str, line: Optional[int] = None) -> None:
 
 
 def validate(n: Netlist) -> None:
-    """Raise NetlistError on any structural violation; silent when valid."""
-    _check_name(n.name, "module")
+    """Raise NetlistError on any structural violation; silent when valid.
+    Names are walked one at a time only if one regex over them all fails."""
+    names = [n.name, *n.inputs, *(g.out for g in n.gates), *n.outputs]
+    text = "\n".join(names) + "\n"  # a name holding "\n" adds a line
+    bulk_ok = _NAMES_RE.match(text) and text.count("\n") == len(names)
+    check = (lambda *args: None) if bulk_ok else _check_name
+    check(n.name, "module")
     driven = set()
     for w in n.inputs:
-        _check_name(w, "input")
+        check(w, "input")
         if w in driven:
             raise NetlistError("duplicate driver for wire %r "
                                "(declared as input twice)" % w)
@@ -151,7 +163,7 @@ def validate(n: Netlist) -> None:
                 "gate %s %r takes %s inputs, got %d"
                 % (g.kind, g.out, lo if hi == lo else "%d or more" % lo,
                    len(g.ins)), g.line)
-        _check_name(g.out, "wire", g.line)
+        check(g.out, "wire", g.line)
         if g.zone not in (TRUSTED, UNTRUSTED):
             raise NetlistError("bad zone %r on wire %r" % (g.zone, g.out),
                                g.line)
@@ -163,7 +175,7 @@ def validate(n: Netlist) -> None:
         driven.add(g.out)
     seen_out = set()
     for w in n.outputs:
-        _check_name(w, "output")
+        check(w, "output")
         if w not in driven:
             raise NetlistError("undriven output %r" % w)
         if w in seen_out:
@@ -343,81 +355,71 @@ def evaluate(n: Netlist, assignment: Mapping[str, int]) -> Dict[str, int]:
 def parse_netlist(text: str) -> Netlist:
     """Parse the text format. The parser checks syntax only; the Netlist
     constructor validates names, zones, replica indices and structure."""
-    name: Optional[str] = None
-    inputs: List[str] = []
-    outputs: List[str] = []
-    gates: List[Tuple[str, str, Tuple[str, ...], int]] = []
-    attrs: Dict[Tuple[str, str], object] = {}  # (wire, key) -> value
-    attr_line: Dict[str, int] = {}  # wire -> its first attr line
-    ended = False
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
-            continue
-        if ended:
-            raise NetlistError("statement after 'end'", lineno)
-        head = tokens[0]
-        if name is None:
-            if head != "module":
-                raise NetlistError("expected 'module', got %r" % head, lineno,
-                                   raw.index(head) + 1)
-            if len(tokens) != 2:
-                raise NetlistError("module takes exactly one name", lineno)
-            name = tokens[1]
-            continue
-        if head == "module":
-            raise NetlistError("duplicate module statement", lineno)
-        if head == "end":
-            if len(tokens) != 1:
-                raise NetlistError("trailing tokens after 'end'", lineno)
-            ended = True
-            continue
-        if head == "input" or head == "output":
-            if len(tokens) < 2:
-                raise NetlistError("%s needs at least one wire" % head, lineno)
-            (inputs if head == "input" else outputs).extend(tokens[1:])
-            continue
-        if head == "attr":
-            if len(tokens) != 4:
+    lines = text.splitlines()  # a comment runs from "#" to the line end
+    lines = [ln.split("#", 1)[0] for ln in lines] if "#" in text else lines
+    # (line number, tokens) of each line that holds a statement
+    rows = filter(itemgetter(1), enumerate(map(str.split, lines), 1))
+    lineno, tokens = next(rows, (None, None))
+    if tokens is None:
+        raise NetlistError("empty netlist: no module statement")
+    if tokens[0] != "module":
+        raise NetlistError("expected 'module', got %r" % tokens[0], lineno,
+                           lines[lineno - 1].index(tokens[0]) + 1)
+    if len(tokens) != 2:
+        raise NetlistError("module takes exactly one name", lineno)
+    inputs, outputs, gates = [], [], []  # gates: (kind, out, ins, line)
+    zones, replicas, attr_line = {}, {}, {}  # attr_line: first, per wire
+    books = {"zone": zones, "replica": replicas}
+    for lineno, words in rows:
+        head = words[0]
+        kind = _KIND_OF_KEYWORD.get(head)
+        if kind is not None and len(words) > 1:
+            gates.append((kind, words[1], tuple(words[2:]), lineno))
+        elif head == "attr":
+            if len(words) != 4:
                 raise NetlistError("attr takes: wire key value", lineno)
-            _, wire, key, value = tokens
-            if (wire, key) in attrs:
+            _, wire, key, value = words
+            book = books.get(key)
+            if book is None:
+                raise NetlistError("unknown attr key %r" % key, lineno)
+            if wire in book:
                 raise NetlistError("duplicate attr %s for wire %r"
                                    % (key, wire), lineno)
-            if key == "replica":
+            if book is replicas:
                 try:
                     value = int(value)
                 except ValueError:
                     raise NetlistError("replica must be an integer", lineno)
-            elif key != "zone":
-                raise NetlistError("unknown attr key %r" % key, lineno)
-            attrs[wire, key] = value
+            book[wire] = value
             attr_line.setdefault(wire, lineno)
-            continue
-        kind = _KIND_OF_KEYWORD.get(head)
-        if kind is None:
-            raise NetlistError("unknown statement %r" % head, lineno,
-                               raw.index(head) + 1)
-        if len(tokens) < 2:
+        elif head == "input" or head == "output":
+            if len(words) < 2:
+                raise NetlistError("%s needs at least one wire" % head, lineno)
+            (inputs if head == "input" else outputs).extend(words[1:])
+        elif head == "end":
+            if len(words) != 1:
+                raise NetlistError("trailing tokens after 'end'", lineno)
+            break
+        elif head == "module":
+            raise NetlistError("duplicate module statement", lineno)
+        elif kind is not None:
             raise NetlistError("gate %r needs an output wire" % head, lineno)
-        gates.append((kind, tokens[1], tuple(tokens[2:]), lineno))
-
-    if name is None:
-        raise NetlistError("empty netlist: no module statement")
-    if not ended:
+        else:
+            raise NetlistError("unknown statement %r" % head, lineno,
+                               lines[lineno - 1].index(head) + 1)
+    else:
         raise NetlistError("missing 'end'")
+    for lineno, _ in rows:  # any statement left
+        raise NetlistError("statement after 'end'", lineno)
 
-    outs = {out for _, out, _, _ in gates}
+    outs = {g[1] for g in gates}
     for wire, lineno in attr_line.items():
         if wire not in outs:
             raise NetlistError("attr on %r, which is not a gate output" % wire,
                                lineno)
-    return Netlist(name, tuple(inputs), tuple(outputs), tuple(
-        Gate(kind, out, ins, attrs.get((out, "zone"), TRUSTED),
-             attrs.get((out, "replica")), lineno)
-        for kind, out, ins, lineno in gates))
+    return Netlist(tokens[1], tuple(inputs), tuple(outputs), tuple([
+        Gate(kind, out, ins, zones.get(out, TRUSTED), replicas.get(out),
+             lineno) for kind, out, ins, lineno in gates]))
 
 
 def write_netlist(n: Netlist) -> str:
@@ -427,22 +429,19 @@ def write_netlist(n: Netlist) -> str:
         lines.append("input %s" % " ".join(n.inputs))
     if n.outputs:
         lines.append("output %s" % " ".join(n.outputs))
-    for g in n.gates:
-        lines.extend(gate_lines(g))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, *map(gate_text, n.gates), "end", ""])
 
 
-def gate_lines(g: Gate) -> List[str]:
-    """Statement line for a gate plus its attr lines."""
-    parts = [_KINDS[g.kind][0], g.out]
-    parts.extend(g.ins)
-    out = [" ".join(parts)]
-    if g.zone != TRUSTED:
-        out.append("attr %s zone %s" % (g.out, g.zone))
-    if g.replica is not None:
-        out.append("attr %s replica %d" % (g.out, g.replica))
-    return out
+def gate_text(g: Gate) -> str:
+    """Statement line for a gate plus its attr lines, newline-joined."""
+    line = " ".join((_KINDS[g.kind][0], g.out, *g.ins))
+    if g.zone == TRUSTED:
+        return line if g.replica is None else "%s\nattr %s replica %d" % (
+            line, g.out, g.replica)
+    if g.replica is None:
+        return "%s\nattr %s zone %s" % (line, g.out, g.zone)
+    return "%s\nattr %s zone %s\nattr %s replica %d" % (
+        line, g.out, g.zone, g.out, g.replica)
 
 
 def read_netlist(path) -> Netlist:

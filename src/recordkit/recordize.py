@@ -46,7 +46,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .netlist import Gate, Netlist, NetlistError, UNTRUSTED, gate_lines
+from .netlist import Gate, Netlist, NetlistError, UNTRUSTED, gate_text
 from .rng import RngSpec
 
 RESERVED_PREFIX = "__"
@@ -404,8 +404,7 @@ def rekey(d: PartitionedDesign, new_rng: RngSpec) -> PartitionedDesign:
 
 def untrusted_zone_text(d: PartitionedDesign) -> str:
     """Serialization of exactly the untrusted gates, in netlist order."""
-    lines = [line for g in d.untrusted_gates() for line in gate_lines(g)]
-    return "\n".join(lines) + "\n"
+    return "\n".join(map(gate_text, d.untrusted_gates())) + "\n"
 
 
 def design_from_netlist(n: Netlist, rng: Optional[RngSpec] = None

@@ -320,6 +320,24 @@ def test_cost_report_cli(tmp_path, capsys):
     assert doc["paper_reference"]["area"] == 2.4
 
 
+@pytest.mark.parametrize("gate, nulls", [
+    ("const0 y", ["activity", "area", "leakage", "untrusted_area"]),
+    ("xor y a a", ["activity"]),
+], ids=["zero-area", "zero-activity"])
+def test_cost_reports_an_undefined_ratio_as_null(tmp_path, capsys, gate,
+                                                 nulls):
+    src = tmp_path / "src.nl"
+    enc = tmp_path / "enc.nl"
+    src.write_text("module c\ninput a\noutput y\n%s\nend\n" % gate)
+    assert run("recordize", src, "-o", enc) == 0
+    capsys.readouterr()
+    assert run("cost", src, enc, "--cycles", "100") == 0
+    out, err = capsys.readouterr()
+    ratios = json.loads(out)["ratios"]
+    assert sorted(k for k, v in ratios.items() if v is None) == nulls
+    assert ('"%s": null' % nulls[0]) in out and err == ""
+
+
 def test_demo_image_cli(tmp_path, capsys):
     out = tmp_path / "demo"
     assert run("demo-image", "-o", out, "--variant", "record1",

@@ -193,6 +193,29 @@ def test_cost_report_full():
     assert doc["ratios"]["depth_delta"] == 3.0
 
 
+# (source, the ratios that are undefined): a netlist of constants has no
+# area, and xor y a a never toggles
+DEGENERATE = [
+    ("module c\ninput a\noutput y\nconst0 y\nend",
+     {"area", "untrusted_area", "activity", "leakage"}),
+    ("module x\ninput a\noutput y\nxor y a a\nend", {"activity"}),
+]
+
+
+@pytest.mark.parametrize("text, undefined", DEGENERATE,
+                         ids=["zero-area", "zero-activity"])
+def test_undefined_ratio_is_none(text, undefined):
+    src = parse_netlist(text)
+    d = transform(src, RecordConfig.checkerboard(src, 1))
+    stim = Stimulus.uniform(300, seed=4)
+    rep = cost_report(src, d, (simulate_netlist(src, stim),
+                               simulate(d, stim, RngSpec(5))))
+    ratios = rep.to_json()["ratios"]
+    assert {k for k, v in ratios.items() if v is None} == undefined
+    assert ratios["depth_delta"] == rep.depth_delta
+    assert rep.activity_ratio is None
+
+
 def test_cost_report_stimulus_mismatch():
     m9 = fixture_generate("maj9")
     d = transform(m9, RecordConfig.checkerboard(m9, 1))

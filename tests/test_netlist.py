@@ -1,7 +1,9 @@
 import gc
 import random
+import re
 import weakref
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +75,96 @@ def test_syntax_errors_carry_line_numbers():
         parse_netlist("module m\ninput a\noutput a\nend\nnot y a")
     with pytest.raises(NetlistError, match="line 4: invalid wire name 'b-c'"):
         parse_netlist("module m\ninput a\noutput y\nand y a b-c\nend")
+
+
+HEAD = "module m\ninput a\noutput y\n"
+
+
+# Every parse and validate error, with its exact message, line and column.
+@pytest.mark.parametrize("text, message, line, column", [
+    ("", "empty netlist: no module statement", None, None),
+    ("# only a comment\n\n  \n", "empty netlist: no module statement",
+     None, None),
+    ("  input a\nend", "expected 'module', got 'input'", 1, 3),
+    ("\nmodule m n\nend", "module takes exactly one name", 2, None),
+    ("module\nend", "module takes exactly one name", 1, None),
+    ("module m\nmodule n\nend", "duplicate module statement", 2, None),
+    ("module m\nend x", "trailing tokens after 'end'", 2, None),
+    ("module m\ninput a\noutput a\nend\n\nnot y a",
+     "statement after 'end'", 6, None),
+    ("module m\ninput a\noutput a", "missing 'end'", None, None),
+    ("module m\ninput\nend", "input needs at least one wire", 2, None),
+    ("module m\ninput a\noutput # y\nend",
+     "output needs at least one wire", 3, None),
+    ("module m\ninput a\n   frobnicate y a\nend",
+     "unknown statement 'frobnicate'", 3, 4),
+    ("module m\ninput a\noutput a\n\tconst1\nend",
+     "gate 'const1' needs an output wire", 4, None),
+    (HEAD + "not y a\nattr y zone\nend", "attr takes: wire key value",
+     5, None),
+    (HEAD + "not y a\nattr y color blue\nend", "unknown attr key 'color'",
+     5, None),
+    (HEAD + "not y a\nattr y replica x\nend", "replica must be an integer",
+     5, None),
+    (HEAD + "attr y replica 1\nnot y a\nattr y replica x\nend",
+     "duplicate attr replica for wire 'y'", 6, None),
+    (HEAD + "not y a\nattr a zone untrusted\nattr y zone mystery\n"
+     "attr b replica 1\nattr a replica 2\nend",
+     "attr on 'a', which is not a gate output", 5, None),
+    (HEAD + "not y a\nattr y zone mystery\nend",
+     "bad zone 'mystery' on wire 'y'", 4, None),
+    (HEAD + "not y a\nattr y replica -1\nend",
+     "negative replica index on wire 'y'", 4, None),
+    ("module 1m\ninput a\noutput a\nend", "invalid module name '1m'",
+     None, None),
+    ("module m\ninput a a.b 0c\noutput a\nend", "invalid input name '0c'",
+     None, None),
+    ("module m\ninput a a\noutput a\nend",
+     "duplicate driver for wire 'a' (declared as input twice)", None, None),
+    (HEAD + "not y a\nnot b-c a\nend", "invalid wire name 'b-c'", 5, None),
+    (HEAD + "not y a\nnot y a\nend", "duplicate driver for wire 'y'",
+     5, None),
+    (HEAD + "not a a\nend", "duplicate driver for wire 'a'", 4, None),
+    (HEAD + "not y a a\nend", "gate NOT 'y' takes 1 inputs, got 2", 4, None),
+    ("module m\ninput a b\noutput y\nand y a # b\nend",
+     "gate AND 'y' takes 2 or more inputs, got 1", 4, None),
+    ("module m\ninput a\noutput y-z\nnot y a\nend",
+     "invalid output name 'y-z'", None, None),
+    ("module m\ninput a\noutput z\nnot y a\nend", "undriven output 'z'",
+     None, None),
+    ("module m\ninput a\noutput y y\nnot y a\nend",
+     "output 'y' listed twice", None, None),
+    (HEAD + "and y a ghost\nend", "undriven wire 'ghost' read by gate 'y'",
+     4, None),
+    (HEAD + "and w1 a y\nand y a w1\nend", "cycle detected through wire 'w1'",
+     4, None),
+], ids=["empty", "comments-only", "expected-module", "module-two-names",
+        "module-no-name", "duplicate-module", "trailing-after-end",
+        "statement-after-end", "missing-end", "input-no-wire",
+        "output-no-wire", "unknown-statement", "gate-no-output",
+        "attr-arity", "attr-key", "replica-integer", "duplicate-attr",
+        "attr-not-output", "bad-zone", "negative-replica",
+        "invalid-module", "invalid-input", "input-twice", "invalid-wire",
+        "duplicate-driver", "input-redriven", "arity", "mid-line-comment",
+        "invalid-output", "undriven-output", "output-twice", "undriven-read",
+        "cycle"])
+def test_every_error_is_pinned_with_its_line_and_column(text, message, line,
+                                                        column):
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(text)
+    assert (exc.value.args[0], exc.value.line, exc.value.column) == (
+        NetlistError(message, line, column).args[0], line, column)
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\v", "\f", "\x1c",
+                                 "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_line_numbers_follow_str_splitlines(brk):
+    text = brk.join(["module m", "input a", "", "frob y a", "end"])
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(text)
+    assert (exc.value.line, exc.value.column) == (4, 1)
+    n = parse_netlist(brk.join([HEAD.rstrip(), "not y a # c", "end", ""]))
+    assert n.gates == (Gate("NOT", "y", ("a",)),) and n.gates[0].line == 4
 
 
 def test_comments_and_blank_lines():
@@ -353,6 +445,49 @@ def test_every_constructed_netlist_evaluates_and_roundtrips(parts):
     values = {"i0": 0b1010, "i1": 0b1100}
     assert set(n.evaluator.run(values, mask=0b1111)) == set(n.wires())
     assert parse_netlist(write_netlist(n)) == n
+
+
+def _mostly(good, bad):
+    """Each good value about eight times as likely as each bad one."""
+    return st.sampled_from(list(good) * 8 + list(bad))
+
+
+NAMES = _mostly(["a", "b", "y", "w", "a.b", "_x"],
+                ["", "1a", "b-c", "a\nb", "a b", "\u00e9", "y\n"])
+
+
+@st.composite
+def _netlist_parts(draw):
+    """Netlist fields with a few bad names, kinds, arities, zones, replica
+    indices, repeated drivers and outputs mixed into valid ones."""
+    gates = []
+    for k in range(draw(st.integers(0, 5))):
+        kind = draw(_mostly(sorted(_REFERENCE), ["BOGUS"]))
+        lo, hi = _REF_ARITY.get(kind, (2, 4))
+        if draw(st.integers(0, 9)) == 0:
+            lo, hi = max(lo - 1, 0), hi + 1
+        ins = draw(st.lists(NAMES, min_size=lo, max_size=hi))
+        gates.append(Gate(kind, draw(NAMES), tuple(ins),
+                          draw(_mostly(["trusted", "untrusted"], ["grey"])),
+                          draw(_mostly([None, 0, 2], [-1])), line=k + 4))
+    return (draw(NAMES), tuple(draw(st.lists(NAMES, max_size=3))),
+            tuple(draw(st.lists(NAMES, max_size=3))), tuple(gates))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_netlist_parts())
+def test_bulk_name_check_reports_what_the_name_by_name_walk_does(parts):
+    """validate checks all names with one regex, and walks them one at a
+    time only when it fails: with that regex failing every netlist, the
+    walk raises the same error, or none, as the bulk check lets through."""
+    def outcome():
+        try:
+            Netlist(*parts)
+        except NetlistError as exc:
+            return str(exc), exc.line, exc.column
+    bulk = outcome()
+    with patch.object(netlist, "_NAMES_RE", re.compile(r"(?!)")):
+        assert outcome() == bulk
 
 
 def test_order_is_cached_per_netlist():
