@@ -314,6 +314,11 @@ def demo_image(cfg: ImageDemoConfig) -> DemoResult:
     write_pgm(paths["leaked"], width, height, leaked)
 
     n = width * height  # bits of every bitplane and trace word
+    true_diffs = []  # of the noisy input, x5 ^ x<k+1>, off a design's trace
+    if run.trace is not None:
+        x5 = run.trace.wires["x5"]
+        true_diffs = [x5 ^ run.trace.wires["x%d" % (k + 1)]
+                      for k in _NEIGHBOR_IDX]
     truth_edges = geometric_edges(clean, width, height)
     scores: Dict[str, Optional[float]] = {
         "structural": f1_score(edge_prediction(run.estimates), truth_edges),
@@ -325,7 +330,6 @@ def demo_image(cfg: ImageDemoConfig) -> DemoResult:
             edge_prediction([run.estimates[i] for i in run.same_group]),
             truth_edges)
     if run.cross_group:
-        true_diffs = neighbor_differences(noisy, width, height)
         agree = 0.0
         for i in run.cross_group:
             wrong = (run.estimates[i] ^ true_diffs[i]).bit_count()
@@ -335,9 +339,7 @@ def demo_image(cfg: ImageDemoConfig) -> DemoResult:
     report = {"variant": cfg.variant, "seed": cfg.seed, "noise": cfg.noise,
               "scores": scores}
     if run.design is not None and run.trace is not None:
-        d, t = run.design, run.trace
-        x5 = t.wires["x5"]
-        t5 = t.wires[d.encode_wire("x5")]
+        t5 = run.trace.wires[run.design.encode_wire("x5")]
         report["mi_center_vs_encoded"] = mutual_information(t5, x5, n)
         pair_mi = {}
         for label, idx_list in (("same_group", run.same_group),
@@ -345,9 +347,8 @@ def demo_image(cfg: ImageDemoConfig) -> DemoResult:
             # left to right: sum() of floats is compensated from 3.12 on
             total = 0.0
             for pos in idx_list:
-                k = _NEIGHBOR_IDX[pos]
-                truth = x5 ^ t.wires["x%d" % (k + 1)]
-                total += mutual_information(run.estimates[pos], truth, n)
+                total += mutual_information(run.estimates[pos],
+                                            true_diffs[pos], n)
             pair_mi[label] = total / len(idx_list) if idx_list else None
         report["pair_mi"] = pair_mi
 

@@ -78,8 +78,7 @@ class FTDesign:
 
     @cached_property
     def _memo(self) -> dict:
-        """The last fault-free pass, keyed on the stimulus's (count,
-        columns, seed) and rng."""
+        """The last fault-free pass, keyed on (stimulus, rng)."""
         return {}
 
 
@@ -236,16 +235,13 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
              + tuple(VOTE_PREFIX + o for o in outputs))
     votes = 2 + len(outputs)
 
-    # a uniform stimulus is fixed by (count, seed): key without drawing it
-    cols = stim.columns
-    key = (count, cols if cols is None else tuple(cols), stim.seed, rng)
-    entry = ft._memo.get(key)
+    # a frozen stimulus is its own key: a uniform one is not drawn on a hit
+    entry = ft._memo.get((stim, rng))
     if entry is None:
-        _, cols = stim.bound(len(ft.source.inputs))
-        ref = simulate_netlist(ft.source, Stimulus(count, cols)).wires
-        wires = simulate(ft.design, Stimulus(count, cols), rng).wires
+        ref = simulate_netlist(ft.source, stim).wires
+        wires = simulate(ft.design, stim, rng).wires
         ft._memo.clear()
-        ft._memo[key] = entry = (
+        ft._memo[stim, rng] = entry = (
             tuple(zip(*(unpack(ref[o], count) for o in outputs))),
             tuple(zip(*(unpack(wires[w], count) for w in reads))), wires)
     ref_rows, read_rows, wires = entry

@@ -96,13 +96,10 @@ class RecordConfig:
     group_assignment: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        names = tuple(self.randomized_inputs)
-        assignment = dict(self.group_assignment)
-        if self.groups >= 1 and not assignment:
-            assignment = {w: 1 for w in names}
-        object.__setattr__(self, "randomized_inputs", names)
+        object.__setattr__(self, "randomized_inputs",
+                           tuple(self.randomized_inputs))
         object.__setattr__(self, "group_assignment",
-                           MappingProxyType(assignment))
+                           MappingProxyType(dict(self.group_assignment)))
 
     def validate(self, n: Netlist) -> None:
         if not self.randomized_inputs:
@@ -407,13 +404,13 @@ def untrusted_zone_text(d: PartitionedDesign) -> str:
     return "\n".join(map(gate_text, d.untrusted_gates())) + "\n"
 
 
-def design_from_netlist(n: Netlist, rng: Optional[RngSpec] = None
-                        ) -> PartitionedDesign:
-    """Rebuild a PartitionedDesign from a serialized transformed netlist.
+def design_from_netlist(n: Netlist) -> PartitionedDesign:
+    """Rebuild a PartitionedDesign from a serialized transformed netlist,
+    on the default stream (rekey() sets another).
 
     Construction checks the reserved names written by transform(): __rK
     inputs, __t_ encode gates (the config is read off them), __y_/__z_
     output pairs and replica attributes, then the closure rule; a design
     that fails any of them raises NetlistError.
     """
-    return PartitionedDesign(n, rng if rng is not None else RngSpec())
+    return PartitionedDesign(n)

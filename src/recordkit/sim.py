@@ -5,6 +5,10 @@ in cycle c, so an entire run is a single word-parallel evaluation. The
 trace's ``cycles`` is the length of every one of those words. The
 random inputs consume G fresh stream bits per cycle, group 1 first.
 
+A Stimulus is frozen, so it can key a memo. from_file checks each line of
+an untrusted file once, as text, and builds every column from one binary
+string of all the lines (bits.transpose); no code runs once per bit.
+
 Exhaustive equivalence checking drives every wire with the classic binary
 counter columns (input p toggles with period 2^(p+1)); the first
 counterexample in counter order is reported, which keeps the verdict
@@ -37,7 +41,7 @@ class SimulationError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stimulus:
     """Per-cycle primary-input vectors: explicit rows or a uniform spec.
 
@@ -71,20 +75,25 @@ class Stimulus:
 
     @classmethod
     def from_file(cls, path) -> "Stimulus":
+        """One binary string per line, first character the first declared
+        input; '#' starts a comment and blank lines are skipped."""
         rows = []
         with open(path, "r", encoding="utf-8") as f:
             for lineno, raw in enumerate(f, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if any(c not in "01" for c in line):
+                if line.strip("01"):
                     raise ValueError("line %d: stimulus vectors are binary "
                                      "strings" % lineno)
                 if rows and len(line) != len(rows[0]):
                     raise ValueError("line %d: vector has width %d, expected "
                                      "%d" % (lineno, len(line), len(rows[0])))
-                rows.append(tuple(int(c) for c in line))
-        return cls.from_vectors(rows)
+                rows.append(line)
+        if not rows:
+            raise ValueError("empty stimulus")
+        stream = int("".join(rows)[::-1], 2)
+        return cls(len(rows), transpose(stream, len(rows), len(rows[0])))
 
     def bound(self, width: int) -> Tuple[int, Tuple[int, ...]]:
         """Materialize packed per-input columns for the given input count."""
@@ -104,11 +113,6 @@ class SimTrace:
     netlist: Netlist
     cycles: int
     wires: Dict[str, int]
-
-    def value(self, wire: str, cycle: int) -> int:
-        if not 0 <= cycle < self.cycles:
-            raise IndexError(cycle)
-        return (self.wires[wire] >> cycle) & 1
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as f:

@@ -177,6 +177,21 @@ def test_recordize_rejects_malformed_grouping_file(tmp_path, capsys, doc):
     assert '{"input": group}' in err
 
 
+@pytest.mark.parametrize("doc", [{}, {"a3": 1}])
+def test_recordize_rejects_a_grouping_that_misses_inputs(tmp_path, capsys,
+                                                         doc):
+    src = tmp_path / "adder.nl"
+    assert run("fixture", "adder4", "-o", src) == 0
+    grouping = tmp_path / "groups.json"
+    grouping.write_text(json.dumps(doc))
+    enc = tmp_path / "enc.nl"
+    assert run("recordize", src, "--grouping", "explicit:%s" % grouping,
+               "-o", enc) == 1
+    assert capsys.readouterr().err == ("error: group assignment must cover "
+                                       "exactly the randomized inputs\n")
+    assert not enc.exists()
+
+
 def test_recordize_config_out(tmp_path):
     src = tmp_path / "and2.nl"
     src.write_text("module and2\ninput a b\noutput y\nand y a b\nend")

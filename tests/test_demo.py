@@ -6,8 +6,9 @@ from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from test_sim import words
+from test_sim import _differs_from_reference, words
 
+import reference_readers
 from recordkit import bits, demo
 from recordkit.cli import main
 from recordkit.demo import (ImageDemoConfig, _design_for, demo_image,
@@ -67,6 +68,101 @@ def test_pgm_pixel_out_of_range(tmp_path, raster):
     p.write_text("P2\n2 2\n15\n%s\n" % raster)
     with pytest.raises(ValueError, match="pixel out of range"):
         read_pgm(p)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n2", "truncated header"),
+    (b"P5\n2 2 # 255\n", "truncated header"),
+    (b"P5\n2 2\n#255", "truncated header"),
+    (b"P5\nx 2\n255\n\0\0\0\0", "non-numeric header"),
+    (b"P9\n2 2\n2.5\n", "non-numeric header"),
+    (b"P5\n0 2\n255\n\0\0", "bad dimensions or maxval"),
+    (b"P5\n2 -2\n255\n\0\0", "bad dimensions or maxval"),
+    (b"P5\n2 2\n0\n\0\0\0\0", "bad dimensions or maxval"),
+    (b"P5\n2 2\n256\n\0\0\0\0", "bad dimensions or maxval"),
+    (b"P5\n2 2\n255\n\0", "short raster"),
+    (b"P5\n2 2\n255", "short raster"),
+    (b"P2\n2 2\n255\n0 1 2 # 3\n", "short raster"),
+    (b"P2\n2 2\n255\n0 1 x 3", "bad sample b'x'"),
+    (b"P2\n2 2\n255\n0 1 2 3 4 0x5", "bad sample b'0x5'"),
+    (b"P7\n2 2\n255\nabcd", "unknown magic b'P7'"),
+    (b"P5\n2 2\n15\n\0\x10\0\0", "pixel out of range"),
+    (b"P2\n2 2\n15\n0 -1 2 3", "pixel out of range"),
+])
+def test_pgm_errors_are_pinned(tmp_path, data, message):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(data)
+    with pytest.raises(ValueError) as e:
+        read_pgm(p)
+    assert str(e.value) == "malformed PGM: %s in %s" % (message, p)
+
+
+def test_pgm_accepts_what_int_accepts(tmp_path):
+    """P2 samples are read by int(): a sign and digit underscores pass,
+    and samples past the raster are read but not range-checked."""
+    p = tmp_path / "img.pgm"
+    p.write_bytes(b"P2 2 2 15 +3 1_0 0 15 -1 99")
+    assert read_pgm(p) == (2, 2, 15, [3, 10, 0, 15])
+
+
+_SPACE = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\x0b", b"\x0c",
+                          b"\r"])
+_COMMENT = st.builds(lambda text, end: b"#" + text + end,
+                     st.binary(max_size=6).map(
+                         lambda b: b.replace(b"\n", b" ")),
+                     st.sampled_from([b"\n", b"\r\n", b""]))
+_GAP = st.lists(st.one_of(_SPACE, _SPACE, _COMMENT), min_size=1,
+                max_size=3).map(b"".join)
+
+
+@st.composite
+def _pgm_files(draw):
+    """Headers with whitespace and comments between (and inside) the
+    tokens, then a raster that may be short, long or malformed."""
+    magic = draw(st.sampled_from([b"P5", b"P5", b"P2", b"P2", b"P6", b"P"]))
+    width, height = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    maxval = draw(st.sampled_from([255, 255, 15, 1, 0, 256]))
+    fields = [magic] + [str(v).encode() for v in (width, height, maxval)]
+    if draw(st.integers(0, 9)) == 0:
+        fields[draw(st.integers(0, 3))] = draw(st.sampled_from(
+            [b"x", b"+2", b"1_0", b"-1", b"\xff", b"2#3"]))
+    header = draw(st.sampled_from([b"", b" ", b"#c\n"]))
+    for f in fields:
+        header += f + draw(_GAP)
+    header = header[:len(header) - draw(st.integers(0, 3))]
+    count = max(width, 0) * height + draw(st.integers(-1, 2))
+    if magic == b"P2":
+        sample = st.one_of(st.integers(-1, 300).map(lambda v: str(v).encode()),
+                           st.sampled_from([b"+3", b"1_0", b"-1", b"junk",
+                                            b"0x1", b"\xff"]))
+        parts = [draw(sample) + draw(_GAP) for _ in range(max(count, 0))]
+        raster = b"".join(parts)
+    else:
+        raster = draw(st.binary(min_size=max(count, 0),
+                                max_size=max(count, 0)))
+    return header + raster
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pgm_files())
+@example(b"P5 1 1 255 #")
+@example(b"P5\n#x\n2 2\n255\n\0\0\0\0")
+@example(b"P5\n1 1\n255#c\n\x07")
+@example(b"P2\n22 2\n255")
+@example(b"P2\x0b1\x0c1\r\n255\n#last")
+def test_read_pgm_matches_reference_reader(data):
+    assert not _differs_from_reference(read_pgm, reference_readers.read_pgm,
+                                       data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([b"P5", b"P2", b"1", b"2", b"255", b" ",
+                                 b"\n", b"\r", b"\x0b", b"#", b"x", b"\0",
+                                 b"+", b"_", b"-"]),
+                max_size=24).map(b"".join))
+def test_read_pgm_matches_reference_on_any_bytes(data):
+    assert not _differs_from_reference(read_pgm, reference_readers.read_pgm,
+                                       data)
 
 
 def test_write_pgm_checks_size(tmp_path):

@@ -1,9 +1,13 @@
+import os
 import random
+import tempfile
+import tracemalloc
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import reference_readers
 from recordkit import netlist
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Evaluator, evaluate, parse_netlist
@@ -85,8 +89,8 @@ def test_simulate_decodes_to_source_function():
     t = simulate(d, Stimulus.uniform(100, seed=8), RngSpec(2))
     src = Evaluator(m9)
     for c in range(t.cycles):
-        x = {w: t.value(w, c) for w in m9.inputs}
-        assert t.value("__z_y", c) == src.run(x)["y"], "cycle %d" % c
+        x = {w: t.wires[w] >> c & 1 for w in m9.inputs}
+        assert t.wires["__z_y"] >> c & 1 == src.run(x)["y"], "cycle %d" % c
 
 
 def test_simulate_and_design_constant_ones():
@@ -131,10 +135,10 @@ def test_trace_values_rederivable_by_evaluate():
     rng = random.Random(0)
     cycles = rng.sample(range(t.cycles), max(4, t.cycles // 100))
     for c in cycles:
-        values = {w: t.value(w, c) for w in t.netlist.inputs}
+        values = {w: t.wires[w] >> c & 1 for w in t.netlist.inputs}
         full = ev.run(values)
         for w in t.wires:
-            assert full[w] == t.value(w, c), (w, c)
+            assert full[w] == t.wires[w] >> c & 1, (w, c)
 
 
 def test_r_frequency_near_half():
@@ -150,8 +154,8 @@ def test_r_bits_fresh_per_cycle_group_order():
     t = simulate(d, Stimulus.uniform(32, seed=3), RngSpec(12))
     raw = packed_bits(RngSpec(12), 64)
     for c in range(32):
-        assert t.value("__r1", c) == raw >> 2 * c & 1
-        assert t.value("__r2", c) == raw >> 2 * c + 1 & 1
+        assert t.wires["__r1"] >> c & 1 == raw >> 2 * c & 1
+        assert t.wires["__r2"] >> c & 1 == raw >> 2 * c + 1 & 1
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 5])
@@ -198,6 +202,28 @@ def test_verify_counterexample_is_first_in_order():
     v = verify_equivalence(AND2, broken)
     # enumeration order: a is bit 0, b bit 1, r bit 2; first failure at r=1
     assert v.counterexample.index == 4
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_verify_sampled_reports_the_lowest_failing_sample(seed):
+    """Sampled mode draws column p from stream bits p*samples and up; the
+    broken decoder fails exactly on the samples whose r is 1."""
+    d = transform(AND2, RecordConfig.checkerboard(AND2, 1))
+    broken = _break_decoder(d)
+    samples = 200
+    v = verify_equivalence(AND2, broken, mode="sampled", samples=samples,
+                           seed=seed)
+    stream = packed_bits(RngSpec(seed), 3 * samples)
+    a, b, r = ((stream >> (p * samples)) & ((1 << samples) - 1)
+               for p in range(3))
+    first = (r & -r).bit_length() - 1
+    assert first > 0  # the first sample that fails is not sample 0
+    assert (v.cases, v.mode, v.passed) == (samples, "sampled", False)
+    cx = v.counterexample
+    x = {"a": a >> first & 1, "b": b >> first & 1}
+    assert (cx.index, cx.x, cx.r) == (first, x, {"__r1": 1})
+    assert cx.expected == {"y": x["a"] & x["b"]}
+    assert cx.got == {"y": 1 ^ x["a"] & x["b"]}
 
 
 def test_verify_exhaustive_bound():
@@ -250,13 +276,135 @@ def test_stimulus_bad_vector():
         Stimulus.from_vectors([])
 
 
+@pytest.mark.parametrize("text, message", [
+    ("10\n1x\n", "line 2: stimulus vectors are binary strings"),
+    ("10\n1 0\n", "line 2: stimulus vectors are binary strings"),
+    ("# w\n1\t1\n", "line 2: stimulus vectors are binary strings"),
+    ("10\n1x1\n", "line 2: stimulus vectors are binary strings"),
+    ("1\r\n\r\n11 # c\r\n", "line 3: vector has width 2, expected 1"),
+    ("# only comments\n\n  \t\n", "empty stimulus"),
+    ("", "empty stimulus"),
+])
+def test_stimulus_file_errors_are_pinned(tmp_path, text, message):
+    p = tmp_path / "stim.txt"
+    p.write_bytes(text.encode())
+    with pytest.raises(ValueError) as e:
+        Stimulus.from_file(p)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], "empty stimulus"),
+    ([(1, 0), (1,)], "row 1 has width 1, expected 2"),
+    ([(1, 0), (1, 0), (0, 1, 1)], "row 2 has width 3, expected 2"),
+    ([(1, 0), (1, 2)], "stimulus bit must be 0 or 1"),
+])
+def test_stimulus_vector_errors_are_pinned(rows, message):
+    with pytest.raises(ValueError) as e:
+        Stimulus.from_vectors(rows)
+    assert str(e.value) == message
+
+
+def test_stimulus_width_mismatch_message():
+    with pytest.raises(SimulationError) as e:
+        Stimulus.from_vectors([(1, 0)]).bound(3)
+    assert str(e.value) == ("stimulus width 2 does not match the 3 design "
+                            "inputs")
+
+
+def _outcome(read, path):
+    """A reader's value, or its error's type and text."""
+    try:
+        return read(path)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _differs_from_reference(read, reference, data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as f:
+            f.write(data)
+        return _outcome(read, path) != _outcome(reference, path)
+
+
+@st.composite
+def _stimulus_texts(draw):
+    """Mostly well-formed vector files, each line possibly commented,
+    padded, blank, ended by \r\n, or carrying a bad character or a
+    ragged width."""
+    width = draw(st.integers(1, 12))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        bits = "".join(draw(st.lists(st.sampled_from("01"),
+                                     min_size=width, max_size=width)))
+        kind = draw(st.sampled_from(["plain"] * 6 + [
+            "comment", "blank", "pad", "bad", "ragged", "junk"]))
+        if kind == "comment":
+            bits = draw(st.sampled_from(["", bits + " "])) + "# " + draw(
+                st.text("01x# \t", max_size=5))
+        elif kind == "blank":
+            bits = draw(st.text(" \t\u00a0", max_size=3))
+        elif kind == "pad":
+            bits = draw(st.text(" \t", max_size=2)) + bits + draw(
+                st.text(" \t\u00a0", max_size=2))
+        elif kind == "bad":
+            at = draw(st.integers(0, width))
+            bits = bits[:at] + draw(st.sampled_from(
+                ["x", "2", " ", "\t", "\u0661", "\u00a0"])) + bits[at:]
+        elif kind == "ragged":
+            bits = bits[:draw(st.integers(1, width))] + draw(
+                st.text("01", max_size=2))
+        elif kind == "junk":
+            bits = draw(st.text("01 #x\t\r", max_size=8))
+        lines.append(bits + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])))
+    return "".join(lines) + draw(st.sampled_from(["", "1", "0" * width]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stimulus_texts())
+@example("# c\n\n10101010\n1010101\n")
+@example("01\r\n10 # c\r\n\r\n11")
+@example("")
+def test_stimulus_file_matches_reference_reader(text):
+    assert not _differs_from_reference(
+        Stimulus.from_file, reference_readers.from_file, text.encode())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([b"0", b"1", b"\n", b"\r", b"#", b" ",
+                                 b"\t", b"x", b"\xff", b"\xc2\xa0"]),
+                max_size=40).map(b"".join))
+def test_stimulus_file_matches_reference_on_any_bytes(data):
+    assert not _differs_from_reference(
+        Stimulus.from_file, reference_readers.from_file, data)
+
+
+def test_stimulus_file_peak_memory_is_bounded(tmp_path):
+    """2x10^5 rows of 9 inputs: the reader's tracemalloc peak stays within
+    16 times the file size."""
+    p = tmp_path / "stim.txt"
+    rng = random.Random(1)
+    p.write_text("".join(format(rng.getrandbits(9), "09b") + "\n"
+                         for _ in range(200000)))
+    size = p.stat().st_size
+    tracemalloc.start()
+    try:
+        stim = Stimulus.from_file(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stim.count == 200000
+    assert peak <= 16 * size, (peak, size)
+
+
 def test_simulate_netlist_plain():
     m9 = fixture_generate("maj9")
     t = simulate_netlist(m9, Stimulus.uniform(50, seed=9))
     src = Evaluator(m9)
     for c in (0, 13, 49):
-        x = {w: t.value(w, c) for w in m9.inputs}
-        assert t.value("y", c) == src.run(x)["y"]
+        x = {w: t.wires[w] >> c & 1 for w in m9.inputs}
+        assert t.wires["y"] >> c & 1 == src.run(x)["y"]
 
 
 def test_trace_csv_and_summary(tmp_path):
