@@ -6,7 +6,7 @@ bit source, encode/select/decode logic) one-time-pads every encoded input
 against in-situ data-leakage implants; a copy's internal xor of inputs in
 the same random-bit group cancels the pad. Ships a simulator,
 an attacker model with information-theoretic leakage metrics, a
-fault-tolerant spare/replay variant, cost proxies, and an image-filtering
+fault-tolerant twin/replay variant, cost proxies, and an image-filtering
 demonstration.
 """
 

@@ -104,8 +104,7 @@ def cmd_check(args) -> int:
     if any(w.startswith(RANDOM_PREFIX) for w in n.inputs) or any(
             g.zone == UNTRUSTED or g.replica is not None for g in n.gates):
         d = design_from_netlist(n)
-        facts += ", %d copies, G=%d" % (
-            len({g.replica for g in d.untrusted_gates()}), d.config.groups)
+        facts += ", %d copies, G=%d" % (d.copy_count, d.config.groups)
     print("%s: ok (%s)" % (args.netlist, facts))
     return 0
 

@@ -1,11 +1,12 @@
-"""Fault-tolerant variant: spare copy, miscompare detection, voted replay.
+"""Fault-tolerant variant: twin copies, miscompare detection, voted replay.
 
-transform_ft() extends a 1-random-bit design with a third untrusted copy of
-the function. Trusted per-input selectors (mux on the random bit) steer the
-spare onto exactly the input vector of whichever main copy is currently
-selected, so in fault-free operation the spare mirrors the selected copy
-bit for bit. A trusted comparator xors spare against selected output and
-or-reduces into a single miscompare wire.
+transform_ft() extends a 1-random-bit design with twins: copies 2 and 3
+are built like copies 0 and 1, from the same input map, so no copy reads
+an unpadded input. A trusted mux on the random bit picks the selected
+copy's twin, and a trusted comparator xors it against the selected output
+and or-reduces into a single miscompare wire: duplication with comparison,
+and with the 2-of-3 vote below triple modular redundancy (Lyons and
+Vanderkulk, IBM J. 1962).
 
 ft_simulate() runs the two-phase protocol around that datapath:
 
@@ -13,9 +14,9 @@ ft_simulate() runs the two-phase protocol around that datapath:
             and advance. Miscompare: latch e, buffer the suspect output,
             save the inputs and the random bit.
   phase 2   one replay step with the saved inputs and saved random bit
-            (the transient has expired by then). All three copies now act
-            as triple-modular redundancy; the per-output majority vote
-            replaces the buffered value, e clears, phase 1 resumes.
+            (the transient has expired by then). Copy 0, copy 1 and the
+            selected twin vote 2-of-3 per output; the vote replaces the
+            buffered value, e clears, phase 1 resumes.
 
 Every logical cycle c draws exactly one random bit, stream bit c: phase 1
 draws it and a replay reuses the saved bit, which is sim.r_columns' layout
@@ -28,10 +29,10 @@ plans, replay chains and the replay-limit flag keep the per-step semantics.
 Calls on one design, stimulus and seed share one fault-free pass.
 
 Under the single-transient fault assumption the committed stream equals
-the fault-free reference: the selected copy and the spare recompute
-identical correct values on replay, so the vote is decided regardless of
-what the unselected copy (which legitimately computes on complemented
-inputs) produces. A fault that survives into replays is counted; hitting
+the fault-free reference: the selected copy and its twin recompute
+identical correct values on replay, so the vote is decided whatever the
+unselected copy and its twin (which legitimately compute on complemented
+inputs) produce. A fault that survives into replays is counted; hitting
 the replay limit raises a permanent-fault suspicion flag in the trace.
 Purging a permanently faulty copy is reported, never performed.
 """
@@ -46,16 +47,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bits import unpack
 from .netlist import Gate, Netlist
-from .recordize import (COMPARE_PREFIX, MISCOMPARE_WIRE, SPARE_INPUT_PREFIX,
+from .recordize import (COMPARE_PREFIX, MISCOMPARE_WIRE, TWIN_SELECT_PREFIX,
                         VOTE_PAIR_PREFIXES, VOTE_PREFIX, PartitionedDesign,
-                        RecordConfig, _record_parts, build_replica,
-                        random_wire, replica_input_map, replica_wire,
-                        selected_wire)
+                        RecordConfig, _record_parts, random_wire,
+                        replica_wire, selected_wire)
 from .rng import RngSpec
 from .sim import Stimulus, simulate, simulate_netlist
 
 REPLAY_LIMIT = 3
-SPARE = 2
 
 
 class FaultPlanError(Exception):
@@ -64,9 +63,9 @@ class FaultPlanError(Exception):
 
 @dataclass(frozen=True)
 class FTDesign:
-    """The spare-augmented design and the source netlist it was built from.
-    Its spare, selector, comparator and vote wires are read off recordize's
-    reserved names, like every other wire role of the design."""
+    """The twin-augmented design and the source netlist it was built from.
+    Its twin, comparator and vote wires are read off recordize's reserved
+    names, like every other wire role of the design."""
 
     design: PartitionedDesign
     source: Netlist
@@ -83,30 +82,22 @@ class FTDesign:
 
 
 def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
-    """Build the spare-augmented design; only single-group configs apply."""
+    """Build the twin-augmented design; only single-group configs apply."""
     if cfg.groups != 1:
         raise ValueError("the fault-tolerant construction uses exactly one "
                          "random bit (got %d groups)" % cfg.groups)
-    name, inputs, outputs, gates, leaves = _record_parts(n, cfg)
+    name, inputs, outputs, gates, leaves = _record_parts(n, cfg, 4)
     r1 = random_wire(1)
-    rep0 = replica_input_map(cfg, n.inputs, 0)
-    rep1 = replica_input_map(cfg, n.inputs, 1)
-    spare_inputs = {i: SPARE_INPUT_PREFIX + i for i in n.inputs}
-    for i, w in spare_inputs.items():
-        gates.append(Gate("MUX2", w, (r1, rep0[i], rep1[i])))
-    spare_gates, spare_outputs = build_replica(n, SPARE, spare_inputs)
-    gates.extend(spare_gates)
-
     cmp_wires = tuple(COMPARE_PREFIX + o for o in n.outputs)
     for o, w in zip(n.outputs, cmp_wires):
-        gates.append(Gate("XOR", w, (spare_outputs[o], selected_wire(o))))
-    if len(cmp_wires) == 1:
-        gates.append(Gate("BUF", MISCOMPARE_WIRE, (cmp_wires[0],)))
-    else:
-        gates.append(Gate("OR", MISCOMPARE_WIRE, cmp_wires))
+        twin = TWIN_SELECT_PREFIX + o
+        gates.append(Gate("MUX2", twin, (r1, leaves[2][o], leaves[3][o])))
+        gates.append(Gate("XOR", w, (twin, selected_wire(o))))
+    gates.append(Gate("OR" if len(cmp_wires) > 1 else "BUF", MISCOMPARE_WIRE,
+                      cmp_wires))
 
     for o in n.outputs:
-        a, b, c = leaves[0][o], leaves[1][o], spare_outputs[o]
+        a, b, c = leaves[0][o], leaves[1][o], TWIN_SELECT_PREFIX + o
         terms = tuple(p + o for p in VOTE_PAIR_PREFIXES)
         for w, ins in zip(terms, ((a, b), (a, c), (b, c))):
             gates.append(Gate("AND", w, ins))
@@ -144,7 +135,7 @@ class FaultPlan:
                 raise FaultPlanError("more than one fault at cycle %d "
                                      "(single-fault assumption)" % inj.cycle)
             seen_cycles.add(inj.cycle)
-            if not 0 <= inj.replica <= SPARE:
+            if not 0 <= inj.replica < ft.design.copy_count:
                 raise FaultPlanError("unknown replica %d" % inj.replica)
             if inj.wire not in ft.fault_sites:
                 raise FaultPlanError(

@@ -38,6 +38,9 @@ def read_pgm(path) -> Tuple[int, int, int, List[int]]:
     count = width * height
     i = header.end()
     if magic == b"P5":
+        if data[i:i + 1].strip():  # maxval ends at '#', not whitespace
+            raise ValueError("malformed PGM: no whitespace after maxval in %s"
+                             % path)
         raster = data[i + 1:i + 1 + count]  # one byte after maxval
         stray = raster.translate(None, bytes(range(maxval + 1)))
     elif magic == b"P2":

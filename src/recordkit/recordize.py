@@ -31,10 +31,10 @@ This module owns every reserved ("__"-prefixed) wire name, including those
 of the fault-tolerant variant. A design is its netlist and its random
 stream: the config is read off the __t_ encode gates, and every wire role
 (random inputs, source ports, encoded and decoded outputs, replica copies,
-FT selectors and votes) is read off those names, never stored beside them.
-Every design, from transform(), transform_ft(), rekey() or a loaded file,
-is checked against those names and the closure rule when it is
-constructed, once per design object, and a failed check raises
+FT twins, comparators and votes) is read off those names, never stored
+beside them. Every design, from transform(), transform_ft(), rekey() or a
+loaded file, is checked against those names and the closure rule when it
+is constructed, once per design object, and a failed check raises
 NetlistError.
 """
 
@@ -56,8 +56,8 @@ ENCODE_COMPLEMENT_PREFIX = "__tn_"  # x xnor r, read by copies with bit 1
 SELECT_PREFIX = "__m_"             # mux tree over the copies
 ENCODED_OUT_PREFIX = "__y_"        # selected output xor r1, leaves the design
 DECODED_OUT_PREFIX = "__z_"        # encoded output xor r1, plain f(x)
-SPARE_INPUT_PREFIX = "__s_"        # FT: spare copy input selectors
-COMPARE_PREFIX = "__cmp_"          # FT: spare vs selected output
+TWIN_SELECT_PREFIX = "__mt_"       # FT: mux over the twins, as __m_ is
+COMPARE_PREFIX = "__cmp_"          # FT: selected twin vs selected output
 MISCOMPARE_WIRE = "__e"            # FT: or-reduced miscompare flag
 VOTE_PAIR_PREFIXES = ("__vab_", "__vac_", "__vbc_")  # FT: 2-of-3 terms
 VOTE_PREFIX = "__v_"               # FT: per-output majority vote
@@ -183,9 +183,7 @@ class PartitionedDesign:
             g = next(g for g in self.untrusted_gates() if g.replica is None)
             raise NetlistError("untrusted gate %r has no replica index"
                                % g.out, g.line)
-        copies = self.replica_count
-        if MISCOMPARE_WIRE in self.netlist.outputs:
-            copies += 1  # an FT netlist also carries the spare copy 2^G
+        copies = self.copy_count
         if replicas != set(range(copies)):
             raise NetlistError("expected replica indices 0..%d, found %s"
                                % (copies - 1, sorted(replicas)))
@@ -270,6 +268,12 @@ class PartitionedDesign:
     def replica_count(self) -> int:
         return 1 << self.config.groups
 
+    @property
+    def copy_count(self) -> int:
+        """Every copy the netlist carries: the 2^G the mux tree selects
+        among, and on an FT netlist (one with a __e output) their twins."""
+        return self.replica_count << (MISCOMPARE_WIRE in self.netlist.outputs)
+
     def untrusted_gates(self) -> List[Gate]:
         return [g for g in self.netlist.gates if g.zone == UNTRUSTED]
 
@@ -317,12 +321,14 @@ def transform(n: Netlist, cfg: RecordConfig) -> PartitionedDesign:
     return PartitionedDesign(Netlist(name, inputs, outputs, tuple(gates)))
 
 
-def _record_parts(n: Netlist, cfg: RecordConfig) -> Tuple[
+def _record_parts(n: Netlist, cfg: RecordConfig,
+                  copies: Optional[int] = None) -> Tuple[
         str, Tuple[str, ...], Tuple[str, ...], List[Gate],
         List[Dict[str, str]]]:
     """transform's netlist as unvalidated (name, inputs, outputs, gates),
     plus the wire carrying each output of each copy, so that a caller
-    extending the gate list builds and checks one netlist."""
+    extending the gate list builds and checks one netlist. Of the copies
+    (2^G by default), copy c reads what copy c mod 2^G reads."""
     cfg.validate(n)
     _reject_reserved(n)
     g_of = cfg.group_assignment
@@ -339,7 +345,7 @@ def _record_parts(n: Netlist, cfg: RecordConfig) -> Tuple[
             gates.append(Gate("XNOR", ENCODE_COMPLEMENT_PREFIX + i, (i, r)))
 
     leaves: List[Dict[str, str]] = []
-    for c in range(1 << big_g):
+    for c in range(1 << big_g if copies is None else copies):
         copy, outs = build_replica(n, c, replica_input_map(cfg, n.inputs, c))
         gates.extend(copy)
         leaves.append(outs)

@@ -71,9 +71,9 @@ def tap(d: PartitionedDesign, t: SimTrace,
     was constructed, so no view holds a random wire or a raw randomized
     input.
     """
-    if replica is not None and not 0 <= replica < d.replica_count:
+    if replica is not None and not 0 <= replica < d.copy_count:
         raise LeakError("no replica %d in a %d-copy design"
-                        % (replica, d.replica_count))
+                        % (replica, d.copy_count))
     visible = set()
     for g in d.untrusted_gates():
         if replica is None or g.replica == replica:
@@ -190,7 +190,7 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
     """
     lt, n = tap(d, t, replica=replica), t.cycles
     decoded = dict(zip(d.source_outputs, d.decoded_outputs))
-    copies = range(d.replica_count) if replica is None else (replica,)
+    copies = range(d.copy_count) if replica is None else (replica,)
     source_of = {w: i for i, w in d.replica_input_wires(replica or 0).items()
                  if w in lt}
     pair_source = {w: i for k in copies

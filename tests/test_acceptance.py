@@ -172,7 +172,7 @@ def test_criterion_6_fault_tolerance_campaign():
     wires = [g.out for g in m9.gates]
     total = 0
     failures = 0
-    for replica in (0, 1, 2):
+    for replica in range(ft.design.copy_count):
         for wire in wires:
             for value in (0, 1):
                 plan = FaultPlan((FaultInjection(17, replica, wire, value),))

@@ -31,7 +31,7 @@ def test_check_loads_a_design_and_reports_its_copies(tmp_path, capsys):
     for name, facts in [
             ("maj9.nl", "9 inputs, 1 outputs, 127 gates"),
             ("r2.nl", "11 inputs, 2 outputs, 531 gates, 4 copies, G=2"),
-            ("ft.nl", "10 inputs, 4 outputs, 417 gates, 3 copies, G=1")]:
+            ("ft.nl", "10 inputs, 4 outputs, 536 gates, 4 copies, G=1")]:
         assert run("check", tmp_path / name) == 0
         assert capsys.readouterr().out == "%s: ok (%s)\n" % (
             tmp_path / name, facts)

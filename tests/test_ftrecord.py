@@ -9,14 +9,16 @@ from test_sim import words
 from recordkit import netlist
 from recordkit.fixtures import fixture_generate
 from recordkit.netlist import Evaluator, parse_netlist
-from recordkit.recordize import (MISCOMPARE_WIRE, SPARE_INPUT_PREFIX,
+from recordkit.recordize import (MISCOMPARE_WIRE, TWIN_SELECT_PREFIX,
                                  VOTE_PREFIX, PartitionedDesign, RecordConfig,
-                                 partition_check, replica_wire, selected_wire)
+                                 partition_check, replica_wire, selected_wire,
+                                 transform)
 from recordkit.rng import RngSpec
-from recordkit.ftrecord import (REPLAY_LIMIT, SPARE, FaultInjection,
-                                FaultPlan, FaultPlanError, FTStep, FTTrace,
-                                ft_simulate, transform_ft)
-from recordkit.sim import Stimulus
+from recordkit.ftrecord import (REPLAY_LIMIT, FaultInjection, FaultPlan,
+                                FaultPlanError, FTStep, FTTrace, ft_simulate,
+                                transform_ft)
+from recordkit.sim import Stimulus, simulate
+from recordkit.trojan import leak_report
 
 
 def _ft_maj9():
@@ -29,13 +31,52 @@ def _ft_and2():
     return n, transform_ft(n, RecordConfig.checkerboard(n, 1))
 
 
-def test_three_replicas_built():
+def test_four_copies_built():
     m9, ft = _ft_maj9()
     replicas = {g.replica for g in ft.design.untrusted_gates()}
-    assert replicas == {0, 1, 2}
-    for k in (0, 1, 2):
+    assert replicas == {0, 1, 2, 3}
+    assert (ft.design.replica_count, ft.design.copy_count) == (2, 4)
+    for k in (0, 1, 2, 3):
         assert sum(g.replica == k
                    for g in ft.design.untrusted_gates()) == len(m9.gates)
+
+
+@pytest.mark.parametrize("name", ["maj9", "adder4"])
+def test_ft_netlist_extends_the_plain_transform(name):
+    # every gate of the plain transform, in its order; the rest are the
+    # twins and the trusted twin mux, comparators and votes
+    n = fixture_generate(name)
+    cfg = RecordConfig.checkerboard(n, 1)
+    plain = transform(n, cfg).netlist.gates
+    gates = transform_ft(n, cfg).design.netlist.gates
+    kept = set(plain)
+    assert tuple(g for g in gates if g in kept) == plain
+    extra = [g for g in gates if g not in kept]
+    assert len(extra) == 2 * len(n.gates) + 6 * len(n.outputs) + 1
+    assert {g.replica for g in extra if g.zone == "untrusted"} == {2, 3}
+
+
+def test_twins_read_only_their_originals_encodings():
+    m9, ft = _ft_maj9()
+    drivers = ft.design.netlist.drivers()
+    for g in ft.design.untrusted_gates():
+        if g.replica >= 2:
+            k = g.replica - 2
+            original = drivers[g.out.replace(replica_wire(g.replica, ""),
+                                             replica_wire(k, ""), 1)]
+            assert original.replica == k and g.kind == original.kind
+            assert g.ins == tuple(
+                w.replace(replica_wire(k, ""), replica_wire(g.replica, ""), 1)
+                for w in original.ins)
+    # and so no twin wire carries a source input: each copy's view of a
+    # long uniform run stays below 0.01 bits against every input
+    t = simulate(ft.design, Stimulus.uniform(20000, seed=12), RngSpec(13))
+    for k in (2, 3):
+        rows = leak_report(ft.design, t, replica=k).wire_mi
+        assert len(rows) > len(m9.gates)
+        worst = max(mi for row in rows.values()
+                    for mi in row["input"].values())
+        assert worst < 0.01, (k, worst)
 
 
 def test_partition_check_passes():
@@ -61,9 +102,9 @@ def test_transform_ft_validates_and_wraps_one_netlist(monkeypatch):
     assert calls == ["maj9_record1_ft", ft.design]
 
 
-def test_spare_mirrors_selected_exhaustively():
-    # all 2^(9+1) combinations: spare output equals selected output, no
-    # miscompare ever
+def test_twin_mux_mirrors_selected_exhaustively():
+    # all 2^(9+1) combinations: the twin mux equals the selected output and
+    # no miscompare ever, in the run plan and gate by physical gate
     m9, ft = _ft_maj9()
     total_bits = 10
     count = 1 << total_bits
@@ -76,9 +117,25 @@ def test_spare_mirrors_selected_exhaustively():
 
     values = {w: column(i) for i, w in enumerate(m9.inputs)}
     values["__r1"] = column(9)
-    v = Evaluator(ft.design.netlist).run(values, mask=mask)
-    assert v[replica_wire(SPARE, "y")] == v[selected_wire("y")]
-    assert v[MISCOMPARE_WIRE] == 0
+    ev = Evaluator(ft.design.netlist)
+    physical = dict(values)
+    netlist._evaluate(ev._ops, physical, mask)
+    for v in (ev.run(values, mask=mask), physical):
+        assert v[TWIN_SELECT_PREFIX + "y"] == v[selected_wire("y")]
+        assert v[MISCOMPARE_WIRE] == 0
+
+
+def test_twins_are_bufs_in_the_plan_and_faults_stay_on_them():
+    m9, ft = _ft_maj9()
+    ev = ft.design.netlist.evaluator
+    plan = {op[2]: op for op in ev._plan}
+    copy0 = {replica_wire(0, g.out) for g in m9.gates}
+    for g in m9.gates:
+        for twin in (2, 3):
+            original = replica_wire(twin - 2, g.out)
+            assert plan[replica_wire(twin, g.out)] == (
+                "BUF", False, replica_wire(twin, g.out), (original,))
+        assert not copy0 & {op[2] for op in ev.fanout(replica_wire(2, g.out))}
 
 
 def test_fault_free_run_clean():
@@ -125,6 +182,21 @@ def test_unselected_replica_fault_invisible():
     assert all(s.e == 0 for s in trace.steps)
 
 
+def test_unselected_twin_fault_invisible():
+    _, ft = _ft_maj9()
+    # a fault on the twin of the copy that is not selected reaches neither
+    # the twin mux nor the vote
+    probe = ft_simulate(ft, Stimulus.uniform(100, seed=5), RngSpec(6))
+    for r, twin in ((1, 2), (0, 3)):
+        target = next(s.step for s in probe.steps if s.r == r)
+        ref_bit = probe.reference[target]["y"]
+        plan = FaultPlan((FaultInjection(target, twin, "y", 1 - ref_bit),))
+        trace = ft_simulate(ft, Stimulus.uniform(100, seed=5), RngSpec(6),
+                            plan)
+        assert trace.clean
+        assert all(s.e == 0 for s in trace.steps)
+
+
 def test_repeat_injection_flags_permanent_suspect():
     _, ft = _ft_and2()
     stim = Stimulus.from_vectors([(1, 1)] * 50)
@@ -159,7 +231,7 @@ def test_single_transient_campaign_small():
     n, ft = _ft_and2()
     stim = Stimulus.uniform(40, seed=8)
     wires = [g.out for g in n.gates]
-    for replica in (0, 1, 2):
+    for replica in range(ft.design.copy_count):
         for wire in wires:
             for value in (0, 1):
                 plan = FaultPlan((FaultInjection(11, replica, wire, value),))
@@ -169,8 +241,11 @@ def test_single_transient_campaign_small():
 
 def test_fault_plan_validation():
     _, ft = _ft_maj9()
-    with pytest.raises(FaultPlanError, match="unknown replica"):
-        FaultPlan((FaultInjection(0, 5, "y", 1),)).validate(ft)
+    for replica in (4, 5, -1):
+        with pytest.raises(FaultPlanError) as e:
+            FaultPlan((FaultInjection(0, replica, "y", 1),)).validate(ft)
+        assert str(e.value) == "unknown replica %d" % replica
+    FaultPlan((FaultInjection(0, 3, "y", 1),)).validate(ft)
     with pytest.raises(FaultPlanError, match="not a gate-driven"):
         FaultPlan((FaultInjection(0, 0, "x1", 1),)).validate(ft)
     with pytest.raises(FaultPlanError, match="not a gate-driven"):
@@ -216,20 +291,6 @@ def test_voter_majority_truth_table():
         a, b, c = (x >> 2) & 1, (x >> 1) & 1, x & 1
         assert ev.run({"a": a, "b": b, "c": c})["v"] == \
             (1 if a + b + c >= 2 else 0)
-
-
-def test_spare_processes_selected_inputs_every_cycle():
-    # the confidentiality tension: in normal operation the spare sees the
-    # same input vector as the selected copy
-    m9, ft = _ft_maj9()
-    from recordkit.sim import simulate
-    t = simulate(ft.design, Stimulus.uniform(256, seed=12), RngSpec(13))
-    for c in range(256):
-        r = t.wires["__r1"] >> c & 1
-        sel = ft.design.replica_input_wires(r)
-        for i in m9.inputs:
-            assert (t.wires[SPARE_INPUT_PREFIX + i]
-                    ^ t.wires[sel[i]]) >> c & 1 == 0
 
 
 def test_trace_csv_export(tmp_path):
@@ -341,7 +402,7 @@ def _oracle_cases(draw):
                  max_size=len(n.inputs)),
         min_size=cycles, max_size=cycles))
     wires = [g.out for g in n.gates]
-    fault = st.tuples(st.integers(0, 2), st.sampled_from(wires),
+    fault = st.tuples(st.integers(0, 3), st.sampled_from(wires),
                       st.integers(0, 1))
     by_step = {}
     # up to three faults each held over a run of steps (replay chains, the
@@ -422,7 +483,8 @@ def test_phase_one_stays_word_parallel(monkeypatch):
 
 
 def _plan_with_replays():
-    # the spare's output stuck at 0 for ten steps, then two more faults
+    # copy 2's output (copy 0's twin) stuck at 0 for ten steps, then two
+    # more faults
     return FaultPlan(tuple(FaultInjection(c, 2, "y", 0) for c in range(3, 13))
                      + (FaultInjection(20, 0, "y", 1),
                         FaultInjection(21, 1, "y", 0)))

@@ -429,7 +429,7 @@ def test_config_is_frozen_and_its_grouping_read_only():
 EDIT_TOKENS = (
     "__r1", "__r2", "__r3", "__t_x1", "__tn_x1", "__t_a0", "__tn_b0",
     "__f0_y", "__f1_y", "__f3_y", "__f0_s0", "__f1_s0", "__f2_c2",
-    "__y_y", "__z_y", "__y_s0", "__z_s0", "__m_y", "__s_x1", "__e",
+    "__y_y", "__z_y", "__y_s0", "__z_s0", "__m_y", "__mt_y", "__e",
     "x1", "x5", "a0", "b3", "y", "s0", "cout", "module", "input", "output",
     "attr", "zone", "trusted", "untrusted", "replica", "xor", "xnor", "and",
     "or", "not", "buf", "mux2", "end", "0", "1", "2", "3")
@@ -472,16 +472,20 @@ def _assert_copy_rules(d: PartitionedDesign) -> None:
 
 
 @lru_cache(maxsize=None)
-def _design_text(fixture: str, groups: int) -> str:
+def _design_text(fixture: str, groups) -> str:
+    """The transform's text at G=groups, or transform_ft's for "ft"."""
     n = fixture_generate(fixture)
-    text = write_netlist(transform(n, RecordConfig.checkerboard(n, groups))
-                         .netlist)
+    if groups == "ft":
+        d = transform_ft(n, RecordConfig.checkerboard(n, 1)).design
+    else:
+        d = transform(n, RecordConfig.checkerboard(n, groups))
+    text = write_netlist(d.netlist)
     _assert_copy_rules(design_from_netlist(parse_netlist(text)))
     return text
 
 
-@pytest.mark.parametrize("groups", [1, 2])
-@pytest.mark.parametrize("fixture", ["maj9", "adder4"])
+@pytest.mark.parametrize("fixture, groups", [
+    ("adder4", 1), ("adder4", 2), ("maj9", 1), ("maj9", 2), ("maj9", "ft")])
 @settings(max_examples=200, deadline=None)
 @given(rng=st.randoms(use_true_random=False))
 def test_edited_design_text_is_a_design_or_a_netlist_error(

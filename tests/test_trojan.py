@@ -8,8 +8,9 @@ from test_recordize import designs
 from recordkit import trojan
 from recordkit.bits import pack
 from recordkit.fixtures import fixture_generate
+from recordkit.ftrecord import transform_ft
 from recordkit.netlist import Gate, NetlistError, parse_netlist
-from recordkit.recordize import RecordConfig, transform
+from recordkit.recordize import RecordConfig, replica_wire, transform
 from recordkit.rng import RngSpec, packed_bits
 from recordkit.sim import SimTrace, Stimulus, simulate
 from recordkit.trojan import (LeakError, TriggerSpec, leak_report,
@@ -66,6 +67,29 @@ def test_tap_unknown_replica():
     t = simulate(d, Stimulus.uniform(8, seed=0), RngSpec(0))
     with pytest.raises(LeakError, match="replica"):
         tap(d, t, replica=5)
+
+
+def test_tap_views_every_copy_of_an_ft_design():
+    m9 = fixture_generate("maj9")
+    ft = transform_ft(m9, RecordConfig.checkerboard(m9, 1))
+    t = simulate(ft.design, Stimulus.uniform(256, seed=2), RngSpec(2))
+    for k in range(4):
+        lt = tap(ft.design, t, replica=k)
+        assert replica_wire(k, "y") in lt
+        assert all(not w.startswith("__f") or w.startswith("__f%d_" % k)
+                   for w in lt.wires)
+        report = leak_report(ft.design, t, replica=k)
+        assert [s.name for s in report.strategies][0] == (
+            "pick-replica(%d,y)" % k)
+    full = leak_report(ft.design, t).strategies
+    # a twin is its original gate for gate: same stream, same score
+    assert [s.accuracy for s in full[:4]] == [full[0].accuracy,
+                                              full[1].accuracy] * 2
+    for d, copies in ((ft.design, 4), (_maj9_design()[1], 2)):
+        with pytest.raises(LeakError) as e:
+            tap(d, t, replica=copies)
+        assert str(e.value) == "no replica %d in a %d-copy design" % (
+            copies, copies)
 
 
 def _accuracy(guess, truth, n):
