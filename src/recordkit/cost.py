@@ -76,6 +76,8 @@ def depth(n: Netlist, outputs: Optional[Iterable[str]] = None) -> float:
 
 @dataclass
 class ActivityReport:
+    """Toggles between consecutive cycles, in all and weighted by area."""
+
     total_toggles: int
     weighted_activity: float
 
@@ -110,6 +112,8 @@ def _ratio(num: float, den: float) -> Optional[float]:  # None: undefined
 
 @dataclass
 class CostReport:
+    """Area, depth and switching activity of a source and its design."""
+
     area_original: float
     area_transformed: float
     area_untrusted: float

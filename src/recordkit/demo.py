@@ -72,6 +72,8 @@ _MAJORITY = bytes(5) + b"\1" * 5 + bytes(246)  # window sums 5..9 to 1
 
 @dataclass
 class ImageDemoConfig:
+    """Settings of one image-demo run, checked when constructed."""
+
     out_dir: str
     input_path: Optional[str] = None
     variant: str = "record1"
@@ -91,6 +93,8 @@ class ImageDemoConfig:
 
 @dataclass
 class DemoResult:
+    """Paths of the written images, the leak scores and the report."""
+
     original_path: str
     enhanced_path: str
     leaked_path: str
@@ -238,6 +242,8 @@ def _design_for(variant: str) -> Tuple[Netlist, Optional[PartitionedDesign]]:
 
 @dataclass
 class _VariantRun:
+    """One variant's filtered image, its leak estimates and its run."""
+
     enhanced: List[int]
     estimates: List[int]             # 8 neighbor-difference bitplanes
     same_group: List[int]            # indices into estimates

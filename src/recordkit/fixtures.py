@@ -64,14 +64,15 @@ def make_aes_sbox() -> Netlist:
     gates: List[Gate] = []
     for i in range(8):
         gates.append(Gate("NOT", "nx%d" % i, ("x%d" % i,)))
+    # minterm v's literals, built once and shared by the 8 output bits
+    lits = [tuple(("x%d" if (v >> i) & 1 else "nx%d") % i
+                  for i in range(7, -1, -1)) for v in range(256)]
     for bit in range(8):
         terms = []
         for v in range(256):
             if (table[v] >> bit) & 1:
-                lits = tuple(("x%d" if (v >> i) & 1 else "nx%d") % i
-                             for i in range(7, -1, -1))
                 t = "t%d_%02x" % (bit, v)
-                gates.append(Gate("AND", t, lits))
+                gates.append(Gate("AND", t, lits[v]))
                 terms.append(t)
         gates.append(Gate("OR", "y%d" % bit, tuple(terms)))
     return Netlist("aes_sbox", inputs,

@@ -121,6 +121,8 @@ class FaultInjection:
 
 @dataclass
 class FaultPlan:
+    """The fault injections of one run, at most one per protocol step."""
+
     injections: Tuple[FaultInjection, ...] = ()
 
     def __post_init__(self):
@@ -171,8 +173,10 @@ class FaultPlan:
             return cls.from_json(json.load(f))
 
 
-@dataclass
+@dataclass(slots=True)
 class FTStep:
+    """One protocol step: phase, logical cycle, flags and outputs held."""
+
     step: int
     phase: int
     logical_cycle: int
@@ -185,6 +189,8 @@ class FTStep:
 
 @dataclass
 class FTTrace:
+    """A run's steps, its committed and reference outputs, any suspicion."""
+
     steps: List[FTStep]
     committed: List[Dict[str, int]]
     reference: List[Dict[str, int]]

@@ -95,8 +95,10 @@ class NetlistError(Exception):
         super().__init__(loc + message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
+    """One gate, and the source line it came from, which is not compared."""
+
     kind: str
     out: str
     ins: Tuple[str, ...]
@@ -104,9 +106,28 @@ class Gate:
     replica: Optional[int] = None
     line: Optional[int] = field(default=None, compare=False, repr=False)
 
+    def __init__(self, kind: str, out: str, ins: Tuple[str, ...],
+                 zone: str = TRUSTED, replica: Optional[int] = None,
+                 line: Optional[int] = None):
+        _set_kind(self, kind)
+        _set_out(self, out)
+        _set_ins(self, ins)
+        _set_zone(self, zone)
+        _set_replica(self, replica)
+        _set_line(self, line)
+
+
+# Each slot's own setter, bound once: it stores a field directly, where a
+# frozen dataclass's generated __init__ calls object.__setattr__ per field.
+_set_kind, _set_out, _set_ins, _set_zone, _set_replica, _set_line = (
+    Gate.kind.__set__, Gate.out.__set__, Gate.ins.__set__,
+    Gate.zone.__set__, Gate.replica.__set__, Gate.line.__set__)
+
 
 @dataclass(frozen=True)
 class Netlist:
+    """A named module's ports and gates, validated when constructed."""
+
     name: str
     inputs: Tuple[str, ...]
     outputs: Tuple[str, ...]

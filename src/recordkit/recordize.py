@@ -309,8 +309,9 @@ def build_replica(n: Netlist, k: int, inputs: Mapping[str, str]
     """Untrusted copy k of n reading inputs[i] in place of source input i:
     the copy's gates in n's order and the wire carrying each output."""
     wire = dict(inputs)
-    wire.update((g.out, replica_wire(k, g.out)) for g in n.gates)
-    gates = [Gate(g.kind, wire[g.out], tuple(wire[w] for w in g.ins),
+    outs = [g.out for g in n.gates]
+    wire.update(zip(outs, map(replica_wire(k, "").__add__, outs)))
+    gates = [Gate(g.kind, wire[g.out], tuple(map(wire.__getitem__, g.ins)),
                   UNTRUSTED, k) for g in n.gates]
     return gates, {o: wire[o] for o in n.outputs}
 

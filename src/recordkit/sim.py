@@ -168,6 +168,8 @@ def simulate_netlist(n: Netlist, stim: Stimulus) -> SimTrace:
 
 @dataclass(frozen=True)
 class Counterexample:
+    """A failing case: its index, inputs, random bits and both outputs."""
+
     index: int
     x: Dict[str, int]
     r: Dict[str, int]
@@ -177,6 +179,8 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class Verdict:
+    """How many cases a check ran, in which mode, and the first failure."""
+
     cases: int
     mode: str
     counterexample: Optional[Counterexample] = None

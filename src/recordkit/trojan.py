@@ -143,6 +143,8 @@ def mutual_information(a: int, b: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class PairMI:
+    """MI in bits between two tapped wires' xor and their sources' xor."""
+
     a: str
     b: str
     mi: float
@@ -150,6 +152,8 @@ class PairMI:
 
 @dataclass(frozen=True)
 class StrategyScore:
+    """A named guessing strategy and the share of cycles it got right."""
+
     name: str
     accuracy: float
 
@@ -265,6 +269,8 @@ class TriggerSpec:
 
 @dataclass
 class TriggerStats:
+    """A trigger's cycle count, its firing cycles and its analytic rate."""
+
     cycles: int
     fired: int  # bit c set when the pattern matched in cycle c
     analytic_rate: float

@@ -1,8 +1,10 @@
+import copy
 import gc
+import pickle
 import random
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest.mock import patch
 
 import pytest
@@ -23,7 +25,27 @@ def test_parse_smallest_module():
     assert n.inputs == ("a",)
     assert n.outputs == ("y",)
     assert len(n.gates) == 1
-    assert n.gates[0] == Gate("NOT", "y", ("a",))
+    g = n.gates[0]
+    assert g == Gate("NOT", "y", ("a",)) and g.line == 4
+    # the gate record: slotted and frozen; its line is neither compared,
+    # hashed nor shown, and replace, copy and pickle keep it
+    assert not hasattr(g, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        g.out = "z"
+    assert hash(g) == hash(Gate("NOT", "y", ("a",)))
+    assert repr(g) == ("Gate(kind='NOT', out='y', ins=('a',), "
+                       "zone='trusted', replica=None)")
+    assert replace(g, out="z") == Gate("NOT", "z", ("a",))
+    assert replace(g, out="z").line == 4
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and twin.line == 4
+    # each form sets all six fields, each to its own value
+    names = [f.name for f in fields(Gate)]
+    values = ("AND", "y", ("a", "b"), "untrusted", 2, 7)
+    for built in (Gate(*values), Gate(**dict(zip(names, values)))):
+        assert tuple(getattr(built, f) for f in names) == values
+    assert tuple(getattr(Gate("AND", "y", ("a", "b")), f) for f in names) \
+        == ("AND", "y", ("a", "b"), "trusted", None, None)
 
 
 def test_duplicate_driver():
