@@ -24,8 +24,10 @@ for one random bit. The FT netlist is combinational, so any step of logical
 cycle c, a replay included, is lane c of one fault-free packed pass over
 all cycles (simulate() of the FT design; simulate_netlist() of the source
 gives the reference) unless a fault is forced at it. Such a step forces
-lane c and re-evaluates only the forced wire's fanout cone, so multi-fault
-plans, replay chains and the replay-limit flag keep the per-step semantics.
+lane c and re-evaluates only the forced wire's fanout cone. Clean phase-1
+spans are committed in bulk from that pass, and the protocol steps one at
+a time only at forced steps, miscompares and replays, so multi-fault plans,
+replay chains and the replay-limit flag keep the per-step semantics.
 Calls on one design, stimulus and seed share one fault-free pass.
 
 Under the single-transient fault assumption the committed stream equals
@@ -41,8 +43,10 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bits import unpack
@@ -74,6 +78,14 @@ class FTDesign:
     def fault_sites(self) -> FrozenSet[str]:
         """The source's gate-driven wires, where a fault may be forced."""
         return frozenset(g.out for g in self.source.gates)
+
+    @cached_property
+    def _reads(self) -> Tuple[str, ...]:
+        """A step's reads: the random bit, __e, selected outputs, votes."""
+        outputs = self.source.outputs
+        return ((self.design.random_wires[0], MISCOMPARE_WIRE)
+                + tuple(selected_wire(o) for o in outputs)
+                + tuple(VOTE_PREFIX + o for o in outputs))
 
     @cached_property
     def _memo(self) -> dict:
@@ -217,6 +229,14 @@ class FTTrace:
                 w.writerow(row)
 
 
+def _pair_rows(outputs: Sequence[str], words: Sequence[int],
+               count: int) -> tuple:
+    """Each lane's (output, bit) pairs; equal rows share one tuple."""
+    rows = list(zip(*(unpack(w, count) for w in words)))
+    pairs = {row: tuple(zip(outputs, row)) for row in set(rows)}
+    return tuple(map(pairs.__getitem__, rows))
+
+
 def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                 faults: Optional[FaultPlan] = None) -> FTTrace:
     """Run the two-phase detect/replay protocol over a stimulus. An
@@ -224,12 +244,9 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     faults = faults or FaultPlan()
     faults.validate(ft)
     by_step = {inj.cycle: inj for inj in faults.injections}
+    forced = sorted(by_step)
     outputs = ft.source.outputs
     count = stim.count
-    # a read row is the random bit, __e, the selected outputs, the votes
-    reads = ((ft.design.random_wires[0], MISCOMPARE_WIRE)
-             + tuple(selected_wire(o) for o in outputs)
-             + tuple(VOTE_PREFIX + o for o in outputs))
     votes = 2 + len(outputs)
 
     # a frozen stimulus is its own key: a uniform one is not drawn on a hit
@@ -239,9 +256,12 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
         wires = simulate(ft.design, stim, rng).wires
         ft._memo.clear()
         ft._memo[stim, rng] = entry = (
-            tuple(zip(*(unpack(ref[o], count) for o in outputs))),
-            tuple(zip(*(unpack(wires[w], count) for w in reads))), wires)
-    ref_rows, read_rows, wires = entry
+            _pair_rows(outputs, [ref[o] for o in outputs], count),
+            _pair_rows(outputs, [wires[w] for w in ft._reads[2:votes]],
+                       count),
+            tuple(unpack(wires[ft._reads[0]], count)),
+            wires[MISCOMPARE_WIRE], wires)
+    ref_pairs, selected_pairs, r_bits, mis_word, wires = entry
 
     steps: List[FTStep] = []
     committed: List[Optional[Dict[str, int]]] = [None] * count
@@ -253,14 +273,32 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     suspected_at: Optional[int] = None
 
     while lc < count or phase == 2:
+        if phase == 1:
+            # commit the clean span up to the next forced step or the next
+            # lane where the fault-free pass sets __e in bulk
+            nxt = bisect_left(forced, step)
+            rest = mis_word >> lc
+            end = min(count,
+                      lc + (rest & -rest).bit_length() - 1 if rest else count,
+                      lc + forced[nxt] - step if nxt < len(forced) else count)
+            if end > lc:
+                rows = list(map(dict, selected_pairs[lc:end]))
+                committed[lc:end] = rows
+                steps += map(FTStep, range(step, step + end - lc), repeat(1),
+                             range(lc, end), repeat(0), r_bits[lc:end],
+                             repeat(0), rows, repeat(None))
+                step += end - lc
+                lc = end
+                if lc == count:
+                    break
         inj = by_step.get(step)
         if inj is None:
-            row = read_rows[lc]
+            v = wires
         else:  # force lane lc, re-evaluate the forced wire's cone only
             v = ft.design.netlist.evaluator.rerun(
                 wires, (1 << count) - 1, replica_wire(inj.replica, inj.wire),
                 lc, inj.value)
-            row = tuple((v[w] >> lc) & 1 for w in reads)
+        row = [(v[w] >> lc) & 1 for w in ft._reads]
         r, mis = row[:2]
         if phase == 1:
             m = dict(zip(outputs, row[2:votes]))
@@ -286,5 +324,4 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
             lc += 1
         step += 1
 
-    reference = [dict(zip(outputs, row)) for row in ref_rows]
-    return FTTrace(steps, committed, reference, suspected_at)
+    return FTTrace(steps, committed, list(map(dict, ref_pairs)), suspected_at)

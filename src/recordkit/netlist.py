@@ -342,15 +342,25 @@ class Evaluator:
         _evaluate(self._plan, v, mask)
         return v
 
+    @cached_property
+    def _readers(self) -> Dict[str, List[int]]:
+        """Wire -> positions in ``_ops`` of the ops that read it."""
+        readers: Dict[str, List[int]] = {}
+        for i, op in enumerate(self._ops):
+            for w in op[3]:
+                readers.setdefault(w, []).append(i)
+        return readers
+
     def fanout(self, wire: str) -> Tuple[tuple, ...]:
         """The ops downstream of ``wire`` in dependency order, cached."""
         if wire not in self._fanout:
-            cone, ops = {wire}, []
-            for op in self._ops:
-                if not cone.isdisjoint(op[3]):
-                    cone.add(op[2])
-                    ops.append(op)
-            self._fanout[wire] = tuple(ops)
+            readers, cone, todo = self._readers, set(), [wire]
+            while todo:
+                for i in readers.get(todo.pop(), ()):
+                    if i not in cone:
+                        cone.add(i)
+                        todo.append(self._ops[i][2])
+            self._fanout[wire] = tuple(self._ops[i] for i in sorted(cone))
         return self._fanout[wire]
 
     def rerun(self, wires: Mapping[str, int], mask: int, wire: str,

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_netlist import stuck_at
+from test_netlist import scanned_fanout, stuck_at
 from test_sim import words
 
 from recordkit import netlist
@@ -15,8 +15,8 @@ from recordkit.recordize import (MISCOMPARE_WIRE, TWIN_SELECT_PREFIX,
                                  transform)
 from recordkit.rng import RngSpec
 from recordkit.ftrecord import (REPLAY_LIMIT, FaultInjection, FaultPlan,
-                                FaultPlanError, FTStep, FTTrace, ft_simulate,
-                                transform_ft)
+                                FaultPlanError, FTDesign, FTStep, FTTrace,
+                                ft_simulate, transform_ft)
 from recordkit.sim import Stimulus, simulate
 from recordkit.trojan import leak_report
 
@@ -388,13 +388,19 @@ def _scalar_ft_simulate(ft, stim, rng, faults=None):
 def _oracle_design(name):
     if name == "and2":
         return _ft_and2()
+    if name == "maj9-twin-stuck":
+        # copy 0's twin stuck at 0: __e is set in the fault-free pass itself
+        m9, ft = _oracle_design("maj9")
+        return m9, FTDesign(PartitionedDesign(stuck_at(
+            ft.design.netlist, replica_wire(2, "y"), 0)), m9)
     n = fixture_generate(name)
     return n, transform_ft(n, RecordConfig.checkerboard(n, 1))
 
 
 @st.composite
 def _oracle_cases(draw):
-    name = draw(st.sampled_from(["and2", "maj9", "adder4"]))
+    name = draw(st.sampled_from(["and2", "maj9", "adder4",
+                                 "maj9-twin-stuck"]))
     n, ft = _oracle_design(name)
     cycles = draw(st.integers(1, 60))
     vectors = draw(st.lists(
@@ -480,6 +486,16 @@ def test_phase_one_stays_word_parallel(monkeypatch):
         calls.clear()
         ft_simulate(ft, other_stim, other_rng)
         assert calls == [1000, 1000]
+
+
+@pytest.mark.parametrize("name", ["maj9", "adder4"])
+def test_fanout_of_every_fault_site_equals_the_scan(name):
+    _, ft = _oracle_design(name)
+    ev = ft.design.netlist.evaluator
+    for k in range(ft.design.copy_count):
+        for w in sorted(ft.fault_sites):
+            wire = replica_wire(k, w)
+            assert ev.fanout(wire) == scanned_fanout(ev, wire), wire
 
 
 def _plan_with_replays():

@@ -394,6 +394,16 @@ def stuck_at(n, wire, value):
         for g in n.gates))
 
 
+def scanned_fanout(ev, wire):
+    """The reference fanout: one scan over every op in dependency order."""
+    cone, ops = {wire}, []
+    for op in ev._ops:
+        if not cone.isdisjoint(op[3]):
+            cone.add(op[2])
+            ops.append(op)
+    return tuple(ops)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_dag_over_every_kind(), st.data())
 def test_rerun_equals_a_stuck_at_run_on_its_lane_only(n, data):
@@ -415,6 +425,7 @@ def test_rerun_equals_a_stuck_at_run_on_its_lane_only(n, data):
         assert (word >> lane) & 1 == forced[w], w
         assert word & others == base[w] & others, w
     assert base == ev.run(values, mask=mask)  # the pass is left as it was
+    assert ev.fanout(wire) == scanned_fanout(ev, wire)
     cone = {op[2] for op in ev.fanout(wire)}
     assert {w for w in got if got[w] != base[w]} <= cone | {wire}
 
