@@ -60,18 +60,19 @@ def _gate_area(g: Gate) -> float:
 
 def area(n: Netlist, zone: Optional[str] = None) -> float:
     """Summed gate weights, optionally restricted to one zone."""
-    return sum(_gate_area(g) for g in n.gates
-               if zone is None or g.zone == zone)
+    return sum(map(_gate_area, n.gates if zone is None
+                   else [g for g in n.gates if g.zone == zone]))
 
 
 def depth(n: Netlist, outputs: Optional[Iterable[str]] = None) -> float:
     """Longest input-to-output path under the unit delays."""
-    level: Dict[str, float] = {w: 0.0 for w in n.inputs}
+    level: Dict[str, float] = dict.fromkeys(n.inputs, 0.0)
+    at = level.__getitem__
     for g in n.order:
-        base = max((level[w] for w in g.ins), default=0.0)
+        base = max(map(at, g.ins)) if g.ins else 0.0
         level[g.out] = base + _COST[g.kind][2]
-    outs = tuple(outputs) if outputs is not None else n.outputs
-    return max((level[o] for o in outs), default=0.0)
+    return max(map(at, n.outputs if outputs is None else outputs),
+               default=0.0)
 
 
 @dataclass

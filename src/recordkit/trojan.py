@@ -38,8 +38,10 @@ byte-identical reports of a trace of the design.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import cycle, repeat
+from math import log2
+from operator import lshift
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .recordize import PartitionedDesign
@@ -74,11 +76,10 @@ def tap(d: PartitionedDesign, t: SimTrace,
     if replica is not None and not 0 <= replica < d.copy_count:
         raise LeakError("no replica %d in a %d-copy design"
                         % (replica, d.copy_count))
-    visible = set()
-    for g in d.untrusted_gates():
-        if replica is None or g.replica == replica:
-            visible.add(g.out)
-            visible.update(g.ins)
+    gates = [g for g in d.untrusted_gates()
+             if replica is None or g.replica == replica]
+    visible = {w for g in gates for w in g.ins}
+    visible.update([g.out for g in gates])
     return LeakTrace(t.cycles, {w: t.wires[w] for w in sorted(visible)})
 
 
@@ -90,11 +91,16 @@ def _mi_counts(c11: int, ca: int, cb: int, n: int) -> float:
     c01 = cb - c11
     c00 = n - c11 - c10 - c01
     mi = 0.0
-    for cij, ci, cj in ((c11, ca, cb), (c10, ca, n - cb),
-                        (c01, n - ca, cb), (c00, n - ca, n - cb)):
-        if cij:
-            mi += (cij / n) * math.log2(cij * n / (ci * cj))
-    return max(mi, 0.0)
+    # the four cells unrolled, in this order, with these float expressions
+    if c11:
+        mi += (c11 / n) * log2(c11 * n / (ca * cb))
+    if c10:
+        mi += (c10 / n) * log2(c10 * n / (ca * (n - cb)))
+    if c01:
+        mi += (c01 / n) * log2(c01 * n / ((n - ca) * cb))
+    if c00:
+        mi += (c00 / n) * log2(c00 * n / ((n - ca) * (n - cb)))
+    return mi if mi > 0.0 else 0.0
 
 
 # measured cycles per input vector from which the vector basis is faster
@@ -102,13 +108,14 @@ _CYCLES_PER_VECTOR = 64
 
 
 def _counting_basis(d: PartitionedDesign, t: SimTrace):
-    """(words, count) with count(words[a] & words[b]) the number of trace
-    cycles in which wires a and b are both 1: the trace's own words and
-    popcount, or the vector basis (module docstring) once it pays off."""
+    """(words, shifts, planes): wires a and b are both 1 in the sum over i of
+    ones(words[a] & words[b] & planes[i]) << shifts[i] trace cycles, a sum
+    taken with C-level maps. Trace basis: one plane, every cycle. Vector
+    basis (module docstring): plane i holds bit shifts[i] of every h[p]."""
     inputs = d.netlist.inputs
     k = len(inputs)
     if t.cycles < _CYCLES_PER_VECTOR << k:
-        return t.wires, int.bit_count
+        return t.wires, (0,), ((1 << t.cycles) - 1,)
     columns = [t.wires[i] for i in inputs]
     planes = [0] * t.cycles.bit_length()  # plane b: bit b of every h[p]
 
@@ -124,11 +131,10 @@ def _counting_basis(d: PartitionedDesign, t: SimTrace):
             split(j + 1, one, p | 1 << j)
 
     split(0, (1 << t.cycles) - 1, 0)
-    weighted = [(b, plane) for b, plane in enumerate(planes) if plane]
     words = d.netlist.evaluator.run(dict(zip(inputs, exhaustive_columns(k))),
                                     mask=(1 << (1 << k)) - 1)
-    return words, lambda v: sum((v & plane).bit_count() << b
-                                for b, plane in weighted)
+    return (words, *zip(*[(b, plane) for b, plane in enumerate(planes)
+                          if plane]))
 
 
 def mutual_information(a: int, b: int, n: int) -> float:
@@ -200,24 +206,32 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
     pair_source = {w: i for k in copies
                    for i, w in d.replica_input_wires(k).items() if w in lt}
 
-    words, count = _counting_basis(d, t)
-    targets = {kind: [(s, words[w], count(words[w])) for s, w in named]
-               for kind, named in (
-                   ("input", zip(d.source_inputs, d.source_inputs)),
-                   ("output", decoded.items()))}
+    words, shifts, planes = _counting_basis(d, t)
+
+    def count(v: int) -> int:
+        return sum(map(lshift, map(int.bit_count, map(v.__and__, planes)),
+                       shifts))
+
+    inputs = d.source_inputs
+    sources = [words[w] for w in (*inputs, *decoded.values())]
+    ones = list(map(count, sources))
+    # the planes, then each target on them: a word's ones, then joint ones
+    masked = [*planes, *[s & p for s in sources for p in planes]]
     wire_mi: Dict[str, Dict[str, Dict[str, float]]] = {}
-    # id(word) -> MI row; words holds every word alive for the loop
-    row_at: Dict[int, Dict[str, Dict[str, float]]] = {}
+    # id(word) -> (input row, output row); words holds every word alive
+    rows_at: Dict[int, Tuple[Dict[str, float], Dict[str, float]]] = {}
     for w in lt.wires:
         v = words[w]
-        row = row_at.get(id(v))
-        if row is None:
-            cw = count(v)
-            row = row_at[id(v)] = {
-                kind: {s: _mi_counts(count(v & sv), cw, cs, n)
-                       for s, sv, cs in tgts}
-                for kind, tgts in targets.items()}
-        wire_mi[w] = {kind: dict(mis) for kind, mis in row.items()}
+        rows = rows_at.get(id(v))
+        if rows is None:
+            terms = map(lshift, map(int.bit_count, map(v.__and__, masked)),
+                        cycle(shifts))
+            cw, *joint = map(sum, zip(*[terms] * len(planes)))
+            mis = map(_mi_counts, joint, repeat(cw), ones, repeat(n))
+            # zip stops at the names, so the output row takes the rest
+            rows = rows_at[id(v)] = (dict(zip(inputs, mis)),
+                                     dict(zip(decoded, mis)))
+        wire_mi[w] = {"input": rows[0].copy(), "output": rows[1].copy()}
 
     def accuracy(guess: int, truth: int) -> float:
         return 1.0 - count(guess ^ truth) / n

@@ -1,8 +1,15 @@
+from dataclasses import replace
+
 import pytest
+import reference_metrics
+from hypothesis import given, settings, strategies as st
+from test_netlist import _dag_over_every_kind
+from test_recordize import designs
 
 from recordkit.cost import (REFERENCE_RATIOS, _gate_area, area, cost_report,
                             depth, switching)
 from recordkit.fixtures import fixture_generate
+from recordkit.ftrecord import transform_ft
 from recordkit.netlist import _KINDS, parse_netlist
 from recordkit.recordize import RecordConfig, transform
 from recordkit.rng import RngSpec
@@ -69,6 +76,40 @@ def test_depth_deltas():
         assert depth(d1.netlist, outputs=d1.encoded_outputs) == base + 3, kind
         d2 = transform(n, RecordConfig.checkerboard(n, 2))
         assert depth(d2.netlist, outputs=d2.encoded_outputs) == base + 4, kind
+
+
+def _assert_depth_and_area_equal_the_generator_forms(n, outputs):
+    for got, want in (
+            (depth(n), reference_metrics.depth(n)),
+            (depth(n, outputs), reference_metrics.depth(n, outputs)),
+            (depth(n, iter(outputs)), reference_metrics.depth(n, outputs)),
+            *((area(n, zone), reference_metrics.area(n, zone))
+              for zone in (None, "trusted", "untrusted"))):
+        assert repr(got) == repr(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dag_over_every_kind(), st.data())
+def test_property_depth_and_area_equal_the_generator_forms(n, data):
+    """Random DAGs with CONST gates (no inputs, level 0.0), listed out of
+    dependency order, with random zones and output lists."""
+    zones = data.draw(st.lists(st.sampled_from(["trusted", "untrusted"]),
+                               min_size=len(n.gates), max_size=len(n.gates)))
+    n = replace(n, gates=tuple(replace(g, zone=z)
+                               for g, z in zip(n.gates, zones)))
+    wires = [*n.inputs, *(g.out for g in n.gates)]
+    outputs = data.draw(st.lists(st.sampled_from(wires), max_size=4))
+    _assert_depth_and_area_equal_the_generator_forms(n, outputs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(designs(), st.booleans())
+def test_property_design_depth_and_area_equal_the_generator_forms(case, ft):
+    n, cfg = case
+    d = (transform_ft(n, cfg).design if ft and cfg.groups == 1
+         else transform(n, cfg))
+    _assert_depth_and_area_equal_the_generator_forms(d.netlist,
+                                                     d.encoded_outputs)
 
 
 def test_switching_constant_inputs_no_toggles():

@@ -1,7 +1,9 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
+import reference_metrics
 from hypothesis import given, settings, strategies as st
 from test_recordize import designs
 
@@ -92,6 +94,23 @@ def test_tap_views_every_copy_of_an_ft_design():
             copies, copies)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tap_view_equals_the_per_gate_loop(data):
+    """Every view of a transform or an FT transform of a random DAG taps
+    exactly the wires the per-gate loop finds, in sorted order."""
+    n, cfg = data.draw(designs())
+    d = transform(n, cfg)
+    if cfg.groups == 1 and data.draw(st.booleans()):
+        d = transform_ft(n, cfg).design
+    t = simulate(d, Stimulus.uniform(8, seed=0), RngSpec(0))
+    for replica in [None, *range(d.copy_count)]:
+        lt = tap(d, t, replica=replica)
+        assert list(lt.wires) == sorted(
+            reference_metrics.tap_visible(d, replica))
+        assert all(v is t.wires[w] for w, v in lt.wires.items())
+
+
 def _accuracy(guess, truth, n):
     """Fraction of the n cycles in which the two packed words agree."""
     return 1.0 - (guess ^ truth).bit_count() / n
@@ -137,6 +156,43 @@ def test_mi_symmetry():
     b = packed_bits(RngSpec(6), 4096) | a
     assert mutual_information(a, b, 4096) == pytest.approx(
         mutual_information(b, a, 4096))
+
+
+def _assert_mi_counts_equal_the_loop(c11, ca, cb, n):
+    got = trojan._mi_counts(c11, ca, cb, n)
+    assert repr(got) == repr(reference_metrics.mi_counts(c11, ca, cb, n)), (
+        c11, ca, cb, n)
+
+
+def test_mi_counts_equal_the_four_term_loop_on_small_and_swept_tables():
+    # every valid count tuple up to n = 8: zero cells, n = 1, ca, cb in {0, n}
+    for n in range(1, 9):
+        for ca in range(n + 1):
+            for cb in range(n + 1):
+                for c11 in range(max(0, ca + cb - n), min(ca, cb) + 1):
+                    _assert_mi_counts_equal_the_loop(c11, ca, cb, n)
+    # a fixed sweep: swapping the c10 and c01 terms moves 571 of these floats
+    rng = random.Random(0)
+    for _ in range(20000):
+        n = rng.choice((rng.randint(1, 64), rng.randint(1, 1 << 20),
+                        rng.randint(1, 1 << 40)))
+        ca, cb = rng.randint(0, n), rng.randint(0, n)
+        c11 = rng.randint(max(0, ca + cb - n), min(ca, cb))
+        _assert_mi_counts_equal_the_loop(c11, ca, cb, n)
+    for mi_counts in (trojan._mi_counts, reference_metrics.mi_counts):
+        with pytest.raises(ValueError, match="empty"):
+            mi_counts(0, 0, 0, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_property_mi_counts_equal_the_four_term_loop(data):
+    n = data.draw(st.integers(1, 2 ** 40))
+    ca = data.draw(st.sampled_from((0, n)) | st.integers(0, n))
+    cb = data.draw(st.sampled_from((0, n)) | st.integers(0, n))
+    lo, hi = max(0, ca + cb - n), min(ca, cb)
+    c11 = data.draw(st.sampled_from((lo, hi)) | st.integers(lo, hi))
+    _assert_mi_counts_equal_the_loop(c11, ca, cb, n)
 
 
 def test_leak_report_one_time_pad_and_pairs():
@@ -338,6 +394,21 @@ def test_property_report_floats_equal_mutual_information(groups, view,
         list(oracle.items())
 
 
+@pytest.mark.parametrize("fixture, cycles, vector", [
+    ("aes-sbox", 200_000, True), ("maj9", 20_000, False)])
+def test_benchmark_traces_take_their_counting_basis(fixture, cycles, vector):
+    """perfbench's sbox-leak trace (aes-sbox G=2, 2x10^5 cycles) is counted
+    on the vector basis; the README tour's attack (maj9 G=2, 2x10^4
+    cycles) on the trace's own words."""
+    n = fixture_generate(fixture)
+    d = transform(n, RecordConfig.checkerboard(n, 2))
+    t = simulate(d, Stimulus.uniform(cycles, seed=0), RngSpec(0))
+    words, shifts, planes = trojan._counting_basis(d, t)
+    assert (words is not t.wires) == vector
+    if not vector:
+        assert (shifts, planes) == ((0,), ((1 << cycles) - 1,))
+
+
 @pytest.mark.parametrize("view", [None, 1], ids=["full", "isolated"])
 @pytest.mark.parametrize("groups", [1, 2])
 @pytest.mark.parametrize("fixture", ["adder4", "maj9"])
@@ -352,7 +423,7 @@ def test_leak_report_same_bytes_on_both_counting_bases(fixture, groups, view,
     reports = []
     for per_vector in (1 << 30, 1):  # the trace basis, then the vector one
         monkeypatch.setattr(trojan, "_CYCLES_PER_VECTOR", per_vector)
-        vector = trojan._counting_basis(d, t)[1] is not int.bit_count
+        vector = trojan._counting_basis(d, t)[0] is not t.wires
         assert vector == (per_vector == 1)
         reports.append(leak_report(d, t, pairs, replica=view).to_json())
     assert reports[0] == reports[1]
