@@ -19,10 +19,8 @@ from .demo import ImageDemoConfig, demo_image
 from .fixtures import FIXTURE_KINDS, fixture_generate
 from .ftrecord import FaultPlan, FaultPlanError, ft_simulate, transform_ft
 from .jsontext import dumps
-from .netlist import (UNTRUSTED, NetlistError, evaluate, read_netlist,
-                      save_netlist)
-from .recordize import (RANDOM_PREFIX, RecordConfig, design_from_netlist,
-                        transform)
+from .netlist import NetlistError, evaluate, read_netlist, save_netlist
+from .recordize import Layout, RecordConfig, design_from_netlist, transform
 from .rng import MASK64, RngSpec
 from .sim import (SimulationError, Stimulus, simulate, simulate_netlist,
                   verify_equivalence)
@@ -101,8 +99,7 @@ def cmd_check(args) -> int:
     facts = "%d inputs, %d outputs, %d gates" % (
         len(n.inputs), len(n.outputs), len(n.gates))
     # a design is loaded exactly as the design commands load it
-    if any(w.startswith(RANDOM_PREFIX) for w in n.inputs) or any(
-            g.zone == UNTRUSTED or g.replica is not None for g in n.gates):
+    if Layout.is_design(n):
         d = design_from_netlist(n)
         facts += ", %d copies, G=%d" % (d.copy_count, d.config.groups)
     print("%s: ok (%s)" % (args.netlist, facts))
@@ -147,7 +144,7 @@ def cmd_recordize(args) -> int:
     if args.config_out:
         _write_json(args.config_out, cfg.to_json())
     print("wrote %s (%d replicas, %d untrusted gates)"
-          % (args.output, d.replica_count, len(d.untrusted_gates())))
+          % (args.output, d.replica_count, len(d.layout.untrusted)))
     return 0
 
 
@@ -179,10 +176,11 @@ def cmd_attack(args) -> int:
     d = design_from_netlist(read_netlist(args.transformed))
     trace = simulate(d, _stimulus(args), RngSpec(args.seed))
     if args.pairs == "all-t":
-        s = [i for i in d.source_inputs if i in d.config.randomized_inputs]
-        bus = d.replica_input_wires(args.isolate or 0)
-        pairs = [(bus[a], bus[b])
-                 for idx, a in enumerate(s) for b in s[idx + 1:]]
+        k = args.isolate or 0
+        # leak_report's tap rejects an --isolate that names no copy
+        bus = d.layout.buses[k] if 0 <= k < d.copy_count else {}
+        s = [w for i, w in bus.items() if i in d.config.randomized_inputs]
+        pairs = [(a, b) for idx, a in enumerate(s) for b in s[idx + 1:]]
     elif args.pairs:
         pairs = []
         for item in args.pairs.split(","):
@@ -200,8 +198,7 @@ def cmd_attack(args) -> int:
 
 def cmd_trigger(args) -> int:
     d = design_from_netlist(read_netlist(args.transformed))
-    bus = d.replica_input_wires(0)
-    watched = tuple(bus[i] for i in d.source_inputs)
+    watched = tuple(d.layout.buses[0].values())
     pattern = _bit_flag("--pattern", args.pattern)
     trig = TriggerSpec(watched, pattern)
     x = pattern if args.x is None else _bit_flag("--x", args.x)

@@ -89,6 +89,12 @@ def switching(t: SimTrace) -> ActivityReport:
     Only gate-driven wires carry weight; the toggles of each distinct word
     object, found by identity, are counted once.
     """
+    return _switching(t, t.netlist.gates, map(_gate_area, t.netlist.gates))
+
+
+def _switching(t: SimTrace, gates: Iterable[Gate],
+               areas: Iterable[float]) -> ActivityReport:
+    """switching(t) over t's gates with the given areas, in any order."""
     if t.cycles < 2:
         raise ValueError("switching needs at least 2 cycles")
     transition_mask = (1 << (t.cycles - 1)) - 1
@@ -96,14 +102,14 @@ def switching(t: SimTrace) -> ActivityReport:
     weighted = 0.0
     # id(stream) -> toggle count; t holds every stream alive for the loop
     toggles_at: Dict[int, int] = {}
-    for g in t.netlist.gates:
+    for g, a in zip(gates, areas):
         s = t.wires[g.out]
         count = toggles_at.get(id(s))
         if count is None:
             count = toggles_at[id(s)] = ((s ^ (s >> 1))
                                          & transition_mask).bit_count()
         total += count
-        weighted += count * _gate_area(g)
+        weighted += count * a
     return ActivityReport(total, weighted)
 
 
@@ -170,7 +176,9 @@ def cost_report(orig: Netlist, d: PartitionedDesign,
     """All three proxies for an original/transformed pair.
 
     ``traces`` is (original trace, transformed trace); both must have been
-    produced under the same stimulus.
+    produced under the same stimulus. Each gate's area is taken once; the
+    design's gates are summed harness first, and as areas are whole numbers
+    every order gives the same float.
     """
     check_interface(orig, d)
     t_orig, t_des = traces
@@ -181,12 +189,17 @@ def cost_report(orig: Netlist, d: PartitionedDesign,
         if t_orig.wires.get(i) != t_des.wires.get(i):
             raise ValueError("traces were not produced under identical "
                              "stimulus (input %r differs)" % i)
+    orig_areas = list(map(_gate_area, orig.gates))
+    gates = d.layout.harness + d.layout.untrusted
+    areas = list(map(_gate_area, gates))
     return CostReport(
-        area_original=area(orig),
-        area_transformed=area(d.netlist),
-        area_untrusted=area(d.netlist, zone="untrusted"),
+        area_original=sum(orig_areas),
+        area_transformed=sum(areas),
+        area_untrusted=sum(areas[len(d.layout.harness):]),
         depth_original=depth(orig),
         depth_transformed=depth(d.netlist, outputs=d.encoded_outputs),
-        activity_original=switching(t_orig).weighted_activity,
-        activity_transformed=switching(t_des).weighted_activity,
+        activity_original=_switching(t_orig, orig.gates,
+                                     orig_areas).weighted_activity,
+        activity_transformed=_switching(t_des, gates,
+                                        areas).weighted_activity,
     )

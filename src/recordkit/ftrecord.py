@@ -53,8 +53,8 @@ from .bits import unpack
 from .netlist import Gate, Netlist
 from .recordize import (COMPARE_PREFIX, MISCOMPARE_WIRE, TWIN_SELECT_PREFIX,
                         VOTE_PAIR_PREFIXES, VOTE_PREFIX, PartitionedDesign,
-                        RecordConfig, _record_parts, random_wire,
-                        replica_wire, selected_wire)
+                        RecordConfig, _record_parts, copy_ports,
+                        random_wire, replica_wire, selected_wire)
 from .rng import RngSpec
 from .sim import Stimulus, simulate, simulate_netlist
 
@@ -98,7 +98,8 @@ def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
     if cfg.groups != 1:
         raise ValueError("the fault-tolerant construction uses exactly one "
                          "random bit (got %d groups)" % cfg.groups)
-    name, inputs, outputs, gates, leaves = _record_parts(n, cfg, 4)
+    name, inputs, outputs, gates = _record_parts(n, cfg, 4)
+    leaves = [copy_ports(cfg, n.inputs, n.outputs, c)[1] for c in range(4)]
     r1 = random_wire(1)
     cmp_wires = tuple(COMPARE_PREFIX + o for o in n.outputs)
     for o, w in zip(n.outputs, cmp_wires):

@@ -18,8 +18,9 @@ produces a partitioned design:
 
 The __t_/__tn_ encodings a copy reads are one-time-padded, and the random
 wires and the raw S inputs never cross into the untrusted zone, which
-partition_check verifies structurally. Inside a copy the pad does not hold
-for every wire: an xor of two inputs of the same group cancels it.
+partition_check verifies structurally on the cut: every wire an untrusted
+gate reads and no untrusted gate drives. Inside a copy the pad does not
+hold for every wire: an xor of two inputs of the same group cancels it.
 partition_check is the one closure rule, and PartitionedDesign
 construction runs it, so no caller can hold a design that breaks it.
 
@@ -29,13 +30,14 @@ gate level in front of the copies.
 
 This module owns every reserved ("__"-prefixed) wire name, including those
 of the fault-tolerant variant. A design is its netlist and its random
-stream: the config is read off the __t_ encode gates, and every wire role
-(random inputs, source ports, encoded and decoded outputs, replica copies,
-FT twins, comparators and votes) is read off those names, never stored
-beside them. Every design, from transform(), transform_ft(), rekey() or a
-loaded file, is checked against those names and the closure rule when it
-is constructed, once per design object, and a failed check raises
-NetlistError.
+stream. Every wire role (random inputs, source ports, the __t_ encode gates
+the config is read off, the copies with their buses and output wires, the
+cut and the trusted harness) is read off those names once, when the design
+is constructed, into a frozen Layout derived from the netlist and never
+set beside it; FT twins, comparators and votes are read off their names.
+Every design, from transform(), transform_ft(), rekey() or a loaded file,
+is checked against those names and the closure rule as it is constructed,
+once per design object, and a failed check raises NetlistError.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .netlist import Gate, Netlist, NetlistError, UNTRUSTED, gate_text
 from .rng import RngSpec
@@ -152,117 +155,160 @@ class RecordConfig:
 
 
 @dataclass(frozen=True)
-class PartitionedDesign:
-    """A transformed netlist and its random stream. The config and every
-    wire role are read off the reserved names in the netlist, so no stored
-    copy can disagree with it; construction checks those names and ends
-    with the closure rule."""
+class Layout:
+    """Every wire role of a design, read off its netlist in one pass over
+    the gates. Copy k's gates in netlist order, its bus (the wire feeding
+    each source input), the wire carrying each source output, and the wires
+    it reads and drives sit at index k of copies, buses, copy_outputs, reads
+    and drives. The cut is every wire that an untrusted gate reads and no
+    untrusted gate drives; the harness is every trusted gate."""
 
-    netlist: Netlist
-    rng: RngSpec = field(default_factory=RngSpec)
+    random_wires: Tuple[str, ...]
+    source_inputs: Tuple[str, ...]
+    encoded_outputs: Tuple[str, ...]
+    decoded_outputs: Tuple[str, ...]
+    source_outputs: Tuple[str, ...]
+    encoders: Mapping[str, Gate]  # the __t_ gate of each randomized input
+    config: RecordConfig
+    untrusted: Tuple[Gate, ...]   # every copy's gates, in netlist order
+    copies: Tuple[Tuple[Gate, ...], ...]
+    buses: Tuple[Mapping[str, str], ...]
+    copy_outputs: Tuple[Mapping[str, str], ...]
+    reads: Tuple[FrozenSet[str], ...]
+    drives: Tuple[FrozenSet[str], ...]
+    cut: FrozenSet[str]
+    harness: Tuple[Gate, ...]
 
-    def __post_init__(self):
-        for i, w in enumerate(self.random_wires, start=1):
+    @staticmethod
+    def is_design(n: Netlist) -> bool:
+        """n has an __r input, an untrusted gate or a replica index."""
+        return any(w.startswith(RANDOM_PREFIX) for w in n.inputs) or any(
+            g.zone == UNTRUSTED or g.replica is not None for g in n.gates)
+
+    @classmethod
+    def read(cls, n: Netlist) -> "Layout":
+        """n's layout; raises NetlistError on the first rule n breaks."""
+        randoms = tuple(w for w in n.inputs if w.startswith(RANDOM_PREFIX))
+        sources = tuple(w for w in n.inputs
+                        if not w.startswith(RANDOM_PREFIX))
+        encoded = tuple(w for w in n.outputs
+                        if w.startswith(ENCODED_OUT_PREFIX))
+        decoded = tuple(w for w in n.outputs
+                        if w.startswith(DECODED_OUT_PREFIX))
+        outputs = tuple(w[len(ENCODED_OUT_PREFIX):] for w in encoded)
+        for i, w in enumerate(randoms, start=1):
             if w != random_wire(i):
                 raise NetlistError("random inputs must be __r1..__rG in "
                                    "order, found %r" % w)
-        if not self.random_wires:
+        if not randoms:
             raise NetlistError("no __r inputs: not a transformed design")
-        if not self.encoded_outputs or (len(self.encoded_outputs)
-                                        != len(self.decoded_outputs)):
+        if not encoded or len(encoded) != len(decoded):
             raise NetlistError("outputs must pair __y_<o> with __z_<o>")
-        if tuple(w[len(DECODED_OUT_PREFIX):]
-                 for w in self.decoded_outputs) != self.source_outputs:
+        if tuple(w[len(DECODED_OUT_PREFIX):] for w in decoded) != outputs:
             raise NetlistError("encoded and decoded output names disagree")
+
+        zone: List[Gate] = []
+        harness: List[Gate] = []
+        encoders: Dict[str, Gate] = {}
+        for g in n.gates:
+            (zone if g.zone == UNTRUSTED else harness).append(g)
+            if g.out.startswith(ENCODE_PREFIX):
+                encoders[g.out[len(ENCODE_PREFIX):]] = g
+
+        # __t_<x> = x xor __r<g> puts x in group g
+        group_of = {w: k for k, w in enumerate(randoms, start=1)}
+        assignment: Dict[str, int] = {}
+        for i in filter(encoders.__contains__, sources):
+            g = encoders[i]
+            groups = [group_of[w] for w in g.ins if w in group_of]
+            if (g.kind != "XOR" or len(g.ins) != 2 or i not in g.ins
+                    or not groups):
+                raise NetlistError("unrecognized encode gate for input %r" % i)
+            assignment[i] = groups[0]
+        config = RecordConfig(tuple(assignment), len(randoms), assignment)
         try:
-            self.config.validate(self.netlist)
+            config.validate(n)
         except ValueError as e:  # e.g. a declared __r3 that pads no input
             raise NetlistError(str(e)) from None
-        replicas = {g.replica for g in self.untrusted_gates()}
+
+        replicas = set(map(attrgetter("replica"), zone))
         if None in replicas:
-            g = next(g for g in self.untrusted_gates() if g.replica is None)
+            g = next(g for g in zone if g.replica is None)
             raise NetlistError("untrusted gate %r has no replica index"
                                % g.out, g.line)
-        copies = self.copy_count
-        if replicas != set(range(copies)):
+        # the 2^G copies the mux tree selects among, and on an FT netlist
+        # (one with a __e output) their twins
+        count = 1 << config.groups << (MISCOMPARE_WIRE in n.outputs)
+        if replicas != set(range(count)):
             raise NetlistError("expected replica indices 0..%d, found %s"
-                               % (copies - 1, sorted(replicas)))
-        self._check_copies(copies)
-        partition_check(self)
+                               % (count - 1, sorted(replicas)))
+        copies: List[List[Gate]] = [[] for _ in range(count)]
+        for g in zone:
+            copies[g.replica].append(g)
 
-    def _check_copies(self, copies: int) -> None:
-        """A gate is named replica_wire(k, ...) exactly when it is untrusted
-        with replica k, and no copy reads a wire of another copy."""
-        prefix = [replica_wire(k, "") for k in range(copies)]
-        outs: List[Set[str]] = [set() for _ in range(copies)]
-        reads: List[Set[str]] = [set() for _ in range(copies)]
-        for g in self.netlist.gates:
+        # a gate is named replica_wire(k, ...) exactly when it is untrusted
+        # with replica k; raise on the first gate in netlist order that is not
+        prefix = [replica_wire(k, "") for k in range(count)]
+        misnamed = [g for g in (
+            next((g for g in harness if _REPLICA_NAME.match(g.out)), None),
+            next((g for g in zone if not g.out.startswith(prefix[g.replica])),
+                 None)) if g is not None]
+        if misnamed:
+            g = min(misnamed, key=n.gates.index)
             if g.zone != UNTRUSTED:
-                if _REPLICA_NAME.match(g.out):
-                    raise NetlistError("copy gate %r is not untrusted"
-                                       % g.out, g.line)
-            elif g.out.startswith(prefix[g.replica]):
-                outs[g.replica].add(g.out)
-                reads[g.replica].update(g.ins)
-            else:
-                raise NetlistError("untrusted gate %r has replica %d but is "
-                                   "not named %s..." % (g.out, g.replica,
-                                                        prefix[g.replica]),
+                raise NetlistError("copy gate %r is not untrusted" % g.out,
                                    g.line)
-        every = set().union(*outs)
-        for k in range(copies):
-            foreign = every - outs[k]
-            if not foreign.isdisjoint(reads[k]):
-                g, w = next((g, w) for g in self.netlist.gates
-                            if g.out in outs[k] for w in g.ins
+            raise NetlistError("untrusted gate %r has replica %d but is not "
+                               "named %s..." % (g.out, g.replica,
+                                                prefix[g.replica]), g.line)
+
+        # no copy reads a wire of another copy
+        drives = tuple(frozenset(g.out for g in c) for c in copies)
+        reads = tuple(frozenset().union(*[g.ins for g in c]) for c in copies)
+        every = frozenset().union(*drives)
+        external = [r - d for r, d in zip(reads, drives)]
+        for k, foreign in enumerate(e & every for e in external):
+            if foreign:
+                g, w = next((g, w) for g in copies[k] for w in g.ins
                             if w in foreign)
                 raise NetlistError("copy %d gate %r reads copy %s wire %r"
                                    % (k, g.out,
                                       _REPLICA_NAME.match(w).group(1), w),
                                    g.line)
 
+        ports = [copy_ports(config, sources, outputs, k) for k in range(count)]
+        return cls(randoms, sources, encoded, decoded, outputs,
+                   MappingProxyType({i: encoders[i] for i in assignment}),
+                   config, tuple(zone), tuple(map(tuple, copies)),
+                   tuple(MappingProxyType(bus) for bus, _ in ports),
+                   tuple(MappingProxyType(outs) for _, outs in ports),
+                   reads, drives, frozenset().union(*external),
+                   tuple(harness))
+
+
+@dataclass(frozen=True)
+class PartitionedDesign:
+    """A transformed netlist and its random stream. Construction reads the
+    config and every wire role into a Layout derived from the netlist, so
+    no stored copy can disagree with it, and ends with the closure rule."""
+
+    netlist: Netlist
+    rng: RngSpec = field(default_factory=RngSpec)
+
+    def __post_init__(self):
+        self.layout  # reading it runs every reserved-name check, in order
+        partition_check(self)
+
     @cached_property
-    def config(self) -> RecordConfig:
-        """Read off the encode gates: __t_<x> = x xor __r<g> puts x in g."""
-        assignment: Dict[str, int] = {}
-        by_out = self.netlist.drivers()
-        group_of = {w: k for k, w in enumerate(self.random_wires, start=1)}
-        for i in self.source_inputs:
-            g = by_out.get(ENCODE_PREFIX + i)
-            if g is None:
-                continue
-            groups = [group_of[w] for w in g.ins if w in group_of]
-            if (g.kind != "XOR" or len(g.ins) != 2 or i not in g.ins
-                    or not groups):
-                raise NetlistError("unrecognized encode gate for input %r" % i)
-            assignment[i] = groups[0]
-        return RecordConfig(tuple(assignment), len(self.random_wires),
-                            assignment)
+    def layout(self) -> Layout:
+        return Layout.read(self.netlist)
 
-    @property
-    def random_wires(self) -> Tuple[str, ...]:
-        return tuple(w for w in self.netlist.inputs
-                     if w.startswith(RANDOM_PREFIX))
-
-    @property
-    def source_inputs(self) -> Tuple[str, ...]:
-        return tuple(w for w in self.netlist.inputs
-                     if not w.startswith(RANDOM_PREFIX))
-
-    @property
-    def encoded_outputs(self) -> Tuple[str, ...]:
-        return tuple(w for w in self.netlist.outputs
-                     if w.startswith(ENCODED_OUT_PREFIX))
-
-    @property
-    def decoded_outputs(self) -> Tuple[str, ...]:
-        return tuple(w for w in self.netlist.outputs
-                     if w.startswith(DECODED_OUT_PREFIX))
-
-    @property
-    def source_outputs(self) -> Tuple[str, ...]:
-        return tuple(w[len(ENCODED_OUT_PREFIX):]
-                     for w in self.encoded_outputs)
+    config = property(attrgetter("layout.config"))
+    random_wires = property(attrgetter("layout.random_wires"))
+    source_inputs = property(attrgetter("layout.source_inputs"))
+    encoded_outputs = property(attrgetter("layout.encoded_outputs"))
+    decoded_outputs = property(attrgetter("layout.decoded_outputs"))
+    source_outputs = property(attrgetter("layout.source_outputs"))
 
     @property
     def replica_count(self) -> int:
@@ -271,65 +317,64 @@ class PartitionedDesign:
     @property
     def copy_count(self) -> int:
         """Every copy the netlist carries: the 2^G the mux tree selects
-        among, and on an FT netlist (one with a __e output) their twins."""
-        return self.replica_count << (MISCOMPARE_WIRE in self.netlist.outputs)
+        among, and on an FT netlist their twins."""
+        return len(self.layout.copies)
 
     def untrusted_gates(self) -> List[Gate]:
-        return [g for g in self.netlist.gates if g.zone == UNTRUSTED]
+        return list(self.layout.untrusted)
 
     def encode_wire(self, x: str) -> str:
         return ENCODE_PREFIX + x
 
-    def replica_input_wires(self, k: int) -> Dict[str, str]:
+    def replica_input_wires(self, k: int) -> Mapping[str, str]:
         """Wire feeding each source input position of replica k."""
-        return replica_input_map(self.config, self.source_inputs, k)
+        return self.layout.buses[k]
 
     def replica_output_wire(self, k: int, o: str) -> str:
         return self.replica_input_wires(k).get(o, replica_wire(k, o))
 
 
-def replica_input_map(cfg: RecordConfig, inputs: Sequence[str],
-                      k: int) -> Dict[str, str]:
-    """Wire feeding each source input of copy k: the complemented encoding
-    where bit g(i)-1 of k is set, the plain one otherwise; inputs outside
-    the randomized subset pass through."""
+def copy_ports(cfg: RecordConfig, inputs: Sequence[str],
+               outputs: Sequence[str], k: int
+               ) -> Tuple[Dict[str, str], Dict[str, str]]:
+    """Copy k's bus, the wire feeding each source input (the complemented
+    encoding where bit g(i)-1 of k is set, else the plain one, and inputs
+    outside the randomized subset pass through), and the wire carrying each
+    source output: copy k's instance of it, or an input's bus wire."""
     s = set(cfg.randomized_inputs)
-    out = {}
+    bus = {}
     for i in inputs:
         if i in s:
             bit = (k >> (cfg.group_assignment[i] - 1)) & 1
-            out[i] = (ENCODE_COMPLEMENT_PREFIX if bit else ENCODE_PREFIX) + i
+            bus[i] = (ENCODE_COMPLEMENT_PREFIX if bit else ENCODE_PREFIX) + i
         else:
-            out[i] = i
-    return out
+            bus[i] = i
+    return bus, {o: bus.get(o, replica_wire(k, o)) for o in outputs}
 
 
 def build_replica(n: Netlist, k: int, inputs: Mapping[str, str]
-                  ) -> Tuple[List[Gate], Dict[str, str]]:
-    """Untrusted copy k of n reading inputs[i] in place of source input i:
-    the copy's gates in n's order and the wire carrying each output."""
+                  ) -> List[Gate]:
+    """Untrusted copy k of n reading inputs[i] in place of source input i,
+    its gates in n's order."""
     wire = dict(inputs)
     outs = [g.out for g in n.gates]
     wire.update(zip(outs, map(replica_wire(k, "").__add__, outs)))
-    gates = [Gate(g.kind, wire[g.out], tuple(map(wire.__getitem__, g.ins)),
-                  UNTRUSTED, k) for g in n.gates]
-    return gates, {o: wire[o] for o in n.outputs}
+    return [Gate(g.kind, wire[g.out], tuple(map(wire.__getitem__, g.ins)),
+                 UNTRUSTED, k) for g in n.gates]
 
 
 def transform(n: Netlist, cfg: RecordConfig) -> PartitionedDesign:
     """Apply the randomized-encoding construction described above."""
-    name, inputs, outputs, gates, _ = _record_parts(n, cfg)
+    name, inputs, outputs, gates = _record_parts(n, cfg)
     return PartitionedDesign(Netlist(name, inputs, outputs, tuple(gates)))
 
 
 def _record_parts(n: Netlist, cfg: RecordConfig,
                   copies: Optional[int] = None) -> Tuple[
-        str, Tuple[str, ...], Tuple[str, ...], List[Gate],
-        List[Dict[str, str]]]:
-    """transform's netlist as unvalidated (name, inputs, outputs, gates),
-    plus the wire carrying each output of each copy, so that a caller
-    extending the gate list builds and checks one netlist. Of the copies
-    (2^G by default), copy c reads what copy c mod 2^G reads."""
+        str, Tuple[str, ...], Tuple[str, ...], List[Gate]]:
+    """transform's netlist as unvalidated (name, inputs, outputs, gates), so
+    that a caller extending the gate list builds and checks one netlist. Of
+    the copies (2^G by default), copy c reads what copy c mod 2^G reads."""
     cfg.validate(n)
     _reject_reserved(n)
     g_of = cfg.group_assignment
@@ -347,8 +392,8 @@ def _record_parts(n: Netlist, cfg: RecordConfig,
 
     leaves: List[Dict[str, str]] = []
     for c in range(1 << big_g if copies is None else copies):
-        copy, outs = build_replica(n, c, replica_input_map(cfg, n.inputs, c))
-        gates.extend(copy)
+        bus, outs = copy_ports(cfg, n.inputs, n.outputs, c)
+        gates.extend(build_replica(n, c, bus))
         leaves.append(outs)
 
     def build_mux(o: str, indices: List[int], level: int, path: str) -> str:
@@ -370,27 +415,28 @@ def _record_parts(n: Netlist, cfg: RecordConfig,
 
     return ("%s_record%d" % (n.name, big_g), n.inputs + r_wires,
             tuple(ENCODED_OUT_PREFIX + o for o in n.outputs)
-            + tuple(DECODED_OUT_PREFIX + o for o in n.outputs),
-            gates, leaves)
+            + tuple(DECODED_OUT_PREFIX + o for o in n.outputs), gates)
 
 
 def partition_check(d: PartitionedDesign) -> None:
     """Structural closure: no untrusted gate reads a random wire or a raw
-    randomized input. Raises NetlistError naming every such read; the last
-    step of PartitionedDesign construction."""
-    randoms = set(d.random_wires)
-    raw = set(d.config.randomized_inputs)
+    randomized input. Both are inputs, so such a read is on the cut. Raises
+    NetlistError naming every such read; the last step of
+    PartitionedDesign construction."""
+    layout = d.layout
+    randoms = set(layout.random_wires)
+    raw = set(layout.config.randomized_inputs)
+    if layout.cut.isdisjoint(randoms | raw):
+        return
     violations: List[str] = []
-    for g in d.untrusted_gates():
+    for g in layout.untrusted:
         for w in g.ins:
             if w in randoms:
                 violations.append("%r reads random wire %r" % (g.out, w))
             elif w in raw:
                 violations.append("%r reads raw randomized input %r"
                                   % (g.out, w))
-    if violations:
-        raise NetlistError("partition closure violated: "
-                           + ", ".join(violations))
+    raise NetlistError("partition closure violated: " + ", ".join(violations))
 
 
 def user_view(d: PartitionedDesign) -> Netlist:
@@ -408,16 +454,12 @@ def rekey(d: PartitionedDesign, new_rng: RngSpec) -> PartitionedDesign:
 
 def untrusted_zone_text(d: PartitionedDesign) -> str:
     """Serialization of exactly the untrusted gates, in netlist order."""
-    return "\n".join(map(gate_text, d.untrusted_gates())) + "\n"
+    return "\n".join(map(gate_text, d.layout.untrusted)) + "\n"
 
 
 def design_from_netlist(n: Netlist) -> PartitionedDesign:
     """Rebuild a PartitionedDesign from a serialized transformed netlist,
-    on the default stream (rekey() sets another).
-
-    Construction checks the reserved names written by transform(): __rK
-    inputs, __t_ encode gates (the config is read off them), __y_/__z_
-    output pairs and replica attributes, then the closure rule; a design
-    that fails any of them raises NetlistError.
-    """
+    on the default stream (rekey() sets another). Construction reads its
+    Layout, checking the reserved names transform() writes, then the
+    closure rule, and raises NetlistError on the first rule n breaks."""
     return PartitionedDesign(n)

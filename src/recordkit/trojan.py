@@ -68,18 +68,17 @@ def tap(d: PartitionedDesign, t: SimTrace,
         replica: Optional[int] = None) -> LeakTrace:
     """Project a trace onto the implant-visible wires.
 
-    replica=None gives the full untrusted view; an index restricts to that
-    replica's gates and boundary wires. d passed the closure rule when it
-    was constructed, so no view holds a random wire or a raw randomized
-    input.
+    replica=None gives the full untrusted view, the design layout's cut and
+    every wire a copy drives; an index restricts to the wires that copy
+    reads and drives. d passed the closure rule when it was constructed, so
+    no view holds a random wire or a raw randomized input.
     """
     if replica is not None and not 0 <= replica < d.copy_count:
         raise LeakError("no replica %d in a %d-copy design"
                         % (replica, d.copy_count))
-    gates = [g for g in d.untrusted_gates()
-             if replica is None or g.replica == replica]
-    visible = {w for g in gates for w in g.ins}
-    visible.update([g.out for g in gates])
+    layout = d.layout
+    visible = (layout.cut.union(*layout.drives) if replica is None
+               else layout.reads[replica] | layout.drives[replica])
     return LeakTrace(t.cycles, {w: t.wires[w] for w in sorted(visible)})
 
 
@@ -201,10 +200,10 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
     lt, n = tap(d, t, replica=replica), t.cycles
     decoded = dict(zip(d.source_outputs, d.decoded_outputs))
     copies = range(d.copy_count) if replica is None else (replica,)
-    source_of = {w: i for i, w in d.replica_input_wires(replica or 0).items()
-                 if w in lt}
+    buses = d.layout.buses
+    source_of = {w: i for i, w in buses[replica or 0].items() if w in lt}
     pair_source = {w: i for k in copies
-                   for i, w in d.replica_input_wires(k).items() if w in lt}
+                   for i, w in buses[k].items() if w in lt}
 
     words, shifts, planes = _counting_basis(d, t)
 
@@ -239,7 +238,7 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
     strategies: List[StrategyScore] = []
     for k in copies:
         for o, z in decoded.items():
-            w = d.replica_output_wire(k, o)
+            w = d.layout.copy_outputs[k][o]
             if w in lt:
                 strategies.append(StrategyScore(
                     "pick-replica(%d,%s)" % (k, o),
@@ -307,8 +306,8 @@ def trigger_experiment(d: PartitionedDesign, trig: TriggerSpec,
     With randomization in front of the copies, an input-pattern trigger
     only fires when the random draw cooperates.
     """
-    bus = d.replica_input_wires(0)
-    wire_to_input = {w: i for i, w in bus.items()}
+    buses = d.layout.buses[:d.replica_count]
+    wire_to_input = {w: i for i, w in buses[0].items()}
     for w in trig.watched:
         if w not in wire_to_input:
             raise LeakError("watched wire %r is not on replica 0's input "
@@ -321,20 +320,19 @@ def trigger_experiment(d: PartitionedDesign, trig: TriggerSpec,
         sw = t.wires[w]
         fired &= sw if want else ~sw & mask
 
-    # analytic: enumerate the 2^G random vectors against the applied inputs
-    s = set(d.config.randomized_inputs)
-    g_of = d.config.group_assignment
-    groups = d.config.groups
+    # analytic: enumerate the 2^G random vectors against the applied inputs;
+    # under vector c, input i reaches replica 0 complemented where copy c's
+    # bus differs from replica 0's
     matches = 0
-    for c in range(1 << groups):
+    for bus in buses:
         m = mask
         for w, want in zip(trig.watched, trig.pattern):
             i = wire_to_input[w]
             xs = t.wires[i]
-            if i in s and (c >> (g_of[i] - 1)) & 1:
+            if bus[i] != w:
                 xs = ~xs & mask
             m &= xs if want else ~xs & mask
         matches += m.bit_count()
-    analytic = matches / ((1 << groups) * t.cycles)
+    analytic = matches / (len(buses) * t.cycles)
 
     return TriggerStats(t.cycles, fired, analytic)

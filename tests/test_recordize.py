@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 from functools import lru_cache
 
 import pytest
+import reference_metrics
 from hypothesis import given, settings, strategies as st
 
 from recordkit.cli import main
@@ -354,7 +355,7 @@ STRUCTURAL_EDITS = [
      "random inputs must be __r1..__rG"),
     (lambda t: write_netlist(fixture_generate("maj9")), "no __r inputs"),
     (lambda t: t.replace("output __y_y __z_y", "output __y_y"),
-     "must pair"),
+     "outputs must pair __y_<o> with __z_<o>"),
     (lambda t: t.replace("__z_y", "__z_q"), "names disagree"),
     (lambda t: t.replace("xor __t_x1 ", "xnor __t_x1 "),
      "unrecognized encode gate"),
@@ -362,6 +363,32 @@ STRUCTURAL_EDITS = [
      "expected replica indices"),
     (lambda t: t.replace(" __r1\n", " __r1 __r2\n", 1),
      "group 2 has no inputs"),
+    (lambda t: t.replace("and __f0_t1 __t_x1 ", "and __f0_t1 __r1 "),
+     "partition closure violated: '__f0_t1' reads random wire '__r1'"),
+    # two broken rules: the naming rule is checked before the closure rule
+    # and before the cross-copy rule, though a later gate breaks it
+    (lambda t: t.replace("and __f0_t1 __t_x1 ", "and __f0_t1 __r1 ").replace(
+        "attr __f1_t5 replica 1", "attr __f1_t5 replica 0"),
+     "line 418: untrusted gate '__f1_t5' has replica 0 but is not named "
+     "__f0_..."),
+    (lambda t: t.replace("and __f0_t1 __t_x1 ", "and __f0_t1 __f1_t0 "
+                         ).replace("attr __f1_t6 replica 1",
+                                   "attr __f1_t6 replica 0"),
+     "line 421: untrusted gate '__f1_t6' has replica 0 but is not named "
+     "__f0_..."),
+    # a trusted gate named as a copy and a misnamed untrusted gate: the one
+    # earlier in netlist order is named, whichever zone it is in
+    (lambda t: t.replace("attr __f1_t1 zone untrusted\n", "").replace(
+        "attr __f1_t5 replica 1", "attr __f1_t5 replica 0"),
+     "line 406: copy gate '__f1_t1' is not untrusted"),
+    (lambda t: t.replace("attr __f0_t2 replica 0", "attr __f0_t2 replica 1"
+                         ).replace("attr __f1_t5 zone untrusted\n", ""),
+     "line 28: untrusted gate '__f0_t2' has replica 1 but is not named "
+     "__f1_..."),
+    # the config is read off an encode gate in either zone
+    (lambda t: t.replace("xor __t_x1 x1 __r1\n",
+                         "xnor __t_x1 x1 __r1\nattr __t_x1 zone untrusted\n"),
+     "unrecognized encode gate for input 'x1'"),
 ]
 
 
@@ -492,9 +519,20 @@ def test_edited_design_text_is_a_design_or_a_netlist_error(
         tmp_path_factory, fixture, groups, rng):
     text = edit_text(_design_text(fixture, groups), rng)
     try:
-        d = design_from_netlist(parse_netlist(text))
+        n = parse_netlist(text)
     except NetlistError:
+        n = None
+    try:
+        d = design_from_netlist(n) if n is not None else None
+    except NetlistError as e:
         d = None
+        # rejected with the verbatim checks' first message and line
+        with pytest.raises(NetlistError) as ref:
+            reference_metrics.Design(n)
+        assert (str(ref.value), ref.value.line) == (str(e), e.line)
+    else:
+        if n is not None:  # accepted exactly when the verbatim checks accept
+            reference_metrics.Design(n)
     # `check` accepts exactly the texts the design commands accept
     path = tmp_path_factory.getbasetemp() / "edited.nl"
     path.write_text(text)

@@ -98,11 +98,19 @@ def test_tap_views_every_copy_of_an_ft_design():
 @given(data=st.data())
 def test_tap_view_equals_the_per_gate_loop(data):
     """Every view of a transform or an FT transform of a random DAG taps
-    exactly the wires the per-gate loop finds, in sorted order."""
+    exactly the wires the per-gate loop finds, in sorted order, and the
+    design's untrusted gates and each copy's bus and output wires are the
+    ones the verbatim role derivations find."""
     n, cfg = data.draw(designs())
     d = transform(n, cfg)
     if cfg.groups == 1 and data.draw(st.booleans()):
         d = transform_ft(n, cfg).design
+    ref = reference_metrics.Design(d.netlist)
+    assert d.untrusted_gates() == ref.untrusted_gates()
+    for k in range(ref.copy_count):
+        assert d.replica_input_wires(k) == ref.replica_input_wires(k)
+        for o in ref.source_outputs:
+            assert d.replica_output_wire(k, o) == ref.replica_output_wire(k, o)
     t = simulate(d, Stimulus.uniform(8, seed=0), RngSpec(0))
     for replica in [None, *range(d.copy_count)]:
         lt = tap(d, t, replica=replica)
