@@ -147,10 +147,6 @@ class Netlist:
         """The netlist's evaluation plan, built on first use and kept."""
         return Evaluator(self)
 
-    def drivers(self) -> Dict[str, Gate]:
-        """Map of wire name to driving gate (primary inputs excluded)."""
-        return {g.out: g for g in self.gates}
-
     def wires(self) -> List[str]:
         return list(self.inputs) + [g.out for g in self.gates]
 

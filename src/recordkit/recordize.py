@@ -135,6 +135,8 @@ class RecordConfig:
     def checkerboard(cls, n: Netlist, groups: int = 1,
                      subset: Optional[Sequence[str]] = None) -> "RecordConfig":
         """Assign groups round-robin by input position (alternating for G=2)."""
+        if groups < 1:
+            raise ValueError("need at least one random-bit group")
         names = tuple(subset) if subset is not None else n.inputs
         pos = {w: i for i, w in enumerate(n.inputs)}
         for w in names:
@@ -249,18 +251,16 @@ class Layout:
         # a gate is named replica_wire(k, ...) exactly when it is untrusted
         # with replica k; raise on the first gate in netlist order that is not
         prefix = [replica_wire(k, "") for k in range(count)]
-        misnamed = [g for g in (
-            next((g for g in harness if _REPLICA_NAME.match(g.out)), None),
-            next((g for g in zone if not g.out.startswith(prefix[g.replica])),
-                 None)) if g is not None]
-        if misnamed:
-            g = min(misnamed, key=n.gates.index)
-            if g.zone != UNTRUSTED:
+        for g in n.gates:
+            if g.zone == UNTRUSTED:
+                if not g.out.startswith(prefix[g.replica]):
+                    raise NetlistError(
+                        "untrusted gate %r has replica %d but is not named "
+                        "%s..." % (g.out, g.replica, prefix[g.replica]),
+                        g.line)
+            elif _REPLICA_NAME.match(g.out):
                 raise NetlistError("copy gate %r is not untrusted" % g.out,
                                    g.line)
-            raise NetlistError("untrusted gate %r has replica %d but is not "
-                               "named %s..." % (g.out, g.replica,
-                                                prefix[g.replica]), g.line)
 
         # no copy reads a wire of another copy
         drives = tuple(frozenset(g.out for g in c) for c in copies)
@@ -288,9 +288,9 @@ class Layout:
 
 @dataclass(frozen=True)
 class PartitionedDesign:
-    """A transformed netlist and its random stream. Construction reads the
-    config and every wire role into a Layout derived from the netlist, so
-    no stored copy can disagree with it, and ends with the closure rule."""
+    """A transformed netlist and its random stream. Construction reads its
+    Layout and checks closure; the role attributes are views of layout, and
+    copy k's bus and output wires are layout.buses[k] and copy_outputs[k]."""
 
     netlist: Netlist
     rng: RngSpec = field(default_factory=RngSpec)
@@ -320,18 +320,8 @@ class PartitionedDesign:
         among, and on an FT netlist their twins."""
         return len(self.layout.copies)
 
-    def untrusted_gates(self) -> List[Gate]:
-        return list(self.layout.untrusted)
-
     def encode_wire(self, x: str) -> str:
         return ENCODE_PREFIX + x
-
-    def replica_input_wires(self, k: int) -> Mapping[str, str]:
-        """Wire feeding each source input position of replica k."""
-        return self.layout.buses[k]
-
-    def replica_output_wire(self, k: int, o: str) -> str:
-        return self.replica_input_wires(k).get(o, replica_wire(k, o))
 
 
 def copy_ports(cfg: RecordConfig, inputs: Sequence[str],

@@ -6,8 +6,8 @@ visible set, the generator forms of ``cost.depth`` and ``cost.area``, and
 ``Design`` and ``partition_check``, copied verbatim from before they were
 unrolled, mapped or read off one layout (tap's loop as a function of the
 design and view, reading ``Design``'s zone; ``Design`` without the random
-stream). The name does not match ``test_*.py``, so pytest does not collect
-this module.
+stream, and with ``Netlist.drivers()`` written inline). The name does not
+match ``test_*.py``, so pytest does not collect this module.
 """
 
 import math
@@ -138,7 +138,7 @@ class Design:
     def config(self) -> RecordConfig:
         """Read off the encode gates: __t_<x> = x xor __r<g> puts x in g."""
         assignment: Dict[str, int] = {}
-        by_out = self.netlist.drivers()
+        by_out = {g.out: g for g in self.netlist.gates}
         group_of = {w: k for k, w in enumerate(self.random_wires, start=1)}
         for i in self.source_inputs:
             g = by_out.get(ENCODE_PREFIX + i)

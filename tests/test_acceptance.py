@@ -193,7 +193,7 @@ def test_criterion_7_trigger_disruption():
     for groups, expected in ((1, 0.5), (2, 0.25)):
         m9 = fixture_generate("maj9")
         d = transform(m9, RecordConfig.checkerboard(m9, groups))
-        bus = d.replica_input_wires(0)
+        bus = d.layout.buses[0]
         watched = tuple(bus[i] for i in d.source_inputs)
         pattern = (1, 0, 1, 1, 0, 0, 1, 0, 1)
         stim = Stimulus.from_vectors([pattern] * 10000)

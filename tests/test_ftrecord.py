@@ -33,12 +33,12 @@ def _ft_and2():
 
 def test_four_copies_built():
     m9, ft = _ft_maj9()
-    replicas = {g.replica for g in ft.design.untrusted_gates()}
+    replicas = {g.replica for g in ft.design.layout.untrusted}
     assert replicas == {0, 1, 2, 3}
     assert (ft.design.replica_count, ft.design.copy_count) == (2, 4)
     for k in (0, 1, 2, 3):
         assert sum(g.replica == k
-                   for g in ft.design.untrusted_gates()) == len(m9.gates)
+                   for g in ft.design.layout.untrusted) == len(m9.gates)
 
 
 @pytest.mark.parametrize("name", ["maj9", "adder4"])
@@ -58,8 +58,8 @@ def test_ft_netlist_extends_the_plain_transform(name):
 
 def test_twins_read_only_their_originals_encodings():
     m9, ft = _ft_maj9()
-    drivers = ft.design.netlist.drivers()
-    for g in ft.design.untrusted_gates():
+    drivers = {g.out: g for g in ft.design.netlist.gates}
+    for g in ft.design.layout.untrusted:
         if g.replica >= 2:
             k = g.replica - 2
             original = drivers[g.out.replace(replica_wire(g.replica, ""),

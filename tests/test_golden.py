@@ -271,7 +271,7 @@ def _artifact(key: str):
         replica = None if parts[3] == "all" else int(parts[3])
         s = list(d.config.randomized_inputs)
         # the pairs of `recordkit attack --pairs all-t [--isolate k]`
-        bus = d.replica_input_wires(replica or 0)
+        bus = d.layout.buses[replica or 0]
         pairs = [(bus[a], bus[b])
                  for idx, a in enumerate(s) for b in s[idx + 1:]]
         return _json(leak_report(d, t, pairs, replica=replica).to_json())

@@ -4,11 +4,10 @@
 ``PartitionedDesign`` is constructed, and the checks, ``tap``,
 ``leak_report``, the trigger and the CLI read the layout it built. A loop
 or comprehension over a netlist's ``gates`` that reads a gate's ``zone`` or
-``replica`` derives the copies, the cut or the harness again, and so does
-one over ``untrusted_gates()``, the view kept for callers outside the
-package. netlist.py defines, parses, validates and writes the two
-attributes and knows no roles, so it is not scanned. The one exemption is
-``cost.area``'s zone filter, which works on any plain ``Netlist``.
+``replica`` derives the copies, the cut or the harness again. netlist.py
+defines, parses, validates and writes the two attributes and knows no
+roles, so it is not scanned. The one exemption is ``cost.area``'s zone
+filter, which works on any plain ``Netlist``.
 """
 
 import ast
@@ -32,9 +31,6 @@ def _scans(node):
 
 
 def _derives_roles(target, iterable, scope) -> bool:
-    if (isinstance(iterable, ast.Call)
-            and getattr(iterable.func, "attr", None) == "untrusted_gates"):
-        return True
     if not (isinstance(iterable, ast.Attribute) and iterable.attr == "gates"
             and isinstance(target, ast.Name)):
         return False

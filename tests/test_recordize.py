@@ -46,7 +46,7 @@ def brute_force_equivalent(source: Netlist, d: PartitionedDesign) -> bool:
 def test_and2_two_replicas_exhaustive():
     d = transform(AND2, RecordConfig.checkerboard(AND2, 1))
     assert d.replica_count == 2
-    replicas = {g.replica for g in d.untrusted_gates()}
+    replicas = {g.replica for g in d.layout.untrusted}
     assert replicas == {0, 1}
     assert brute_force_equivalent(AND2, d)
 
@@ -63,10 +63,10 @@ def test_maj9_g2_quadruples_and_stays_equivalent():
     m9 = fixture_generate("maj9")
     d = transform(m9, RecordConfig.checkerboard(m9, 2))
     assert d.replica_count == 4
-    assert {g.replica for g in d.untrusted_gates()} == {0, 1, 2, 3}
+    assert {g.replica for g in d.layout.untrusted} == {0, 1, 2, 3}
     for k in range(4):
         assert sum(g.replica == k
-                   for g in d.untrusted_gates()) == len(m9.gates)
+                   for g in d.layout.untrusted) == len(m9.gates)
     assert brute_force_equivalent(m9, d)
 
 
@@ -75,7 +75,7 @@ def test_replica_gate_counts_match_source():
         d = transform(source, RecordConfig.checkerboard(source, 1))
         for k in range(d.replica_count):
             assert sum(g.replica == k
-                       for g in d.untrusted_gates()) == len(source.gates)
+                       for g in d.layout.untrusted) == len(source.gates)
 
 
 def test_transformed_netlist_roundtrips():
@@ -173,13 +173,13 @@ def test_subset_inputs_pass_through_unmodified():
     d = transform(m9, RecordConfig.checkerboard(m9, 1, subset))
     # non-randomized inputs feed the replicas by wire identity
     for k in range(2):
-        wires = d.replica_input_wires(k)
+        wires = d.layout.buses[k]
         for i in m9.inputs:
             if i in subset:
                 assert wires[i].startswith("__t")
             else:
                 assert wires[i] == i
-    raw_reads = {w for g in d.untrusted_gates() for w in g.ins
+    raw_reads = {w for g in d.layout.untrusted for w in g.ins
                  if not w.startswith("__")}
     assert raw_reads == set(m9.inputs) - set(subset)
     assert brute_force_equivalent(m9, d)
@@ -190,8 +190,8 @@ def test_self_dual_shortcut_per_cycle():
     m9 = fixture_generate("maj9")
     d = transform(m9, RecordConfig.checkerboard(m9, 1))
     t = simulate(d, Stimulus.uniform(2000, seed=11), RngSpec(3))
-    r0 = t.wires[d.replica_output_wire(0, "y")]
-    r1 = t.wires[d.replica_output_wire(1, "y")]
+    r0 = t.wires[d.layout.copy_outputs[0]["y"]]
+    r1 = t.wires[d.layout.copy_outputs[1]["y"]]
     assert r1 == r0 ^ ((1 << t.cycles) - 1)
 
 
@@ -239,6 +239,14 @@ def test_config_validation():
         RecordConfig(("a",), 2, {"a": 1}).validate(AND2)
     with pytest.raises(ValueError, match="at least one"):
         RecordConfig(("a",), 0, {"a": 1}).validate(AND2)
+
+
+@pytest.mark.parametrize("groups", [0, -1])
+def test_checkerboard_rejects_fewer_than_one_group(groups):
+    """checkerboard raises validate's message before it assigns a group."""
+    with pytest.raises(ValueError) as e:
+        RecordConfig.checkerboard(AND2, groups)
+    assert str(e.value) == "need at least one random-bit group"
 
 
 def test_config_json_roundtrip():
@@ -441,7 +449,7 @@ def test_config_is_frozen_and_its_grouping_read_only():
         d.config.groups = 1
     with pytest.raises(FrozenInstanceError):
         d.config.group_assignment = {"x1": 2}
-    assert d.replica_input_wires(1)["x1"] == "__tn_x1"
+    assert d.layout.buses[1]["x1"] == "__tn_x1"
     assert d.config == PartitionedDesign(d.netlist).config
     plain = {"x1": 1}
     cfg = RecordConfig(("x1",), 1, plain)

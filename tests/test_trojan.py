@@ -99,18 +99,21 @@ def test_tap_views_every_copy_of_an_ft_design():
 def test_tap_view_equals_the_per_gate_loop(data):
     """Every view of a transform or an FT transform of a random DAG taps
     exactly the wires the per-gate loop finds, in sorted order, and the
-    design's untrusted gates and each copy's bus and output wires are the
-    ones the verbatim role derivations find."""
+    design's copy counts, untrusted gates and each copy's bus and output
+    wires are the ones the verbatim role derivations find."""
     n, cfg = data.draw(designs())
     d = transform(n, cfg)
     if cfg.groups == 1 and data.draw(st.booleans()):
         d = transform_ft(n, cfg).design
     ref = reference_metrics.Design(d.netlist)
-    assert d.untrusted_gates() == ref.untrusted_gates()
+    assert d.copy_count == ref.copy_count
+    assert d.replica_count == ref.replica_count
+    assert list(d.layout.untrusted) == ref.untrusted_gates()
     for k in range(ref.copy_count):
-        assert d.replica_input_wires(k) == ref.replica_input_wires(k)
+        assert d.layout.buses[k] == ref.replica_input_wires(k)
         for o in ref.source_outputs:
-            assert d.replica_output_wire(k, o) == ref.replica_output_wire(k, o)
+            assert d.layout.copy_outputs[k][o] == \
+                ref.replica_output_wire(k, o)
     t = simulate(d, Stimulus.uniform(8, seed=0), RngSpec(0))
     for replica in [None, *range(d.copy_count)]:
         lt = tap(d, t, replica=replica)
@@ -279,7 +282,7 @@ def test_leak_report_isolated_replica_keys_on_its_own_bus():
     rep = leak_report(d, t, [("__tn_x1", "__tn_x2")], replica=1)
     scores = _scores(rep)
     for i in m9.inputs:
-        w = d.replica_input_wires(1)[i]
+        w = d.layout.buses[1][i]
         assert w == "__tn_" + i
         assert scores["input-echo(%s)" % w] == \
             _accuracy(t.wires[w], t.wires[i], t.cycles)
@@ -366,7 +369,7 @@ def test_property_report_floats_equal_mutual_information(groups, view,
     cycles = start + data.draw(st.integers(-1, 1) | st.integers(2, start))
     t = simulate(d, Stimulus.uniform(cycles, seed=seed), RngSpec(seed))
     lt = tap(d, t, replica=replica)
-    bus = d.replica_input_wires(replica or 0)
+    bus = d.layout.buses[replica or 0]
     tapped = [i for i in cfg.randomized_inputs if bus[i] in lt]
     pairs = [(bus[a], bus[b]) for k, a in enumerate(tapped)
              for b in tapped[k + 1:]]
@@ -389,7 +392,7 @@ def test_property_report_floats_equal_mutual_information(groups, view,
     oracle = {}
     for k in range(d.replica_count) if replica is None else (replica,):
         for o, z in zip(d.source_outputs, d.decoded_outputs):
-            w = d.replica_output_wire(k, o)
+            w = d.layout.copy_outputs[k][o]
             if w in lt:
                 oracle["pick-replica(%d,%s)" % (k, o)] = \
                     _accuracy(v[w], v[z], n)
@@ -425,7 +428,7 @@ def test_leak_report_same_bytes_on_both_counting_bases(fixture, groups, view,
     n = fixture_generate(fixture)
     d = transform(n, RecordConfig.checkerboard(n, groups))
     t = simulate(d, Stimulus.uniform(3001, seed=11), RngSpec(11))
-    bus = d.replica_input_wires(view or 0)
+    bus = d.layout.buses[view or 0]
     s = d.config.randomized_inputs
     pairs = [(bus[a], bus[b]) for k, a in enumerate(s) for b in s[k + 1:]]
     reports = []
@@ -439,7 +442,7 @@ def test_leak_report_same_bytes_on_both_counting_bases(fixture, groups, view,
 
 def test_trigger_g1_rate_half():
     m9, d = _maj9_design(1)
-    bus = d.replica_input_wires(0)
+    bus = d.layout.buses[0]
     watched = tuple(bus[i] for i in d.source_inputs)
     pattern = (1, 0, 1, 0, 1, 0, 1, 0, 1)
     stim = Stimulus.from_vectors([pattern] * 10000)
@@ -452,7 +455,7 @@ def test_trigger_g1_rate_half():
 
 def test_trigger_g2_rate_quarter():
     m9, d = _maj9_design(2)
-    bus = d.replica_input_wires(0)
+    bus = d.layout.buses[0]
     watched = tuple(bus[i] for i in d.source_inputs)
     pattern = (1, 1, 0, 0, 1, 1, 0, 0, 1)
     stim = Stimulus.from_vectors([pattern] * 10000)
@@ -467,7 +470,7 @@ def test_trigger_pattern_outside_orbit_never_fires():
     # watch two same-group wires; a pattern where they disagree with equal
     # inputs is unreachable for any random value
     m9, d = _maj9_design(1)
-    bus = d.replica_input_wires(0)
+    bus = d.layout.buses[0]
     watched = (bus["x1"], bus["x2"])
     x_rows = [(1, 1, 0, 0, 0, 0, 0, 0, 0)] * 2000
     stats = trigger_experiment(d, TriggerSpec(watched, (1, 0)),
