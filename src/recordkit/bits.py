@@ -9,9 +9,10 @@ length: the owner of a stream does (``SimTrace.cycles`` for a trace,
 
 This module owns every list<->packed conversion: ``pack`` (0/1 sequence to
 integer), ``unpack`` (integer to 0/1 list) and ``transpose`` (cycle-major
-stream to per-column integers). Each is a few C-level passes over one
-binary string (a 256-entry translate table, slicing, int<->text), so no
-Python code runs once per bit.
+stream to per-column integers). ``pack`` and ``unpack`` are a few C-level
+passes over one binary string (a 256-entry translate table, slicing,
+int<->text); ``transpose`` moves whole byte lanes of the stream with shifts
+and masks and builds no text. No Python code runs once per bit.
 """
 
 from __future__ import annotations
@@ -40,8 +41,27 @@ def unpack(value: int, n: int) -> List[int]:
 
 def transpose(stream: int, count: int, width: int) -> Tuple[int, ...]:
     """Split a cycle-major stream (bit c*width+i is cycle c of column i)
-    into width packed columns of count bits each."""
-    n = count * width
-    text = format(stream & ((1 << n) - 1), "0%db" % n)
-    return tuple(int(text[width - 1 - i::width] or "0", 2)
-                 for i in range(width))
+    into width packed columns of count bits each.
+
+    Eight cycles are exactly width bytes, so byte j of every 8-cycle block
+    forms lane j, and cycle 8k+r of column i is bit 8k + b%8 of lane b//8,
+    where b = r*width + i. One shift by b%8 - r and one AND with bit r of
+    every byte put that piece in place for all k at once: 8*width whole-int
+    steps for any count (bit-matrix transposition by shifts and masks,
+    Hacker's Delight 7-3).
+    """
+    blocks = (count + 7) >> 3
+    data = (stream & ((1 << count * width) - 1)).to_bytes(blocks * width,
+                                                          "little")
+    lanes = [int.from_bytes(data[j::width], "little") for j in range(width)]
+    del data
+    low = int.from_bytes(b"\1" * blocks, "little")  # bit 0 of every byte
+    cols = [0] * width
+    for r in range(8):
+        mask = low << r
+        for i in range(width):
+            b = r * width + i
+            s = (b & 7) - r
+            lane = lanes[b >> 3]
+            cols[i] |= (lane >> s if s >= 0 else lane << -s) & mask
+    return tuple(cols)

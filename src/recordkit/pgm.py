@@ -2,8 +2,9 @@
 
 An untrusted file is read in a few C-level passes: one regex for the four
 header tokens, with '#' comments anywhere; for P5 one translate that
-deletes the in-range bytes; for P2 one comment substitution and one map of
-int(), walking the samples only to name the first one int() rejects.
+deletes the in-range bytes, and no byte may follow the raster; for P2 one
+comment substitution and one map of int(), walking the samples only to
+name the first one int() rejects.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ def read_pgm(path) -> Tuple[int, int, int, List[int]]:
                          % (magic, path))
     if len(raster) != count:
         raise ValueError("malformed PGM: short raster in %s" % path)
+    if magic == b"P5" and len(data) > i + 1 + count:
+        raise ValueError("malformed PGM: %d bytes after the raster in %s"
+                         % (len(data) - i - 1 - count, path))
     if stray:
         raise ValueError("malformed PGM: pixel out of range in %s" % path)
     return width, height, maxval, list(raster)

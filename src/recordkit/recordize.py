@@ -134,7 +134,9 @@ class RecordConfig:
     @classmethod
     def checkerboard(cls, n: Netlist, groups: int = 1,
                      subset: Optional[Sequence[str]] = None) -> "RecordConfig":
-        """Assign groups round-robin by input position (alternating for G=2)."""
+        """Assign groups round-robin by input position (alternating for G=2).
+        The result is validated, so a config transform would reject is
+        never returned."""
         if groups < 1:
             raise ValueError("need at least one random-bit group")
         names = tuple(subset) if subset is not None else n.inputs
@@ -142,8 +144,10 @@ class RecordConfig:
         for w in names:
             if w not in pos:
                 raise ValueError("unknown input %r" % w)
-        assignment = {w: (pos[w] % groups) + 1 for w in names}
-        return cls(tuple(names), groups, assignment)
+        cfg = cls(tuple(names), groups,
+                  {w: (pos[w] % groups) + 1 for w in names})
+        cfg.validate(n)
+        return cfg
 
     def to_json(self) -> dict:
         return {"subset": list(self.randomized_inputs),

@@ -6,8 +6,9 @@ trace's ``cycles`` is the length of every one of those words. The
 random inputs consume G fresh stream bits per cycle, group 1 first.
 
 A Stimulus is frozen, so it can key a memo. from_file checks each line of
-an untrusted file once, as text, and builds every column from one binary
-string of all the lines (bits.transpose); no code runs once per bit.
+an untrusted file once, as text, reads all the lines as one cycle-major
+stream and splits that into columns through byte lanes (bits.transpose);
+no code runs once per bit.
 
 Exhaustive equivalence checking drives every wire with the classic binary
 counter columns (input p toggles with period 2^(p+1)); the first

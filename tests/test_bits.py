@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from recordkit.bits import pack, transpose, unpack
+from recordkit.rng import RngSpec, packed_bits
 
 
 def test_pack_and_index():
@@ -40,10 +43,12 @@ def test_pack_unpack_match_shift_loops(bits):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 200), st.integers(0, 12), st.integers(0, 1 << 80),
+@given(st.integers(0, 200), st.integers(0, 20), st.integers(0, 1 << 80),
        st.data())
 def test_transpose_matches_shift_loop(count, width, high, data):
-    """Stream bits at and above count*width (high) are ignored."""
+    """Stream bits at and above count*width (high) are ignored. Widths past
+    8 read lanes beyond index 8 and counts off a multiple of 8 end on a
+    partial 8-cycle block."""
     low = data.draw(st.integers(0, (1 << (count * width)) - 1))
     stream = low | high << (count * width)
     cols = transpose(stream, count, width)
@@ -56,6 +61,23 @@ def test_transpose_matches_shift_loop(count, width, high, data):
 @pytest.mark.parametrize("width", [0, 1, 3])
 def test_transpose_of_zero_cycles_is_empty_columns(stream, width):
     assert transpose(stream, 0, width) == (0,) * width
+
+
+@pytest.mark.parametrize("width", [2, 8, 9])
+def test_transpose_peak_memory_is_a_few_streams(width):
+    """2x10^5 cycles: the tracemalloc peak stays within 6 times the
+    stream's bytes (no per-bit text is built)."""
+    count = 200000
+    stream = packed_bits(RngSpec(3), count * width)
+    tracemalloc.start()
+    try:
+        cols = transpose(stream, count, width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cols) == width
+    nbytes = (count * width + 7) // 8
+    assert peak <= 6 * nbytes, (peak, nbytes)
 
 
 def test_unpack_reads_only_the_low_bits():

@@ -151,6 +151,23 @@ def test_verify_corrupted_file_fails(tmp_path, capsys):
     assert "NOT equivalent" in capsys.readouterr().out
 
 
+def test_recordize_rejects_more_groups_than_inputs(tmp_path, capsys):
+    """--rand-bits takes 1 or 2 only; two groups over one randomized input
+    leave group 2 empty, and checkerboard says so before any file is
+    written."""
+    src = tmp_path / "and2.nl"
+    src.write_text("module and2\ninput a b\noutput y\nand y a b\nend")
+    enc = tmp_path / "enc.nl"
+    with pytest.raises(SystemExit) as exc:
+        run("recordize", src, "--rand-bits", "3", "-o", enc)
+    assert exc.value.code == 2
+    assert "argument --rand-bits: invalid choice: 3" in capsys.readouterr().err
+    assert run("recordize", src, "--rand-bits", "2", "--subset", "a",
+               "-o", enc) == 1
+    assert capsys.readouterr().err == "error: group 2 has no inputs\n"
+    assert not enc.exists()
+
+
 def test_recordize_explicit_grouping(tmp_path):
     src = tmp_path / "adder.nl"
     assert run("fixture", "adder4", "-o", src) == 0

@@ -90,6 +90,9 @@ def test_pgm_pixel_out_of_range(tmp_path, raster):
     (b"P2\n2 2\n255\n0 1 2 3 4 0x5", "bad sample b'0x5'"),
     (b"P7\n2 2\n255\nabcd", "unknown magic b'P7'"),
     (b"P5\n2 2\n15\n\0\x10\0\0", "pixel out of range"),
+    (b"P5\n1 1\n255\n\0\n", "1 bytes after the raster"),
+    (b"P5 2 1 255 \0\0\0\0\0", "3 bytes after the raster"),
+    (b"P5\n1 1\n15\n\x10\x10", "1 bytes after the raster"),
     (b"P2\n2 2\n15\n0 -1 2 3", "pixel out of range"),
 ])
 def test_pgm_errors_are_pinned(tmp_path, data, message):
@@ -98,6 +101,24 @@ def test_pgm_errors_are_pinned(tmp_path, data, message):
     with pytest.raises(ValueError) as e:
         read_pgm(p)
     assert str(e.value) == "malformed PGM: %s in %s" % (message, p)
+
+
+def test_pgm_rejects_bytes_after_a_p5_raster(tmp_path):
+    """What write_pgm and the image demo write loads back; the same file
+    with one byte more does not."""
+    img = tmp_path / "in.pgm"
+    write_pgm(img, 16, 16, bytes(range(0, 256)))
+    res = demo_image(ImageDemoConfig(out_dir=str(tmp_path / "out"),
+                                     input_path=str(img), variant="record1",
+                                     seed=0))
+    for path in (img, res.original_path, res.enhanced_path, res.leaked_path):
+        assert read_pgm(path)[:3] == (16, 16, 255)
+        with open(path, "ab") as f:
+            f.write(b"\n")
+        with pytest.raises(ValueError) as e:
+            read_pgm(path)
+        assert str(e.value) == ("malformed PGM: 1 bytes after the raster in "
+                                "%s" % path)
 
 
 def test_pgm_accepts_what_int_accepts(tmp_path):
@@ -152,9 +173,11 @@ _HEADER_ERRORS = ("truncated header", "non-numeric header",
 
 
 def _matches_reference(data: bytes) -> bool:
-    """read_pgm agrees with the reference reader, except that a P5 file
-    whose valid header ends its maxval with a byte other than whitespace
-    (the reference reads that byte as the delimiter) is an error."""
+    """read_pgm agrees with the reference reader, except for two P5 files
+    that are errors: one whose valid header ends its maxval with a byte
+    other than whitespace (the reference reads that byte as the delimiter),
+    and one with bytes after a whole raster (the reference ignores them,
+    and reads a pixel out of range only after them)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input")
         with open(path, "wb") as f:
@@ -173,6 +196,13 @@ def _matches_reference(data: bytes) -> bool:
     if tokens[:1] == [b"P5"] and header_ok and data[i:i + 1].strip():
         want = (ValueError, "malformed PGM: no whitespace after maxval in %s"
                 % path)
+    elif tokens[:1] == [b"P5"] and (
+            want[0] is not ValueError
+            or want[1] == "malformed PGM: pixel out of range in %s" % path):
+        extra = len(data) - i - 1 - int(tokens[1]) * int(tokens[2])
+        if extra > 0:
+            want = (ValueError, "malformed PGM: %d bytes after the raster "
+                    "in %s" % (extra, path))
     return got == want
 
 
@@ -184,6 +214,8 @@ def _matches_reference(data: bytes) -> bool:
 @example(b"P5 2 1 255 #c")
 @example(b"P5 2 1 256#c\n\0\0")
 @example(b"P2\n22 2\n255")
+@example(b"P5 1 1 255 \0\0")
+@example(b"P5 1 1 1 \x07\n")
 @example(b"P2\x0b1\x0c1\r\n255\n#last")
 def test_read_pgm_matches_reference_reader(data):
     assert _matches_reference(data)

@@ -249,6 +249,20 @@ def test_checkerboard_rejects_fewer_than_one_group(groups):
     assert str(e.value) == "need at least one random-bit group"
 
 
+@pytest.mark.parametrize("groups, subset, message", [
+    (3, None, "group 3 has no inputs"),
+    (2, ["a"], "group 2 has no inputs"),
+    (1, ["a", "a"], "randomized input 'a' listed twice"),
+    (1, [], "randomized input subset is empty"),
+])
+def test_checkerboard_raises_validate_message_at_the_call(groups, subset,
+                                                          message):
+    """checkerboard returns only configs that transform accepts."""
+    with pytest.raises(ValueError) as e:
+        RecordConfig.checkerboard(AND2, groups, subset)
+    assert str(e.value) == message
+
+
 def test_config_json_roundtrip():
     m9 = fixture_generate("maj9")
     cfg = RecordConfig.checkerboard(m9, 2)

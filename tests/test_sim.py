@@ -14,8 +14,8 @@ from recordkit.netlist import Evaluator, evaluate, parse_netlist
 from recordkit.recordize import RecordConfig, design_from_netlist, transform
 from recordkit.rng import MASK64, RngSpec, packed_bits
 from recordkit.sim import (EXHAUSTIVE_BIT_LIMIT, SimulationError, Stimulus,
-                           exhaustive_columns, simulate, simulate_netlist,
-                           verify_equivalence)
+                           exhaustive_columns, r_columns, simulate,
+                           simulate_netlist, verify_equivalence)
 
 AND2 = parse_netlist("module and2\ninput a b\noutput y\nand y a b\nend")
 
@@ -156,6 +156,21 @@ def test_r_bits_fresh_per_cycle_group_order():
     for c in range(32):
         assert t.wires["__r1"] >> c & 1 == raw >> 2 * c & 1
         assert t.wires["__r2"] >> c & 1 == raw >> 2 * c + 1 & 1
+
+
+@pytest.mark.parametrize("width", [1, 2, 9])
+@pytest.mark.parametrize("count", [7, 8, 9, 63, 64, 65])
+def test_r_columns_bit_c_of_column_i_is_stream_bit_c_width_plus_i(count,
+                                                                   width):
+    """Counts on and off a multiple of 8 and of 64 cycles, and a width past
+    one byte lane."""
+    cols = r_columns(RngSpec(21), count, width)
+    raw = packed_bits(RngSpec(21), count * width)
+    assert len(cols) == width
+    for i, col in enumerate(cols):
+        assert col >> count == 0, i
+        for c in range(count):
+            assert col >> c & 1 == raw >> c * width + i & 1, (c, i)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 5])
