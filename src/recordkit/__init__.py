@@ -21,8 +21,8 @@ from .ftrecord import (REPLAY_LIMIT, FTDesign, FTTrace, FaultInjection,
 from .netlist import (Gate, Netlist, NetlistError, evaluate, parse_netlist,
                       read_netlist, save_netlist, write_netlist)
 from .recordize import (PartitionedDesign, RecordConfig, design_from_netlist,
-                        partition_check, rekey, transform,
-                        untrusted_zone_text, user_view)
+                        partition_check, transform, untrusted_zone_text,
+                        user_view)
 from .rng import RngSpec
 from .sim import (SimTrace, Stimulus, Verdict, simulate, simulate_netlist,
                   verify_equivalence)

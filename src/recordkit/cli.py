@@ -19,7 +19,8 @@ from .demo import ImageDemoConfig, demo_image
 from .fixtures import FIXTURE_KINDS, fixture_generate
 from .ftrecord import FaultPlan, FaultPlanError, ft_simulate, transform_ft
 from .jsontext import dumps
-from .netlist import NetlistError, evaluate, read_netlist, save_netlist
+from .netlist import (NetlistError, evaluate, open_text, read_netlist,
+                      save_netlist)
 from .recordize import Layout, RecordConfig, design_from_netlist, transform
 from .rng import MASK64, RngSpec
 from .sim import (SimulationError, Stimulus, simulate, simulate_netlist,
@@ -67,7 +68,7 @@ def _config(args, source) -> RecordConfig:
         return RecordConfig.checkerboard(source, args.rand_bits, subset)
     if args.grouping.startswith("explicit:"):
         path = args.grouping.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as f:
+        with open_text(path) as f:
             assignment = json.load(f)
         if not isinstance(assignment, dict) or any(
                 type(g) is not int for g in assignment.values()):

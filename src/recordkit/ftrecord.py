@@ -50,7 +50,7 @@ from itertools import repeat
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bits import unpack
-from .netlist import Gate, Netlist
+from .netlist import Gate, Netlist, open_text
 from .recordize import (COMPARE_PREFIX, MISCOMPARE_WIRE, TWIN_SELECT_PREFIX,
                         VOTE_PAIR_PREFIXES, VOTE_PREFIX, PartitionedDesign,
                         RecordConfig, _record_parts, copy_ports,
@@ -182,7 +182,7 @@ class FaultPlan:
 
     @classmethod
     def from_file(cls, path) -> "FaultPlan":
-        with open(path, "r", encoding="utf-8") as f:
+        with open_text(path) as f:
             return cls.from_json(json.load(f))
 
 

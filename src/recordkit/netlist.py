@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -471,8 +472,19 @@ def gate_text(g: Gate) -> str:
         line, g.out, g.zone, g.out, g.replica)
 
 
-def read_netlist(path) -> Netlist:
+@contextmanager
+def open_text(path):
+    """path opened as UTF-8 text; a byte that is not UTF-8 raises a
+    ValueError that names the path."""
     with open(path, "r", encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise ValueError("%s: %s" % (path, e)) from None
+
+
+def read_netlist(path) -> Netlist:
+    with open_text(path) as f:
         return parse_netlist(f.read())
 
 

@@ -29,28 +29,28 @@ The complemented encoding is emitted as a single xnor per randomized input
 gate level in front of the copies.
 
 This module owns every reserved ("__"-prefixed) wire name, including those
-of the fault-tolerant variant. A design is its netlist and its random
-stream. Every wire role (random inputs, source ports, the __t_ encode gates
-the config is read off, the copies with their buses and output wires, the
-cut and the trusted harness) is read off those names once, when the design
-is constructed, into a frozen Layout derived from the netlist and never
-set beside it; FT twins, comparators and votes are read off their names.
-Every design, from transform(), transform_ft(), rekey() or a loaded file,
-is checked against those names and the closure rule as it is constructed,
-once per design object, and a failed check raises NetlistError.
+of the fault-tolerant variant. A design is its netlist: the random stream
+is not part of what is fabricated, so every simulation takes it as an
+argument. Every wire role (random inputs, source ports, the __t_/__tn_
+encode gates the config is read off, the copies with their buses and output
+wires, the cut and the trusted harness) is read off those names once, when
+the design is constructed, into a frozen Layout derived from the netlist
+and never set beside it; FT twins, comparators and votes are read off their
+names. Every design, from transform(), transform_ft() or a loaded file, is
+checked against those names and the closure rule as it is constructed, and
+a failed check raises NetlistError.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .netlist import Gate, Netlist, NetlistError, UNTRUSTED, gate_text
-from .rng import RngSpec
 
 RESERVED_PREFIX = "__"
 RANDOM_PREFIX = "__r"              # __r<g>: random bit of group g, 1-based
@@ -154,11 +154,6 @@ class RecordConfig:
                 "groups": self.groups,
                 "assignment": dict(self.group_assignment)}
 
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "RecordConfig":
-        return cls(tuple(doc["subset"]), int(doc["groups"]),
-                   {k: int(v) for k, v in doc["assignment"].items()})
-
 
 @dataclass(frozen=True)
 class Layout:
@@ -174,7 +169,6 @@ class Layout:
     encoded_outputs: Tuple[str, ...]
     decoded_outputs: Tuple[str, ...]
     source_outputs: Tuple[str, ...]
-    encoders: Mapping[str, Gate]  # the __t_ gate of each randomized input
     config: RecordConfig
     untrusted: Tuple[Gate, ...]   # every copy's gates, in netlist order
     copies: Tuple[Tuple[Gate, ...], ...]
@@ -216,10 +210,13 @@ class Layout:
         zone: List[Gate] = []
         harness: List[Gate] = []
         encoders: Dict[str, Gate] = {}
+        complements: Dict[str, Gate] = {}
         for g in n.gates:
             (zone if g.zone == UNTRUSTED else harness).append(g)
             if g.out.startswith(ENCODE_PREFIX):
                 encoders[g.out[len(ENCODE_PREFIX):]] = g
+            elif g.out.startswith(ENCODE_COMPLEMENT_PREFIX):
+                complements[g.out[len(ENCODE_COMPLEMENT_PREFIX):]] = g
 
         # __t_<x> = x xor __r<g> puts x in group g
         group_of = {w: k for k, w in enumerate(randoms, start=1)}
@@ -231,6 +228,12 @@ class Layout:
                     or not groups):
                 raise NetlistError("unrecognized encode gate for input %r" % i)
             assignment[i] = groups[0]
+        # __tn_<x> = x xnor the __r<g> of its __t_<x> twin
+        for i, g in complements.items():
+            if (g.kind != "XNOR" or i not in assignment or sorted(g.ins)
+                    != sorted((i, random_wire(assignment[i])))):
+                raise NetlistError("unrecognized complemented encode gate %r"
+                                   % g.out, g.line)
         config = RecordConfig(tuple(assignment), len(randoms), assignment)
         try:
             config.validate(n)
@@ -281,9 +284,8 @@ class Layout:
                                    g.line)
 
         ports = [copy_ports(config, sources, outputs, k) for k in range(count)]
-        return cls(randoms, sources, encoded, decoded, outputs,
-                   MappingProxyType({i: encoders[i] for i in assignment}),
-                   config, tuple(zone), tuple(map(tuple, copies)),
+        return cls(randoms, sources, encoded, decoded, outputs, config,
+                   tuple(zone), tuple(map(tuple, copies)),
                    tuple(MappingProxyType(bus) for bus, _ in ports),
                    tuple(MappingProxyType(outs) for _, outs in ports),
                    reads, drives, frozenset().union(*external),
@@ -292,12 +294,11 @@ class Layout:
 
 @dataclass(frozen=True)
 class PartitionedDesign:
-    """A transformed netlist and its random stream. Construction reads its
+    """A transformed netlist, and nothing beside it. Construction reads its
     Layout and checks closure; the role attributes are views of layout, and
     copy k's bus and output wires are layout.buses[k] and copy_outputs[k]."""
 
     netlist: Netlist
-    rng: RngSpec = field(default_factory=RngSpec)
 
     def __post_init__(self):
         self.layout  # reading it runs every reserved-name check, in order
@@ -440,20 +441,15 @@ def user_view(d: PartitionedDesign) -> Netlist:
                    d.decoded_outputs, gates)
 
 
-def rekey(d: PartitionedDesign, new_rng: RngSpec) -> PartitionedDesign:
-    """Swap the harness random stream; no gate is touched. The copy is
-    constructed anew, so it passes every construction check again."""
-    return replace(d, rng=new_rng)
-
-
 def untrusted_zone_text(d: PartitionedDesign) -> str:
     """Serialization of exactly the untrusted gates, in netlist order."""
     return "\n".join(map(gate_text, d.layout.untrusted)) + "\n"
 
 
 def design_from_netlist(n: Netlist) -> PartitionedDesign:
-    """Rebuild a PartitionedDesign from a serialized transformed netlist,
-    on the default stream (rekey() sets another). Construction reads its
-    Layout, checking the reserved names transform() writes, then the
-    closure rule, and raises NetlistError on the first rule n breaks."""
+    """Rebuild a PartitionedDesign from a serialized transformed netlist;
+    the random stream is the simulation's argument, not the design's.
+    Construction reads its Layout, checking the reserved names transform()
+    writes, then the closure rule, and raises NetlistError on the first
+    rule n breaks."""
     return PartitionedDesign(n)

@@ -3,7 +3,9 @@
 A trace stores one packed integer per wire, bit c holding the wire's value
 in cycle c, so an entire run is a single word-parallel evaluation. The
 trace's ``cycles`` is the length of every one of those words. The
-random inputs consume G fresh stream bits per cycle, group 1 first.
+random inputs consume G fresh bits per cycle, group 1 first, of the stream
+the caller passes: a design carries none, as the fabricated part carries
+none.
 
 A Stimulus is frozen, so it can key a memo. from_file checks each line of
 an untrusted file once, as text, reads all the lines as one cycle-major
@@ -22,10 +24,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from .bits import pack, transpose, unpack
-from .netlist import Netlist
+from .bits import transpose, unpack
+from .netlist import Netlist, open_text
 from .recordize import PartitionedDesign
 from .rng import RngSpec, packed_bits
 
@@ -61,25 +63,11 @@ class Stimulus:
         return cls(count=count, seed=seed)
 
     @classmethod
-    def from_vectors(cls, rows: Iterable[Sequence[int]]) -> "Stimulus":
-        mats = [tuple(int(b) for b in row) for row in rows]
-        if not mats:
-            raise ValueError("empty stimulus")
-        width = len(mats[0])
-        for c, row in enumerate(mats):
-            if len(row) != width:
-                raise ValueError("row %d has width %d, expected %d"
-                                 % (c, len(row), width))
-            if not {0, 1}.issuperset(row):
-                raise ValueError("stimulus bit must be 0 or 1")
-        return cls(len(mats), tuple(pack(col) for col in zip(*mats)))
-
-    @classmethod
     def from_file(cls, path) -> "Stimulus":
         """One binary string per line, first character the first declared
         input; '#' starts a comment and blank lines are skipped."""
         rows = []
-        with open(path, "r", encoding="utf-8") as f:
+        with open_text(path) as f:
             for lineno, raw in enumerate(f, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -145,12 +133,10 @@ def exhaustive_columns(k: int) -> Tuple[int, ...]:
                  for b in (1 << p for p in range(k)))
 
 
-def simulate(d: PartitionedDesign, stim: Stimulus,
-             rng: Optional[RngSpec] = None) -> SimTrace:
+def simulate(d: PartitionedDesign, stim: Stimulus, rng: RngSpec) -> SimTrace:
     """Drive a partitioned design: stimulus on the source inputs, fresh
-    stream bits on the random inputs, full valuation recorded."""
-    if rng is None:
-        rng = d.rng
+    bits of the caller's stream on the random inputs, full valuation
+    recorded."""
     count, cols = stim.bound(len(d.source_inputs))
     values = dict(zip(d.source_inputs, cols))
     rcols = r_columns(rng, count, d.config.groups)

@@ -6,8 +6,10 @@ visible set, the generator forms of ``cost.depth`` and ``cost.area``, and
 ``Design`` and ``partition_check``, copied verbatim from before they were
 unrolled, mapped or read off one layout (tap's loop as a function of the
 design and view, reading ``Design``'s zone; ``Design`` without the random
-stream, and with ``Netlist.drivers()`` written inline). The name does not
-match ``test_*.py``, so pytest does not collect this module.
+stream, with ``Netlist.drivers()`` written inline, and with the ``__tn_``
+encoder check that ``Layout.read`` gained later, written independently).
+The name does not match ``test_*.py``, so pytest does not collect this
+module.
 """
 
 import math
@@ -149,6 +151,16 @@ class Design:
                     or not groups):
                 raise NetlistError("unrecognized encode gate for input %r" % i)
             assignment[i] = groups[0]
+        # every __tn_<x> is x xnor the pad of its __t_<x> twin
+        for g in self.netlist.gates:
+            if not g.out.startswith(ENCODE_COMPLEMENT_PREFIX):
+                continue
+            x = g.out[len(ENCODE_COMPLEMENT_PREFIX):]
+            want = sorted([x, random_wire(assignment.get(x, 0))])
+            if (g.kind, x in assignment, sorted(g.ins)) != ("XNOR", True,
+                                                            want):
+                raise NetlistError("unrecognized complemented encode gate "
+                                   "%r" % g.out, g.line)
         return RecordConfig(tuple(assignment), len(self.random_wires),
                             assignment)
 

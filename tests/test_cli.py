@@ -578,6 +578,60 @@ def test_encode_gate_padded_by_a_gate_output_is_rejected(tmp_path, capsys,
         "error: unrecognized encode gate for input 'x1'\n"
 
 
+# complemented encoders no transform builds: maj9 G=1's x1 unpadded or
+# padded by another input, and maj9 G=2's x2 on group 1's pad, not its own
+TN_EDITS = [
+    (1, "xnor __tn_x1 x1 __r1\n", "buf __tn_x1 x1\n", "__tn_x1"),
+    (1, "xnor __tn_x1 x1 __r1\n", "xnor __tn_x1 x1 x2\n", "__tn_x1"),
+    (2, "xnor __tn_x2 x2 __r2\n", "xnor __tn_x2 x2 __r1\n", "__tn_x2"),
+]
+
+
+@pytest.mark.parametrize("groups, old, new, wire", TN_EDITS,
+                         ids=["unpadded", "other-input", "other-pad"])
+def test_complemented_encoder_off_its_pad_is_rejected(tmp_path, capsys,
+                                                      groups, old, new,
+                                                      wire):
+    src = tmp_path / "maj9.nl"
+    bad = tmp_path / "bad.nl"
+    run("fixture", "maj9", "-o", src)
+    run("recordize", src, "-o", bad, "--rand-bits", groups)
+    text = bad.read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    bad.write_text(text)
+    line = text.splitlines().index(new.strip()) + 1
+    capsys.readouterr()
+    for argv in (("check", bad), ("attack", bad, "--cycles", "64")):
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            "error: line %d: unrecognized complemented encode gate %r\n"
+            % (line, wire))
+
+
+# one command per reader of an input file: netlist, stimulus, fault plan
+# and grouping
+@pytest.mark.parametrize("argv", [
+    ("check", "{bad}"),
+    ("simulate", "{enc}", "--stimulus", "{bad}"),
+    ("ft-sim", "{src}", "--cycles", "10", "--faults", "{bad}"),
+    ("recordize", "{src}", "--grouping", "explicit:{bad}", "-o",
+     "{tmp}/out.nl"),
+], ids=["netlist", "stimulus", "faults", "grouping"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, argv):
+    src, enc = tmp_path / "maj9.nl", tmp_path / "enc.nl"
+    bad = tmp_path / "bad.txt"
+    run("fixture", "maj9", "-o", src)
+    run("recordize", src, "-o", enc)
+    bad.write_bytes(b"module m\xff\n")
+    capsys.readouterr()
+    assert run(*(a.format(src=src, enc=enc, bad=bad, tmp=tmp_path)
+                 for a in argv)) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: 'utf-8' codec can't decode byte 0xff in position 8: "
+        "invalid start byte\n" % bad)
+
+
 def test_fixture_rejects_a_parameter_its_kind_does_not_take(tmp_path,
                                                             capsys):
     out = tmp_path / "m9.nl"

@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 import reference_metrics
 from hypothesis import given, settings, strategies as st
+from reference_readers import from_vectors
 from test_netlist import _dag_over_every_kind
 from test_recordize import designs
 
@@ -117,7 +118,7 @@ def test_switching_constant_inputs_no_toggles():
     d = transform(m9, RecordConfig.checkerboard(m9, 1))
     # drive the full transformed netlist, random input pinned constant
     rows = [(1, 0, 1, 0, 1, 0, 1, 0, 1, 0)] * 50
-    t = simulate_netlist(d.netlist, Stimulus.from_vectors(rows))
+    t = simulate_netlist(d.netlist, from_vectors(rows))
     act = switching(t)
     assert act.total_toggles == 0
     assert act.weighted_activity == 0.0
@@ -169,7 +170,7 @@ def test_switching_matches_per_gate_loop(kind, groups, cycles, distinct,
 
 
 def test_switching_requires_two_cycles():
-    t = simulate_netlist(AND2, Stimulus.from_vectors([(1, 1)]))
+    t = simulate_netlist(AND2, from_vectors([(1, 1)]))
     with pytest.raises(ValueError, match="2 cycles"):
         switching(t)
 
@@ -232,6 +233,17 @@ def test_cost_report_full():
     assert set(doc["proxy"]) == {"area", "depth", "activity", "leakage"}
     assert "ratios" in doc and "note" in doc
     assert doc["ratios"]["depth_delta"] == 3.0
+
+
+@pytest.mark.parametrize("kind, groups", [("maj9", 2), ("aes-sbox", 1)])
+def test_cost_report_activity_is_switching_of_each_trace(kind, groups):
+    n = fixture_generate(kind)
+    d = transform(n, RecordConfig.checkerboard(n, groups))
+    stim = Stimulus.uniform(300, seed=9)
+    traces = (simulate_netlist(n, stim), simulate(d, stim, RngSpec(9)))
+    rep = cost_report(n, d, traces)
+    assert (rep.activity_original, rep.activity_transformed) == tuple(
+        switching(t).weighted_activity for t in traces)
 
 
 # (source, the ratios that are undefined): a netlist of constants has no

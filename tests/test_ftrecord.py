@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_readers import from_vectors
 from test_netlist import scanned_fanout, stuck_at
 from test_sim import words
 
@@ -199,7 +200,7 @@ def test_unselected_twin_fault_invisible():
 
 def test_repeat_injection_flags_permanent_suspect():
     _, ft = _ft_and2()
-    stim = Stimulus.from_vectors([(1, 1)] * 50)
+    stim = from_vectors([(1, 1)] * 50)
     # stuck-at-0 on the output wire of replica 0 at every step; with x=11
     # the function value is 1, so whenever replica 0 is selected this
     # miscompares, and it persists through every replay
@@ -216,7 +217,7 @@ def test_repeat_injection_flags_permanent_suspect():
 
 def test_clean_replay_resets_replay_limit_count():
     _, ft = _ft_and2()
-    stim = Stimulus.from_vectors([(1, 1)] * 30)
+    stim = from_vectors([(1, 1)] * 30)
     # two bursts of stuck-at-0 on replica 0's output; with this seed the
     # replays miscompare 1, 0, 1, 1 times: three in all, never three in a row
     plan = FaultPlan(tuple(FaultInjection(c, 0, "y", 0)
@@ -273,7 +274,7 @@ def test_fault_plan_json_roundtrip(tmp_path):
 
 def test_fault_at_last_cycle_still_committed():
     _, ft = _ft_and2()
-    stim = Stimulus.from_vectors([(1, 1)] * 10)
+    stim = from_vectors([(1, 1)] * 10)
     # the fault may or may not fire depending on r at step 9; both paths
     # must end with a full committed stream
     plan = FaultPlan((FaultInjection(9, 0, "y", 0),))
@@ -296,7 +297,7 @@ def test_voter_majority_truth_table():
 def test_trace_csv_export(tmp_path):
     _, ft = _ft_and2()
     plan = FaultPlan((FaultInjection(2, 0, "y", 0),))
-    trace = ft_simulate(ft, Stimulus.from_vectors([(1, 1)] * 5), RngSpec(0),
+    trace = ft_simulate(ft, from_vectors([(1, 1)] * 5), RngSpec(0),
                         plan)
     out = tmp_path / "ft.csv"
     trace.to_csv(out)
@@ -424,7 +425,7 @@ def _oracle_cases(draw):
     plan = FaultPlan(tuple(FaultInjection(step, *f)
                            for step, f in sorted(by_step.items())))
     seed = draw(st.integers(0, 2 ** 64 - 1))
-    return ft, Stimulus.from_vectors(vectors), RngSpec(seed), plan
+    return ft, from_vectors(vectors), RngSpec(seed), plan
 
 
 @settings(max_examples=150, deadline=None)
@@ -509,8 +510,8 @@ def _plan_with_replays():
 def test_memo_never_goes_stale():
     _, ft = _ft_maj9()
     stims = (Stimulus.uniform(40, seed=2),
-             Stimulus.from_vectors([[(c >> b) & 1 for b in range(9)]
-                                    for c in range(0, 400, 13)]))
+             from_vectors([[(c >> b) & 1 for b in range(9)]
+                           for c in range(0, 400, 13)]))
     for _ in range(2):
         for stim in stims:
             for rng in (RngSpec(3), RngSpec(4)):

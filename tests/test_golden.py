@@ -16,6 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from reference_readers import from_vectors
 from test_readme import run_tour
 
 from recordkit.cost import cost_report
@@ -239,7 +240,7 @@ def _artifact(key: str):
             return _json(list(Stimulus.uniform(1000, seed=3).bound(9)[1]))
         rng = random.Random(11)
         rows = [[rng.getrandbits(1) for _ in range(7)] for _ in range(300)]
-        return _json(list(Stimulus.from_vectors(rows).bound(7)[1]))
+        return _json(list(from_vectors(rows).bound(7)[1]))
     if parts[0] == "r_columns":
         return _json([list(r_columns(RngSpec(4), 777, g)) for g in (1, 2)])
     if parts[0] == "salt_pepper":

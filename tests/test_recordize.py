@@ -14,7 +14,7 @@ from recordkit.netlist import (Evaluator, Gate, Netlist, NetlistError,
                                evaluate, parse_netlist, validate,
                                write_netlist)
 from recordkit.recordize import (PartitionedDesign, RecordConfig,
-                                 design_from_netlist, partition_check, rekey,
+                                 design_from_netlist, partition_check,
                                  transform, untrusted_zone_text, user_view)
 from recordkit.rng import RngSpec
 from recordkit.sim import Stimulus, simulate, verify_equivalence
@@ -196,21 +196,23 @@ def test_self_dual_shortcut_per_cycle():
 
 
 def test_rekey_leaves_untrusted_zone_untouched():
+    """A new stream is a simulation argument: running a design under two
+    streams leaves its netlist, and so its untrusted zone, as it was."""
     m9 = fixture_generate("maj9")
     d = transform(m9, RecordConfig.checkerboard(m9, 1))
-    d2 = rekey(d, RngSpec(7))
-    assert untrusted_zone_text(d2) == untrusted_zone_text(d)
-    assert d2.netlist == d.netlist
-    assert d2.rng == RngSpec(7)
+    zone = untrusted_zone_text(d)
+    stim = Stimulus.uniform(50, seed=4)
+    for seed in (0, 7):
+        assert simulate(d, stim, RngSpec(seed)).netlist is d.netlist
+    assert untrusted_zone_text(d) == zone
 
 
 def test_rekey_same_decode_different_leak():
     m9 = fixture_generate("maj9")
     d = transform(m9, RecordConfig.checkerboard(m9, 1))
-    d2 = rekey(d, RngSpec(99))
     stim = Stimulus.uniform(500, seed=4)
-    t1 = simulate(d, stim)
-    t2 = simulate(d2, stim)
+    t1 = simulate(d, stim, RngSpec(0))
+    t2 = simulate(d, stim, RngSpec(99))
     assert t1.wires["__z_y"] == t2.wires["__z_y"]
     assert t1.wires["__t_x1"] != t2.wires["__t_x1"]
 
@@ -271,7 +273,10 @@ def test_config_json_roundtrip():
     assert doc["subset"] == list(m9.inputs)
     # alternating assignment by input position
     assert doc["assignment"]["x1"] == 1 and doc["assignment"]["x2"] == 2
-    back = RecordConfig.from_json(doc)
+    # the config is read back off the netlist's __t_ encoders
+    text = write_netlist(transform(m9, cfg).netlist)
+    back = design_from_netlist(parse_netlist(text)).config
+    assert back.to_json() == doc
     assert back.randomized_inputs == cfg.randomized_inputs
     assert back.group_assignment == cfg.group_assignment
 
@@ -430,13 +435,40 @@ def test_structural_rejections(tmp_path, capsys, edit, message):
     assert err.startswith("error:") and message in err
 
 
+# An encode gate is x xor its pad, no more and no less; its complement is
+# x xnor the same pad, and is named with its line.
+@pytest.mark.parametrize("old, new, message", [
+    ("xor __t_x1 x1 __r1\n", "xor __t_x1 x1 __r1 x2\n",
+     "unrecognized encode gate for input 'x1'"),
+    ("xor __t_x1 x1 __r1\n", "xor __t_x1 x2 __r1\n",
+     "unrecognized encode gate for input 'x1'"),
+    ("xnor __tn_x1 x1 __r1\n", "buf __tn_x1 x1\n",
+     "line 5: unrecognized complemented encode gate '__tn_x1'"),
+    ("xnor __tn_x1 x1 __r1\n", "xnor __tn_x1 x1 x2\n",
+     "line 5: unrecognized complemented encode gate '__tn_x1'"),
+    ("xnor __tn_x1 x1 __r1\n", "xor __tn_x1 x1 __r1\n",
+     "line 5: unrecognized complemented encode gate '__tn_x1'"),
+    ("xnor __tn_x1 x1 __r1\n", "xnor __tn_x1 x1 __r1\nxnor __tn_q x1 __r1\n",
+     "line 6: unrecognized complemented encode gate '__tn_q'"),
+], ids=["t-three-inputs", "t-other-input", "tn-unpadded", "tn-other-input",
+        "tn-xor", "tn-no-twin"])
+def test_encoder_off_its_pad_is_rejected(old, new, message):
+    text = _maj9_g1_text()
+    assert text.count(old) == 1
+    with pytest.raises(NetlistError) as e:
+        design_from_netlist(parse_netlist(text.replace(old, new)))
+    assert str(e.value) == message
+
+
 def test_config_is_read_off_the_netlist_not_stored():
-    assert [f.name for f in fields(PartitionedDesign)] == ["netlist", "rng"]
+    assert [f.name for f in fields(PartitionedDesign)] == ["netlist"]
     m9 = fixture_generate("maj9")
     d = transform(m9, RecordConfig.checkerboard(m9, 1))
     with pytest.raises(TypeError):
         replace(d, config=RecordConfig(("x1",), 1, {"x1": 1}))
-    assert rekey(d, RngSpec(5)).config == d.config
+    with pytest.raises(TypeError):
+        replace(d, rng=RngSpec(5))
+    assert replace(d).config == d.config
 
 
 def test_no_violating_design_can_be_constructed():

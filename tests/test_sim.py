@@ -95,7 +95,7 @@ def test_simulate_decodes_to_source_function():
 
 def test_simulate_and_design_constant_ones():
     d = transform(AND2, RecordConfig.checkerboard(AND2, 1))
-    stim = Stimulus.from_vectors([(1, 1)] * 64)
+    stim = reference_readers.from_vectors([(1, 1)] * 64)
     t = simulate(d, stim, RngSpec(5))
     assert t.wires["__z_y"].bit_count() == 64
 
@@ -277,18 +277,18 @@ def test_stimulus_file_short_row_names_its_line(tmp_path):
 
 
 def test_stimulus_width_mismatch():
-    stim = Stimulus.from_vectors([(1, 0)])
+    stim = reference_readers.from_vectors([(1, 0)])
     with pytest.raises(SimulationError, match="width"):
         stim.bound(3)
 
 
 def test_stimulus_bad_vector():
     with pytest.raises(ValueError):
-        Stimulus.from_vectors([(1, 2)])
+        reference_readers.from_vectors([(1, 2)])
     with pytest.raises(ValueError):
-        Stimulus.from_vectors([(1, 0), (1,)])
+        reference_readers.from_vectors([(1, 0), (1,)])
     with pytest.raises(ValueError):
-        Stimulus.from_vectors([])
+        reference_readers.from_vectors([])
 
 
 @pytest.mark.parametrize("text, message", [
@@ -316,13 +316,13 @@ def test_stimulus_file_errors_are_pinned(tmp_path, text, message):
 ])
 def test_stimulus_vector_errors_are_pinned(rows, message):
     with pytest.raises(ValueError) as e:
-        Stimulus.from_vectors(rows)
+        reference_readers.from_vectors(rows)
     assert str(e.value) == message
 
 
 def test_stimulus_width_mismatch_message():
     with pytest.raises(SimulationError) as e:
-        Stimulus.from_vectors([(1, 0)]).bound(3)
+        reference_readers.from_vectors([(1, 0)]).bound(3)
     assert str(e.value) == ("stimulus width 2 does not match the 3 design "
                             "inputs")
 
@@ -386,13 +386,23 @@ def test_stimulus_file_matches_reference_reader(text):
         Stimulus.from_file, reference_readers.from_file, text.encode())
 
 
+def _reference_naming_the_path(path):
+    """reference_readers.from_file, with a byte that is not UTF-8 reported
+    as every reader now reports it: the path, then the codec's message."""
+    try:
+        return reference_readers.from_file(path)
+    except UnicodeDecodeError as e:
+        raise ValueError("%s: %s" % (path, e)) from None
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from([b"0", b"1", b"\n", b"\r", b"#", b" ",
                                  b"\t", b"x", b"\xff", b"\xc2\xa0"]),
                 max_size=40).map(b"".join))
+@example(b"01\n\xff")
 def test_stimulus_file_matches_reference_on_any_bytes(data):
     assert not _differs_from_reference(
-        Stimulus.from_file, reference_readers.from_file, data)
+        Stimulus.from_file, _reference_naming_the_path, data)
 
 
 def test_stimulus_file_peak_memory_is_bounded(tmp_path):

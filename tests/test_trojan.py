@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 import reference_metrics
 from hypothesis import given, settings, strategies as st
+from reference_readers import from_vectors
 from test_recordize import designs
 
 from recordkit import trojan
@@ -445,7 +446,7 @@ def test_trigger_g1_rate_half():
     bus = d.layout.buses[0]
     watched = tuple(bus[i] for i in d.source_inputs)
     pattern = (1, 0, 1, 0, 1, 0, 1, 0, 1)
-    stim = Stimulus.from_vectors([pattern] * 10000)
+    stim = from_vectors([pattern] * 10000)
     stats = trigger_experiment(d, TriggerSpec(watched, pattern), stim,
                                RngSpec(60))
     assert stats.analytic_rate == 0.5  # fires only when r = 0
@@ -458,7 +459,7 @@ def test_trigger_g2_rate_quarter():
     bus = d.layout.buses[0]
     watched = tuple(bus[i] for i in d.source_inputs)
     pattern = (1, 1, 0, 0, 1, 1, 0, 0, 1)
-    stim = Stimulus.from_vectors([pattern] * 10000)
+    stim = from_vectors([pattern] * 10000)
     stats = trigger_experiment(d, TriggerSpec(watched, pattern), stim,
                                RngSpec(61))
     assert stats.analytic_rate == 0.25
@@ -474,7 +475,7 @@ def test_trigger_pattern_outside_orbit_never_fires():
     watched = (bus["x1"], bus["x2"])
     x_rows = [(1, 1, 0, 0, 0, 0, 0, 0, 0)] * 2000
     stats = trigger_experiment(d, TriggerSpec(watched, (1, 0)),
-                               Stimulus.from_vectors(x_rows), RngSpec(62))
+                               from_vectors(x_rows), RngSpec(62))
     assert stats.count == 0
     assert stats.analytic_rate == 0.0
 
@@ -485,7 +486,7 @@ def test_trigger_spec_validation():
     with pytest.raises(ValueError, match="0 or 1"):
         TriggerSpec(("a",), (2,))
     m9, d = _maj9_design(1)
-    stim = Stimulus.from_vectors([(0,) * 9] * 4)
+    stim = from_vectors([(0,) * 9] * 4)
     with pytest.raises(LeakError, match="input bus"):
         trigger_experiment(d, TriggerSpec(("__f0_y",), (1,)), stim,
                            RngSpec(0))
