@@ -48,8 +48,10 @@ def transpose(stream: int, count: int, width: int) -> Tuple[int, ...]:
     where b = r*width + i. One shift by b%8 - r and one AND with bit r of
     every byte put that piece in place for all k at once: 8*width whole-int
     steps for any count (bit-matrix transposition by shifts and masks,
-    Hacker's Delight 7-3).
+    Hacker's Delight 7-3). One column is the stream's low count bits.
     """
+    if width == 1:
+        return (stream & ((1 << count) - 1),)
     blocks = (count + 7) >> 3
     data = (stream & ((1 << count * width) - 1)).to_bytes(blocks * width,
                                                           "little")

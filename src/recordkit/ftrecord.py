@@ -23,12 +23,17 @@ draws it and a replay reuses the saved bit, which is sim.r_columns' layout
 for one random bit. The FT netlist is combinational, so any step of logical
 cycle c, a replay included, is lane c of one fault-free packed pass over
 all cycles (simulate() of the FT design; simulate_netlist() of the source
-gives the reference) unless a fault is forced at it. Such a step forces
-lane c and re-evaluates only the forced wire's fanout cone. Clean phase-1
-spans are committed in bulk from that pass, and the protocol steps one at
-a time only at forced steps, miscompares and replays, so multi-fault plans,
-replay chains and the replay-limit flag keep the per-step semantics.
-Calls on one design, stimulus and seed share one fault-free pass.
+gives the reference) unless a fault is forced at it. A force is a fault
+only where it flips its wire: a force of the value the wire already has on
+lane c is a clean step that evaluates nothing (the fault-activation
+condition of parallel-pattern single-fault propagation, Waicukauski et al.,
+1985). A fault forces lane c and re-evaluates only the forced wire's fanout
+cone. Clean phase-1 spans, no-op forces included, are committed in bulk
+from that pass, and the protocol steps one at a time only at faults,
+miscompares and replays, so multi-fault plans, replay chains and the
+replay-limit flag keep the per-step semantics. Calls on one design,
+stimulus and seed share one fault-free pass, and its committed and
+reference rows are copied into each trace.
 
 Under the single-transient fault assumption the committed stream equals
 the fault-free reference: the selected copy and its twin recompute
@@ -46,7 +51,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bits import unpack
@@ -230,12 +235,11 @@ class FTTrace:
                 w.writerow(row)
 
 
-def _pair_rows(outputs: Sequence[str], words: Sequence[int],
-               count: int) -> tuple:
-    """Each lane's (output, bit) pairs; equal rows share one tuple."""
+def _rows(outputs: Sequence[str], words: Sequence[int], count: int) -> tuple:
+    """Each lane's {output: bit} row; equal rows share one dict."""
     rows = list(zip(*(unpack(w, count) for w in words)))
-    pairs = {row: tuple(zip(outputs, row)) for row in set(rows)}
-    return tuple(map(pairs.__getitem__, rows))
+    shared = {row: dict(zip(outputs, row)) for row in set(rows)}
+    return tuple(map(shared.__getitem__, rows))
 
 
 def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
@@ -244,7 +248,9 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     injection at a step the run never reaches is not applied."""
     faults = faults or FaultPlan()
     faults.validate(ft)
-    by_step = {inj.cycle: inj for inj in faults.injections}
+    # step -> (forced wire, forced value)
+    by_step = {inj.cycle: (replica_wire(inj.replica, inj.wire), inj.value)
+               for inj in faults.injections}
     forced = sorted(by_step)
     outputs = ft.source.outputs
     count = stim.count
@@ -257,12 +263,16 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
         wires = simulate(ft.design, stim, rng).wires
         ft._memo.clear()
         ft._memo[stim, rng] = entry = (
-            _pair_rows(outputs, [ref[o] for o in outputs], count),
-            _pair_rows(outputs, [wires[w] for w in ft._reads[2:votes]],
-                       count),
+            _rows(outputs, [ref[o] for o in outputs], count),
+            _rows(outputs, [wires[w] for w in ft._reads[2:votes]], count),
             tuple(unpack(wires[ft._reads[0]], count)),
             wires[MISCOMPARE_WIRE], wires)
-    ref_pairs, selected_pairs, r_bits, mis_word, wires = entry
+    ref_rows, selected_rows, r_bits, mis_word, wires = entry
+
+    def flips(f: int, lane: int) -> bool:
+        """The force at step f changes its wire on lane: it is a fault."""
+        w, value = by_step[f]
+        return (wires[w] >> lane) & 1 != value
 
     steps: List[FTStep] = []
     committed: List[Optional[Dict[str, int]]] = [None] * count
@@ -275,15 +285,20 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
 
     while lc < count or phase == 2:
         if phase == 1:
-            # commit the clean span up to the next forced step or the next
-            # lane where the fault-free pass sets __e in bulk
-            nxt = bisect_left(forced, step)
+            # commit the clean span up to the next lane where the fault-free
+            # pass sets __e, or to the next force that flips its wire: step
+            # f of the span sits on lane lc + (f - step)
             rest = mis_word >> lc
-            end = min(count,
-                      lc + (rest & -rest).bit_length() - 1 if rest else count,
-                      lc + forced[nxt] - step if nxt < len(forced) else count)
+            end = lc + (rest & -rest).bit_length() - 1 if rest else count
+            for f in islice(forced, bisect_left(forced, step), None):
+                lane = lc + f - step
+                if lane >= end:
+                    break
+                if flips(f, lane):
+                    end = lane
+                    break
             if end > lc:
-                rows = list(map(dict, selected_pairs[lc:end]))
+                rows = list(map(dict.copy, selected_rows[lc:end]))
                 committed[lc:end] = rows
                 steps += map(FTStep, range(step, step + end - lc), repeat(1),
                              range(lc, end), repeat(0), r_bits[lc:end],
@@ -292,13 +307,13 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                 lc = end
                 if lc == count:
                     break
-        inj = by_step.get(step)
-        if inj is None:
-            v = wires
-        else:  # force lane lc, re-evaluate the forced wire's cone only
+        if step in by_step and flips(step, lc):
+            # force lane lc, re-evaluate the forced wire's cone only
+            wire, value = by_step[step]
             v = ft.design.netlist.evaluator.rerun(
-                wires, (1 << count) - 1, replica_wire(inj.replica, inj.wire),
-                lc, inj.value)
+                wires, (1 << count) - 1, wire, lc, value)
+        else:
+            v = wires
         row = [(v[w] >> lc) & 1 for w in ft._reads]
         r, mis = row[:2]
         if phase == 1:
@@ -325,4 +340,5 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
             lc += 1
         step += 1
 
-    return FTTrace(steps, committed, list(map(dict, ref_pairs)), suspected_at)
+    return FTTrace(steps, committed, list(map(dict.copy, ref_rows)),
+                   suspected_at)

@@ -228,6 +228,10 @@ class Layout:
                     or not groups):
                 raise NetlistError("unrecognized encode gate for input %r" % i)
             assignment[i] = groups[0]
+        for x, g in encoders.items():
+            if x not in assignment:  # __t_<x> for an x that is no input
+                raise NetlistError("unrecognized encode gate %r" % g.out,
+                                   g.line)
         # __tn_<x> = x xnor the __r<g> of its __t_<x> twin
         for i, g in complements.items():
             if (g.kind != "XNOR" or i not in assignment or sorted(g.ins)

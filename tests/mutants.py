@@ -38,6 +38,16 @@ CLOSURE = ["tests/test_recordize.py::test_partition_check_flags_untrusted_"
            "tests/test_cli.py::test_loading_a_design_runs_the_closure_check"]
 SWITCHING = ["tests/test_cost.py::test_switching_matches_per_gate_loop"]
 TRANSPOSE = ["tests/test_bits.py", "tests/test_sim.py"]
+FT = "tests/test_ftrecord.py::"
+REPLAY = [FT + "test_repeat_injection_flags_permanent_suspect",
+          FT + "test_clean_replay_resets_replay_limit_count"]
+NO_OP = [FT + "test_force_of_the_fault_free_value_is_a_clean_step",
+         FT + "test_no_op_force_at_every_step_changes_nothing",
+         FT + "test_clean_span_runs_through_no_op_forces"]
+FT_WIRING = [FT + "test_twin_mux_mirrors_selected_exhaustively",
+             FT + "test_fault_free_run_clean",
+             FT + "test_each_output_comparator_sets_e",
+             FT + "test_vote_outvotes_the_unselected_copy_at_the_replay"]
 
 # (name, file under src/recordkit, old text, new text, tests)
 MUTANTS = [
@@ -50,6 +60,9 @@ MUTANTS = [
      "len(g.ins) != 2", ENCODERS),
     ("t-pad", "recordize.py", "i not in g.ins\n                    or not "
      "groups):", "i not in g.ins):", ENCODERS),
+    # Layout.read: every __t_<x> names a source input x
+    ("t-no-input", "recordize.py", "            if x not in assignment:",
+     "            if False:", ENCODERS),
     # Layout.read: __tn_<x> is x xnor its twin's pad, each condition dropped
     ("tn-kind", "recordize.py", 'g.kind != "XNOR" or i not in assignment',
      "i not in assignment", ENCODERS),
@@ -89,6 +102,43 @@ MUTANTS = [
      "data[j + 1::width]", TRANSPOSE),
     ("transpose-unmasked", "bits.py", "(1 << count * width) - 1",
      "(1 << (count + 8) * width) - 1", TRANSPOSE),
+    ("transpose-one-unmasked", "bits.py", "(stream & ((1 << count) - 1),)",
+     "(stream,)", TRANSPOSE),
+    # ft_simulate: the replay limit and its counter
+    ("ft-replay-limit", "ftrecord.py", "replay_faults >= REPLAY_LIMIT",
+     "replay_faults > REPLAY_LIMIT", REPLAY),
+    ("ft-replay-reset", "ftrecord.py", "else:\n                replay_faults "
+     "= 0", "else:\n                pass", REPLAY),
+    ("ft-suspicion-step", "ftrecord.py", " and suspected_at is None:", ":",
+     REPLAY),
+    # ft_simulate: a clean span ends at the first __e lane or flipping force
+    ("ft-span-end", "ftrecord.py", "(rest & -rest).bit_length() - 1",
+     "(rest & -rest).bit_length()", NO_OP),
+    ("ft-span-through", "ftrecord.py", "                    end = lane\n",
+     "", NO_OP),
+    ("ft-no-op-flipped", "ftrecord.py", "& 1 != value", "& 1 == value",
+     NO_OP),
+    # every force reruns: the outputs are the same, only the work differs
+    ("ft-always-rerun", "ftrecord.py",
+     "return (wires[w] >> lane) & 1 != value", "return True",
+     [FT + "test_phase_one_stays_word_parallel"]),
+    # Evaluator._readers: each op is a reader of every wire it reads
+    ("readers-drop-first", "netlist.py", "for w in op[3]:",
+     "for w in op[3][1:]:",
+     [FT + "test_fanout_of_every_fault_site_equals_the_scan"]),
+    # transform_ft: the twin mux, the comparator and the 2-of-3 vote
+    ("ft-twin-mux", "ftrecord.py", "(r1, leaves[2][o], leaves[3][o])",
+     "(r1, leaves[3][o], leaves[2][o])", FT_WIRING),
+    ("ft-compare-unselected", "ftrecord.py", "(twin, selected_wire(o))",
+     "(twin, leaves[0][o])", FT_WIRING),
+    ("ft-compare-and", "ftrecord.py", 'Gate("XOR", w, (twin',
+     'Gate("AND", w, (twin', FT_WIRING),
+    ("ft-miscompare-and", "ftrecord.py", 'Gate("OR" if len(cmp_wires) > 1',
+     'Gate("AND" if len(cmp_wires) > 1', FT_WIRING),
+    ("ft-vote-pair", "ftrecord.py", "((a, b), (a, c), (b, c))",
+     "((a, b), (a, c), (a, c))", FT_WIRING),
+    ("ft-vote-or", "ftrecord.py", 'Gate("OR", VOTE_PREFIX + o, terms)',
+     'Gate("AND", VOTE_PREFIX + o, terms)', FT_WIRING),
 ]
 
 

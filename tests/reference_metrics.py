@@ -7,7 +7,8 @@ visible set, the generator forms of ``cost.depth`` and ``cost.area``, and
 unrolled, mapped or read off one layout (tap's loop as a function of the
 design and view, reading ``Design``'s zone; ``Design`` without the random
 stream, with ``Netlist.drivers()`` written inline, and with the ``__tn_``
-encoder check that ``Layout.read`` gained later, written independently).
+encoder check and the check that every ``__t_`` gate pads a source input,
+which ``Layout.read`` gained later, written independently).
 The name does not match ``test_*.py``, so pytest does not collect this
 module.
 """
@@ -151,6 +152,12 @@ class Design:
                     or not groups):
                 raise NetlistError("unrecognized encode gate for input %r" % i)
             assignment[i] = groups[0]
+        # every __t_<x> pads a source input x
+        for g in self.netlist.gates:
+            if (g.out.startswith(ENCODE_PREFIX)
+                    and g.out[len(ENCODE_PREFIX):] not in self.source_inputs):
+                raise NetlistError("unrecognized encode gate %r" % g.out,
+                                   g.line)
         # every __tn_<x> is x xnor the pad of its __t_<x> twin
         for g in self.netlist.gates:
             if not g.out.startswith(ENCODE_COMPLEMENT_PREFIX):

@@ -63,7 +63,7 @@ def test_transpose_of_zero_cycles_is_empty_columns(stream, width):
     assert transpose(stream, 0, width) == (0,) * width
 
 
-@pytest.mark.parametrize("width", [2, 8, 9])
+@pytest.mark.parametrize("width", [1, 2, 8, 9])
 def test_transpose_peak_memory_is_a_few_streams(width):
     """2x10^5 cycles: the tracemalloc peak stays within 6 times the
     stream's bytes (no per-bit text is built)."""

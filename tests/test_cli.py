@@ -609,6 +609,24 @@ def test_complemented_encoder_off_its_pad_is_rejected(tmp_path, capsys,
             % (line, wire))
 
 
+def test_encode_gate_of_no_input_is_rejected(tmp_path, capsys):
+    # the reserved __t_ prefix on x1 xor x2 in the clear, which pads nothing
+    src = tmp_path / "maj9.nl"
+    bad = tmp_path / "bad.nl"
+    run("fixture", "maj9", "-o", src)
+    run("recordize", src, "-o", bad, "--rand-bits", 2)
+    old = "xor __t_x1 x1 __r1\n"
+    text = bad.read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, old + "xor __t_q x1 x2\n")
+    bad.write_text(text)
+    line = text.splitlines().index("xor __t_q x1 x2") + 1
+    capsys.readouterr()
+    assert run("check", bad) == 1
+    assert capsys.readouterr().err == \
+        "error: line %d: unrecognized encode gate '__t_q'\n" % line
+
+
 # one command per reader of an input file: netlist, stimulus, fault plan
 # and grouping
 @pytest.mark.parametrize("argv", [

@@ -198,6 +198,49 @@ def test_unselected_twin_fault_invisible():
         assert all(s.e == 0 for s in trace.steps)
 
 
+@pytest.mark.parametrize("name", ["maj9", "adder4"])
+def test_each_output_comparator_sets_e(name):
+    # the selected copy's gate of one output flipped at cycle 5: that
+    # output's comparator alone sets __e, and the replay commits the
+    # reference
+    n, ft = _oracle_design(name)
+    stim, rng = Stimulus.uniform(16, seed=2), RngSpec(3)
+    clean = simulate(ft.design, stim, rng).wires
+    r = (clean[ft.design.random_wires[0]] >> 5) & 1
+    for o in n.outputs:
+        value = 1 - ((clean[replica_wire(r, o)] >> 5) & 1)
+        trace = ft_simulate(ft, stim, rng,
+                            FaultPlan((FaultInjection(5, r, o, value),)))
+        assert (trace.steps[5].e, trace.steps[6].phase) == (1, 2), o
+        assert trace.clean, o
+
+
+def test_vote_outvotes_the_unselected_copy_at_the_replay():
+    # the selected copy faulted, so the step miscompares; at its replay the
+    # unselected copy is forced wrong. The selected copy and its twin agree
+    # again and outvote it, for either selected copy and either value of y
+    _, ft = _ft_maj9()
+    stim, rng = Stimulus.uniform(64, seed=9), RngSpec(10)
+    clean = simulate(ft.design, stim, rng).wires
+    reference = ft_simulate(ft, stim, rng).reference
+    seen = set()
+    for lane in range(stim.count - 1):
+        r = (clean[ft.design.random_wires[0]] >> lane) & 1
+        y = reference[lane]["y"]
+        if (r, y) in seen:
+            continue
+        seen.add((r, y))
+        plan = FaultPlan((FaultInjection(lane, r, "y", 1 - y),
+                          FaultInjection(lane + 1, 1 - r, "y", 1 - y)))
+        trace = ft_simulate(ft, stim, rng, plan)
+        replay = trace.steps[lane + 1]
+        assert trace.steps[lane].e == 1
+        assert (replay.phase, replay.miscompare, replay.committed) == (
+            2, 0, {"y": y})
+        assert trace.clean
+    assert len(seen) == 4
+
+
 def test_repeat_injection_flags_permanent_suspect():
     _, ft = _ft_and2()
     stim = from_vectors([(1, 1)] * 50)
@@ -454,9 +497,10 @@ def test_phase_one_stays_word_parallel(monkeypatch):
         evaluated.append(len(ops))
         return evaluate_ops(ops, v, mask)
 
+    stim = Stimulus.uniform(1000, seed=0)
+    clean = simulate(ft.design, stim, RngSpec(1)).wires
     monkeypatch.setattr(Evaluator, "run", counted)
     monkeypatch.setattr(netlist, "_evaluate", counted_ops)
-    stim = Stimulus.uniform(1000, seed=0)
     # the reference pass and the packed FT pass, once per design,
     # stimulus and seed
     ft_simulate(ft, stim, RngSpec(1))
@@ -465,8 +509,9 @@ def test_phase_one_stays_word_parallel(monkeypatch):
     ft_simulate(ft, stim, RngSpec(1))
     assert calls == []
 
-    # a step where a fault is forced re-evaluates the forced wire's fanout
-    # cone only; a replay with no fault reads the packed pass
+    # a step where a fault flips its wire re-evaluates the forced wire's
+    # fanout cone only; a force that keeps the wire's value evaluates
+    # nothing, and a replay with no fault reads the packed pass
     plan = FaultPlan(tuple(FaultInjection(c, c % 3, "y", (c // 3) % 2)
                            for c in range(5, 400, 7)))
     evaluated.clear()
@@ -475,8 +520,10 @@ def test_phase_one_stays_word_parallel(monkeypatch):
     assert any(s.phase == 2 and s.step not in injected for s in trace.steps)
     assert calls == []
     ev = ft.design.netlist.evaluator
-    cones = [len(ev.fanout(replica_wire(i.replica, i.wire)))
-             for i in plan.injections]
+    flipped = [i for i in plan.injections if i.value != (clean[replica_wire(
+        i.replica, i.wire)] >> trace.steps[i.cycle].logical_cycle) & 1]
+    cones = [len(ev.fanout(replica_wire(i.replica, i.wire))) for i in flipped]
+    assert 0 < len(flipped) < len(plan.injections)
     assert evaluated == cones
     assert max(cones) * 10 < len(ft.design.netlist.gates)
 
@@ -487,6 +534,85 @@ def test_phase_one_stays_word_parallel(monkeypatch):
         calls.clear()
         ft_simulate(ft, other_stim, other_rng)
         assert calls == [1000, 1000]
+
+
+def _counted_evaluate(monkeypatch):
+    evaluated, evaluate_ops = [], netlist._evaluate
+    monkeypatch.setattr(netlist, "_evaluate", lambda ops, v, mask: (
+        evaluated.append(len(ops)), evaluate_ops(ops, v, mask))[1])
+    return evaluated
+
+
+def _same_trace(got, want):
+    assert [asdict(s) for s in got.steps] == [asdict(s) for s in want.steps]
+    assert got.committed == want.committed
+    assert got.reference == want.reference
+    assert got.suspected_at_step == want.suspected_at_step
+
+
+def test_force_of_the_fault_free_value_is_a_clean_step(monkeypatch):
+    # every copy and fault site of maj9 FT, forced at cycle 17 to the value
+    # the fault-free pass already has there: no fault, nothing evaluated
+    _, ft = _ft_maj9()
+    stim, rng = Stimulus.uniform(32, seed=4), RngSpec(5)
+    clean = simulate(ft.design, stim, rng).wires
+    unforced = ft_simulate(ft, stim, rng)
+    evaluated = _counted_evaluate(monkeypatch)
+    for k in range(ft.design.copy_count):
+        for w in sorted(ft.fault_sites):
+            value = (clean[replica_wire(k, w)] >> 17) & 1
+            plan = FaultPlan((FaultInjection(17, k, w, value),))
+            _same_trace(ft_simulate(ft, stim, rng, plan), unforced)
+    assert evaluated == []
+
+
+def _keep(clean, lane, step, k, w):
+    """A force at step that holds copy k's w at its fault-free lane value."""
+    return FaultInjection(step, k, w, (clean[replica_wire(k, w)] >> lane) & 1)
+
+
+@pytest.mark.parametrize("name", ["maj9", "maj9-twin-stuck"])
+def test_no_op_force_at_every_step_changes_nothing(monkeypatch, name):
+    # the fault-free value at every step, replays and __e lanes included
+    _, ft = _oracle_design(name)
+    stim, rng = Stimulus.uniform(40, seed=6), RngSpec(7)
+    clean = simulate(ft.design, stim, rng).wires
+    unforced = ft_simulate(ft, stim, rng)
+    assert any(s.phase == 2 for s in unforced.steps) == (name != "maj9")
+    plan = FaultPlan(tuple(_keep(clean, s.logical_cycle, s.step, s.step % 4,
+                                 "y") for s in unforced.steps))
+    evaluated = _counted_evaluate(monkeypatch)
+    got = ft_simulate(ft, stim, rng, plan)
+    assert evaluated == []
+    _same_trace(got, unforced)
+    _same_trace(got, _scalar_ft_simulate(ft, stim, rng, plan))
+
+
+def test_clean_span_runs_through_no_op_forces(monkeypatch):
+    # no-op forces inside a clean span, then a force on the selected copy
+    # that flips y and a no-op force at its replay: the span ends at the
+    # flip, and only the flipped wire's cone is evaluated
+    _, ft = _ft_maj9()
+    stim, rng = Stimulus.uniform(40, seed=6), RngSpec(7)
+    clean = simulate(ft.design, stim, rng).wires
+    lane = 12
+    r = (clean[ft.design.random_wires[0]] >> lane) & 1
+    y = replica_wire(r, "y")
+    plan = FaultPlan(tuple(_keep(clean, s, s, (s + r) % 4, "y")
+                           for s in (3, 5, 6, 7, 11))
+                     + (FaultInjection(lane, r, "y",
+                                       1 - ((clean[y] >> lane) & 1)),
+                        _keep(clean, lane, lane + 1, r, "y"),
+                        _keep(clean, lane + 1, lane + 2, 1 - r, "y")))
+    ft_simulate(ft, stim, rng)  # the fault-free pass, shared by every plan
+    evaluated = _counted_evaluate(monkeypatch)
+    got = ft_simulate(ft, stim, rng, plan)
+    assert evaluated == [len(ft.design.netlist.evaluator.fanout(y))]
+    assert got.steps[lane].e == 1
+    assert (got.steps[lane + 1].phase, got.steps[lane + 1].logical_cycle) \
+        == (2, lane)
+    assert got.clean and len(got.steps) == 41
+    _same_trace(got, _scalar_ft_simulate(ft, stim, rng, plan))
 
 
 @pytest.mark.parametrize("name", ["maj9", "adder4"])

@@ -450,8 +450,10 @@ def test_structural_rejections(tmp_path, capsys, edit, message):
      "line 5: unrecognized complemented encode gate '__tn_x1'"),
     ("xnor __tn_x1 x1 __r1\n", "xnor __tn_x1 x1 __r1\nxnor __tn_q x1 __r1\n",
      "line 6: unrecognized complemented encode gate '__tn_q'"),
+    ("xor __t_x1 x1 __r1\n", "xor __t_x1 x1 __r1\nxor __t_q x1 x2\n",
+     "line 5: unrecognized encode gate '__t_q'"),
 ], ids=["t-three-inputs", "t-other-input", "tn-unpadded", "tn-other-input",
-        "tn-xor", "tn-no-twin"])
+        "tn-xor", "tn-no-twin", "t-no-input"])
 def test_encoder_off_its_pad_is_rejected(old, new, message):
     text = _maj9_g1_text()
     assert text.count(old) == 1
