@@ -33,7 +33,10 @@ from that pass, and the protocol steps one at a time only at faults,
 miscompares and replays, so multi-fault plans, replay chains and the
 replay-limit flag keep the per-step semantics. Calls on one design,
 stimulus and seed share one fault-free pass, and its committed and
-reference rows are copied into each trace.
+reference rows are copied into each trace. A trace keeps each clean span
+as one entry and builds the span's FTSteps on the first read of its
+steps; len(steps) builds none, so a caller that reads only the committed
+stream never pays for them.
 
 Under the single-transient fault assumption the committed stream equals
 the fault-free reference: the selected copy and its twin recompute
@@ -205,11 +208,51 @@ class FTStep:
     buffered: Optional[Dict[str, int]]
 
 
+class _Steps(Sequence):
+    """ft_simulate's steps, kept as its record: an FTStep per step taken on
+    its own, and a (first step, first lane, end lane, rows) entry per clean
+    phase-1 span. Its length builds nothing; the first other read builds
+    the FTStep list once and keeps it, so a step read stays one object."""
+
+    def __init__(self, record: list, r_bits: Tuple[int, ...]):
+        self._record = record
+        self._r_bits = r_bits
+
+    @cached_property
+    def _steps(self) -> List[FTStep]:
+        steps: List[FTStep] = []
+        for e in self._record:
+            if isinstance(e, FTStep):
+                steps.append(e)
+                continue
+            step, lc, end, rows = e
+            steps += map(FTStep, range(step, step + end - lc), repeat(1),
+                         range(lc, end), repeat(0), self._r_bits[lc:end],
+                         repeat(0), rows, repeat(None))
+        return steps
+
+    def __len__(self) -> int:
+        return sum(1 if isinstance(e, FTStep) else e[2] - e[1]
+                   for e in self._record)
+
+    def __getitem__(self, i):
+        return self._steps[i]
+
+    def __iter__(self):
+        return iter(self._steps)
+
+    def __eq__(self, other) -> bool:
+        return self._steps == other
+
+    def __repr__(self) -> str:
+        return repr(self._steps)
+
+
 @dataclass
 class FTTrace:
     """A run's steps, its committed and reference outputs, any suspicion."""
 
-    steps: List[FTStep]
+    steps: Sequence[FTStep]
     committed: List[Dict[str, int]]
     reference: List[Dict[str, int]]
     suspected_at_step: Optional[int] = None
@@ -274,7 +317,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
         w, value = by_step[f]
         return (wires[w] >> lane) & 1 != value
 
-    steps: List[FTStep] = []
+    record: list = []  # FTSteps and clean spans, see _Steps
     committed: List[Optional[Dict[str, int]]] = [None] * count
 
     phase = 1
@@ -300,9 +343,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
             if end > lc:
                 rows = list(map(dict.copy, selected_rows[lc:end]))
                 committed[lc:end] = rows
-                steps += map(FTStep, range(step, step + end - lc), repeat(1),
-                             range(lc, end), repeat(0), r_bits[lc:end],
-                             repeat(0), rows, repeat(None))
+                record.append((step, lc, end, rows))
                 step += end - lc
                 lc = end
                 if lc == count:
@@ -319,11 +360,11 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
         if phase == 1:
             m = dict(zip(outputs, row[2:votes]))
             if mis:
-                steps.append(FTStep(step, 1, lc, 1, r, 1, None, m))
+                record.append(FTStep(step, 1, lc, 1, r, 1, None, m))
                 phase = 2
             else:
                 committed[lc] = m
-                steps.append(FTStep(step, 1, lc, 0, r, 0, m, None))
+                record.append(FTStep(step, 1, lc, 0, r, 0, m, None))
                 lc += 1
         else:
             # replay of the saved logical cycle lc with its saved bit
@@ -335,10 +376,10 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                     suspected_at = step
             else:
                 replay_faults = 0
-            steps.append(FTStep(step, 2, lc, 0, r, mis, vote, None))
+            record.append(FTStep(step, 2, lc, 0, r, mis, vote, None))
             phase = 1
             lc += 1
         step += 1
 
-    return FTTrace(steps, committed, list(map(dict.copy, ref_rows)),
-                   suspected_at)
+    return FTTrace(_Steps(record, r_bits), committed,
+                   list(map(dict.copy, ref_rows)), suspected_at)

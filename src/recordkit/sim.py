@@ -56,10 +56,12 @@ class Stimulus:
     columns: Optional[Tuple[int, ...]] = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("need at least one cycle")
+
     @classmethod
     def uniform(cls, count: int, seed: int = 0) -> "Stimulus":
-        if count < 1:
-            raise ValueError("need at least one cycle")
         return cls(count=count, seed=seed)
 
     @classmethod

@@ -44,6 +44,8 @@ REPLAY = [FT + "test_repeat_injection_flags_permanent_suspect",
 NO_OP = [FT + "test_force_of_the_fault_free_value_is_a_clean_step",
          FT + "test_no_op_force_at_every_step_changes_nothing",
          FT + "test_clean_span_runs_through_no_op_forces"]
+SPANS = [FT + "test_clean_spans_build_no_step_until_read",
+         FT + "test_word_parallel_matches_scalar_oracle"]
 FT_WIRING = [FT + "test_twin_mux_mirrors_selected_exhaustively",
              FT + "test_fault_free_run_clean",
              FT + "test_each_output_comparator_sets_e",
@@ -118,6 +120,13 @@ MUTANTS = [
      "", NO_OP),
     ("ft-no-op-flipped", "ftrecord.py", "& 1 != value", "& 1 == value",
      NO_OP),
+    # FTTrace.steps: a clean span's record entry and the FTSteps built from it
+    ("ft-span-r-shifted", "ftrecord.py", "self._r_bits[lc:end]",
+     "self._r_bits[lc + 1:end + 1]", SPANS),
+    ("ft-span-step-number", "ftrecord.py", "range(step, step + end - lc)",
+     "range(step + 1, step + 1 + end - lc)", SPANS),
+    ("ft-span-len-one", "ftrecord.py", "else e[2] - e[1]", "else 1", SPANS),
+    ("ft-span-drop-stepped", "ftrecord.py", "steps.append(e)", "pass", SPANS),
     # every force reruns: the outputs are the same, only the work differs
     ("ft-always-rerun", "ftrecord.py",
      "return (wires[w] >> lane) & 1 != value", "return True",

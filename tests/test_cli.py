@@ -273,9 +273,10 @@ def test_trigger_needs_a_cycle(tmp_path, capsys):
     run("fixture", "maj9", "-o", src)
     run("recordize", src, "-o", enc)
     capsys.readouterr()
-    assert run("trigger", enc, "--pattern", "101010101",
-               "--cycles", "0") == 1
-    assert capsys.readouterr().err == "error: need at least one cycle\n"
+    for cycles in ("0", "-3"):
+        assert run("trigger", enc, "--pattern", "101010101",
+                   "--cycles", cycles) == 1
+        assert capsys.readouterr().err == "error: need at least one cycle\n"
 
 
 def test_ft_sim_clean_and_faulted(tmp_path, capsys):

@@ -477,11 +477,13 @@ def test_word_parallel_matches_scalar_oracle(case):
     ft, stim, rng, plan = case
     got = ft_simulate(ft, stim, rng, plan)
     want = _scalar_ft_simulate(ft, stim, rng, plan)
+    assert len(got.steps) == len(want.steps)  # before any step is built
     assert [asdict(s) for s in got.steps] == [asdict(s) for s in want.steps]
     assert got.committed == want.committed
     assert got.reference == want.reference
     assert got.permanent_fault_suspected == want.permanent_fault_suspected
     assert got.suspected_at_step == want.suspected_at_step
+    assert got == want and repr(got) == repr(want)
 
 
 def test_phase_one_stays_word_parallel(monkeypatch):
@@ -534,6 +536,40 @@ def test_phase_one_stays_word_parallel(monkeypatch):
         calls.clear()
         ft_simulate(ft, other_stim, other_rng)
         assert calls == [1000, 1000]
+
+
+def test_clean_spans_build_no_step_until_read(monkeypatch):
+    # a clean phase-1 span is one record entry: no FTStep is built for it
+    # until the steps are read, and then once
+    _, ft = _ft_maj9()
+    stim, rng = Stimulus.uniform(40, seed=6), RngSpec(7)
+    clean = simulate(ft.design, stim, rng).wires
+    lane = 12
+    r = (clean[ft.design.random_wires[0]] >> lane) & 1
+    one_flip = FaultPlan((FaultInjection(
+        lane, r, "y", 1 - ((clean[replica_wire(r, "y")] >> lane) & 1)),))
+    built, init = [], FTStep.__init__
+
+    def counted(self, step, *rest):
+        built.append(step)
+        init(self, step, *rest)
+
+    monkeypatch.setattr(FTStep, "__init__", counted)
+    for plan, stepped, count in ((None, [], 40),
+                                 (one_flip, [lane, lane + 1], 41)):
+        built.clear()
+        trace = ft_simulate(ft, stim, rng, plan)
+        assert built == stepped  # the flipped step and its replay only
+        assert len(trace.steps) == count and built == stepped
+        first = trace.steps[0]
+        assert sorted(built) == list(range(count))
+        assert [s.step for s in trace.steps] == list(range(count))
+        assert trace.steps[0] is first
+        assert all(a is b for a, b in zip(trace.steps, list(trace.steps)))
+        assert len(built) == count
+        for s in trace.steps:
+            if s.phase == 1 and not s.e:
+                assert s.committed is trace.committed[s.logical_cycle]
 
 
 def _counted_evaluate(monkeypatch):

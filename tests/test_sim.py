@@ -9,13 +9,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_readers
 from recordkit import netlist
+from recordkit.cost import cost_report
 from recordkit.fixtures import fixture_generate
+from recordkit.ftrecord import ft_simulate, transform_ft
 from recordkit.netlist import Evaluator, evaluate, parse_netlist
 from recordkit.recordize import RecordConfig, design_from_netlist, transform
 from recordkit.rng import MASK64, RngSpec, packed_bits
 from recordkit.sim import (EXHAUSTIVE_BIT_LIMIT, SimulationError, Stimulus,
                            exhaustive_columns, r_columns, simulate,
                            simulate_netlist, verify_equivalence)
+from recordkit.trojan import TriggerSpec, leak_report, trigger_experiment
 
 AND2 = parse_netlist("module and2\ninput a b\noutput y\nand y a b\nend")
 
@@ -280,6 +283,39 @@ def test_stimulus_width_mismatch():
     stim = reference_readers.from_vectors([(1, 0)])
     with pytest.raises(SimulationError, match="width"):
         stim.bound(3)
+
+
+def _entry_point(name):
+    """Run one stimulus through the named entry point on maj9 (G=1)."""
+    m9 = fixture_generate("maj9")
+    cfg = RecordConfig.checkerboard(m9, 1)
+    d, rng = transform(m9, cfg), RngSpec(1)
+    trig = TriggerSpec(tuple(d.layout.buses[0].values()), (1,) * 9)
+    return {
+        "simulate": lambda s: simulate(d, s, rng),
+        "simulate_netlist": lambda s: simulate_netlist(m9, s),
+        "trigger_experiment": lambda s: trigger_experiment(d, trig, s, rng),
+        "leak_report": lambda s: leak_report(d, simulate(d, s, rng)),
+        "cost_report": lambda s: cost_report(
+            m9, d, (simulate_netlist(m9, s), simulate(d, s, rng))),
+        "ft_simulate": lambda s: ft_simulate(transform_ft(m9, cfg), s, rng),
+    }[name]
+
+
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("name", ["simulate", "simulate_netlist",
+                                  "trigger_experiment", "leak_report",
+                                  "cost_report", "ft_simulate"])
+def test_a_stimulus_needs_a_cycle(name, count):
+    # a stimulus of no cycles is refused where it is made, in either form,
+    # so no entry point divides by zero, reads empty streams, returns an
+    # empty clean FT trace or asks the stream for a negative bit count
+    run = _entry_point(name)
+    for make in (lambda: Stimulus(count, (0,) * 9),
+                 lambda: Stimulus.uniform(count, seed=2)):
+        with pytest.raises(ValueError, match="^need at least one cycle$"):
+            run(make())
+    run(Stimulus(2, (0b10,) * 9))  # cost_report needs two cycles
 
 
 def test_stimulus_bad_vector():
