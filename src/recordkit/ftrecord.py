@@ -299,7 +299,8 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
     count = stim.count
     votes = 2 + len(outputs)
 
-    # a frozen stimulus is its own key: a uniform one is not drawn on a hit
+    # a frozen stimulus is its own key; a uniform one is drawn once, on
+    # its first miss, and both traces read the columns it keeps
     entry = ft._memo.get((stim, rng))
     if entry is None:
         ref = simulate_netlist(ft.source, stim).wires

@@ -330,12 +330,15 @@ class Evaluator:
         return self._netlist()
 
     def run(self, values: Mapping[str, int], mask: int = 1) -> Dict[str, int]:
-        """Value of every wire given packed primary-input words."""
+        """Value of every wire given packed primary-input words, under a
+        lane mask of the form 2^lanes - 1. An input word that already fits
+        the mask is stored as it is, not copied."""
         v: Dict[str, int] = {}
         for w in self._inputs:
             if w not in values:
                 raise NetlistError("missing input assignment for %r" % w)
-            v[w] = values[w] & mask
+            x = values[w]
+            v[w] = x if 0 <= x <= mask else x & mask
         _evaluate(self._plan, v, mask)
         return v
 

@@ -10,19 +10,25 @@ none.
 A Stimulus is frozen, so it can key a memo. from_file checks each line of
 an untrusted file once, as text, reads all the lines as one cycle-major
 stream and splits that into columns through byte lanes (bits.transpose);
-no code runs once per bit.
+no code runs once per bit. A uniform Stimulus is drawn once per width
+and kept (Stimulus.kept), so the original and the design of one analysis,
+and every later run on the same Stimulus, read the same column objects; a
+trace stores those words as they are (Evaluator.run copies no word that
+already fits its mask).
 
 Exhaustive equivalence checking drives every wire with the classic binary
-counter columns (input p toggles with period 2^(p+1)); the first
-counterexample in counter order is reported, which keeps the verdict
-deterministic no matter how the sweep might be split up. The columns come
-from ``exhaustive_columns``, which trojan's per-vector leak counts share.
+counter columns (input p toggles with period 2^(p+1)). The sweep runs in
+chunks of 2^CHUNK_BITS lanes: the low inputs take ``exhaustive_columns``
+and each higher input is all ones or all zeros by the chunk number, so
+memory stays bounded at any width. The first counterexample in counter
+order is reported, the same one a single pass would find.
+``exhaustive_columns`` is shared with trojan's per-vector leak counts.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, Optional, Tuple
 
@@ -38,6 +44,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_BIT_LIMIT = 22
+CHUNK_BITS = 16  # an exhaustive sweep evaluates 2^CHUNK_BITS lanes at a time
 
 
 class SimulationError(Exception):
@@ -49,12 +56,18 @@ class Stimulus:
     """Per-cycle primary-input vectors: explicit rows or a uniform spec.
 
     Uniform stimuli draw bits cycle-major (all of cycle 0's inputs before
-    cycle 1's), first declared input first, from their own seed.
+    cycle 1's), first declared input first, from their own seed. bound
+    draws them afresh on each call; kept, which the simulations read, draws
+    them once per width and keeps them. What is kept takes no part in
+    equality, hashing or repr, so a drawn and an undrawn Stimulus of one
+    spec are the same key.
     """
 
     count: int
     columns: Optional[Tuple[int, ...]] = None
     seed: int = 0
+    _drawn: Dict[int, Tuple[int, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.count < 1:
@@ -95,6 +108,13 @@ class Stimulus:
                                       % (len(self.columns), width))
             return self.count, self.columns
         return self.count, r_columns(RngSpec(self.seed), self.count, width)
+
+    def kept(self, width: int) -> Tuple[int, Tuple[int, ...]]:
+        """bound(width), drawn by the first call at each width and kept:
+        every simulation of this Stimulus reads the same column objects."""
+        if width not in self._drawn:
+            self._drawn[width] = self.bound(width)[1]
+        return self.count, self._drawn[width]
 
 
 @dataclass
@@ -139,7 +159,7 @@ def simulate(d: PartitionedDesign, stim: Stimulus, rng: RngSpec) -> SimTrace:
     """Drive a partitioned design: stimulus on the source inputs, fresh
     bits of the caller's stream on the random inputs, full valuation
     recorded."""
-    count, cols = stim.bound(len(d.source_inputs))
+    count, cols = stim.kept(len(d.source_inputs))
     values = dict(zip(d.source_inputs, cols))
     rcols = r_columns(rng, count, d.config.groups)
     values.update(zip(d.random_wires, rcols))
@@ -149,7 +169,7 @@ def simulate(d: PartitionedDesign, stim: Stimulus, rng: RngSpec) -> SimTrace:
 
 def simulate_netlist(n: Netlist, stim: Stimulus) -> SimTrace:
     """Plain-netlist counterpart of simulate (no random inputs)."""
-    count, cols = stim.bound(len(n.inputs))
+    count, cols = stim.kept(len(n.inputs))
     values = dict(zip(n.inputs, cols))
     wires = n.evaluator.run(values, mask=(1 << count) - 1)
     return SimTrace(n, count, wires)
@@ -190,40 +210,11 @@ def check_interface(original: Netlist, d: PartitionedDesign) -> None:
                          "source outputs")
 
 
-def verify_equivalence(original: Netlist, d: PartitionedDesign,
-                       mode: str = "exhaustive", samples: int = 10000,
-                       seed: int = 0) -> Verdict:
-    """Check that the decoded outputs equal the original outputs.
-
-    Exhaustive mode sweeps all 2^(inputs+G) combinations (error above
-    EXHAUSTIVE_BIT_LIMIT total bits); sampled mode draws uniform
-    combinations. Either way the first failing combination in enumeration
-    order is the reported counterexample.
-    """
-    check_interface(original, d)
+def _first_failure(original: Netlist, d: PartitionedDesign, cols,
+                   mask: int, offset: int) -> Optional[Counterexample]:
+    """One pass over the lanes of ``mask``, input p on column p: the
+    lowest failing lane as a Counterexample at offset + lane, or None."""
     n_in = len(original.inputs)
-    groups = d.config.groups
-
-    if mode == "exhaustive":
-        total_bits = n_in + groups
-        if total_bits > EXHAUSTIVE_BIT_LIMIT:
-            raise ValueError(
-                "exhaustive sweep needs %d bits, limit is %d; use sampled "
-                "mode" % (total_bits, EXHAUSTIVE_BIT_LIMIT))
-        count = 1 << total_bits
-        cols = exhaustive_columns(total_bits)
-    elif mode == "sampled":
-        if samples < 1:
-            raise ValueError("need at least one sample")
-        total_bits = n_in + groups
-        count = samples
-        stream = packed_bits(RngSpec(seed), samples * total_bits)
-        cols = [(stream >> (p * samples)) & ((1 << samples) - 1)
-                for p in range(total_bits)]
-    else:
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
-
-    mask = (1 << count) - 1
     x_cols = cols[:n_in]
     r_cols = cols[n_in:]
     ref = original.evaluator.run(dict(zip(original.inputs, x_cols)),
@@ -236,14 +227,55 @@ def verify_equivalence(original: Netlist, d: PartitionedDesign,
     for o, z in zip(original.outputs, d.decoded_outputs):
         diff |= ref[o] ^ got[z]
     if diff == 0:
-        return Verdict(count, mode)
-    index = (diff & -diff).bit_length() - 1
-    cx = Counterexample(
-        index=index,
-        x={w: (c >> index) & 1 for w, c in zip(original.inputs, x_cols)},
-        r={w: (c >> index) & 1 for w, c in zip(d.random_wires, r_cols)},
-        expected={o: (ref[o] >> index) & 1 for o in original.outputs},
-        got={o: (got[z] >> index) & 1
+        return None
+    lane = (diff & -diff).bit_length() - 1
+    return Counterexample(
+        index=offset + lane,
+        x={w: (c >> lane) & 1 for w, c in zip(original.inputs, x_cols)},
+        r={w: (c >> lane) & 1 for w, c in zip(d.random_wires, r_cols)},
+        expected={o: (ref[o] >> lane) & 1 for o in original.outputs},
+        got={o: (got[z] >> lane) & 1
              for o, z in zip(original.outputs, d.decoded_outputs)},
     )
-    return Verdict(count, mode, cx)
+
+
+def verify_equivalence(original: Netlist, d: PartitionedDesign,
+                       mode: str = "exhaustive", samples: int = 10000,
+                       seed: int = 0) -> Verdict:
+    """Check that the decoded outputs equal the original outputs.
+
+    Exhaustive mode sweeps all 2^(inputs+G) combinations (error above
+    EXHAUSTIVE_BIT_LIMIT total bits) in chunks of 2^CHUNK_BITS lanes;
+    sampled mode draws uniform combinations. Either way the first failing
+    combination in enumeration order is the reported counterexample.
+    """
+    check_interface(original, d)
+    total_bits = len(original.inputs) + d.config.groups
+
+    if mode == "exhaustive":
+        if total_bits > EXHAUSTIVE_BIT_LIMIT:
+            raise ValueError(
+                "exhaustive sweep needs %d bits, limit is %d; use sampled "
+                "mode" % (total_bits, EXHAUSTIVE_BIT_LIMIT))
+        low = min(total_bits, CHUNK_BITS)
+        ones = (1 << (1 << low)) - 1
+        base = exhaustive_columns(low)
+        for j in range(1 << (total_bits - low)):
+            # chunk j holds lanes j << low and up: input p >= low is bit
+            # p - low of j on every lane
+            high = tuple(ones * (j >> p & 1)
+                         for p in range(total_bits - low))
+            cx = _first_failure(original, d, base + high, ones, j << low)
+            if cx is not None:
+                break
+        return Verdict(1 << total_bits, mode, cx)
+    if mode == "sampled":
+        if samples < 1:
+            raise ValueError("need at least one sample")
+        stream = packed_bits(RngSpec(seed), samples * total_bits)
+        cols = [(stream >> (p * samples)) & ((1 << samples) - 1)
+                for p in range(total_bits)]
+        return Verdict(samples, mode,
+                       _first_failure(original, d, cols, (1 << samples) - 1,
+                                      0))
+    raise ValueError("mode must be 'exhaustive' or 'sampled'")

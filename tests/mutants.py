@@ -46,6 +46,12 @@ NO_OP = [FT + "test_force_of_the_fault_free_value_is_a_clean_step",
          FT + "test_clean_span_runs_through_no_op_forces"]
 SPANS = [FT + "test_clean_spans_build_no_step_until_read",
          FT + "test_word_parallel_matches_scalar_oracle"]
+SIM = "tests/test_sim.py::"
+DRAW = [SIM + "test_a_stimulus_kept_at_two_widths_matches_fresh_draws"]
+FITTING = ["tests/test_netlist.py::test_run_keeps_a_fitting_word_and_masks_"
+           "any_other"]
+CHUNKS = [SIM + "test_chunked_verify_reports_the_first_counterexample",
+          SIM + "test_chunked_verify_equals_the_one_pass_verdict"]
 FT_WIRING = [FT + "test_twin_mux_mirrors_selected_exhaustively",
              FT + "test_fault_free_run_clean",
              FT + "test_each_output_comparator_sets_e",
@@ -148,6 +154,24 @@ MUTANTS = [
      "((a, b), (a, c), (a, c))", FT_WIRING),
     ("ft-vote-or", "ftrecord.py", 'Gate("OR", VOTE_PREFIX + o, terms)',
      'Gate("AND", VOTE_PREFIX + o, terms)', FT_WIRING),
+    # Stimulus.kept: a draw is kept per width
+    ("draw-any-width", "sim.py", "if width not in self._drawn:\n"
+     "            self._drawn[width] = self.bound(width)[1]\n"
+     "        return self.count, self._drawn[width]",
+     "if 0 not in self._drawn:\n"
+     "            self._drawn[0] = self.bound(width)[1]\n"
+     "        return self.count, self._drawn[0]", DRAW),
+    # Evaluator.run: only a word that fits the mask is stored unmasked
+    ("run-unmasked", "netlist.py", "x if 0 <= x <= mask else x & mask", "x",
+     FITTING),
+    # verify_equivalence: chunk j holds lanes j << low and up, and the sweep
+    # stops at the first failing chunk
+    ("chunk-index-next", "sim.py", "ones, j << low)", "ones, (j + 1) << low)",
+     CHUNKS),
+    ("chunk-high-reversed", "sim.py", "ones * (j >> p & 1)",
+     "ones * (j >> (total_bits - low - 1 - p) & 1)", CHUNKS),
+    ("chunk-no-early-stop", "sim.py", "            if cx is not None:\n"
+     "                break\n", "", CHUNKS),
 ]
 
 

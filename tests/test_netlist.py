@@ -726,3 +726,15 @@ def test_a_fault_does_not_reach_a_structural_twin():
     assert forced["a"] == base["a"] ^ (1 << lane)
     assert forced["c"] == base["c"] ^ (1 << lane)
     assert forced["b"] == base["b"] and forced["d"] == base["d"]
+
+
+def test_run_keeps_a_fitting_word_and_masks_any_other():
+    ev = parse_netlist(INV).evaluator
+    mask = (1 << 100) - 1
+    fits = (1 << 99) | 12345
+    assert ev.run({"a": fits}, mask=mask)["a"] is fits
+    assert ev.run({"a": mask}, mask=mask)["a"] is mask
+    assert ev.run({"a": 0b10110}, mask=0b111) == {"a": 0b110, "y": 0b001}
+    assert ev.run({"a": (1 << 100) | 5}, mask=mask)["a"] == 5
+    assert ev.run({"a": -1}, mask=0b1111) == {"a": 0b1111, "y": 0}
+    assert ev.run({"a": -2}, mask=0b1111) == {"a": 0b1110, "y": 0b0001}

@@ -8,17 +8,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_readers
-from recordkit import netlist
+from recordkit import netlist, sim
 from recordkit.cost import cost_report
 from recordkit.fixtures import fixture_generate
 from recordkit.ftrecord import ft_simulate, transform_ft
-from recordkit.netlist import Evaluator, evaluate, parse_netlist
+from recordkit.netlist import (Evaluator, Gate, Netlist, evaluate,
+                               parse_netlist, write_netlist)
 from recordkit.recordize import RecordConfig, design_from_netlist, transform
 from recordkit.rng import MASK64, RngSpec, packed_bits
 from recordkit.sim import (EXHAUSTIVE_BIT_LIMIT, SimulationError, Stimulus,
                            exhaustive_columns, r_columns, simulate,
                            simulate_netlist, verify_equivalence)
 from recordkit.trojan import TriggerSpec, leak_report, trigger_experiment
+from test_recordize import designs
 
 AND2 = parse_netlist("module and2\ninput a b\noutput y\nand y a b\nend")
 
@@ -479,3 +481,167 @@ def test_trace_csv_and_summary(tmp_path):
     doc = t.summary()
     assert doc["cycles"] == 4
     assert set(doc["output_ones"]) == {"__y_y", "__z_y"}
+
+
+def test_one_uniform_stimulus_is_drawn_once_per_width(monkeypatch):
+    """The original and the design of one analysis read one draw: only the
+    design's random columns are drawn besides it."""
+    calls = []
+
+    def counted(rng, count, width):
+        calls.append((rng, count, width))
+        return r_columns(rng, count, width)
+
+    monkeypatch.setattr(sim, "r_columns", counted)
+    m9 = fixture_generate("maj9")
+    d = transform(m9, RecordConfig.checkerboard(m9, 2))
+    stim = Stimulus.uniform(500, seed=3)
+    traces = (simulate_netlist(m9, stim), simulate(d, stim, RngSpec(4)))
+    cost_report(m9, d, traces)
+    simulate_netlist(m9, stim)
+    assert calls == [(RngSpec(3), 500, 9), (RngSpec(4), 500, 2)]
+
+
+@pytest.mark.parametrize("widths", [(8, 9), (9, 8), (8, 9, 8, 9)])
+def test_a_stimulus_kept_at_two_widths_matches_fresh_draws(widths):
+    stim = Stimulus.uniform(300, seed=5)
+    for w in widths:
+        assert stim.kept(w) == Stimulus.uniform(300, seed=5).bound(w)
+        assert len(stim.kept(w)[1]) == w
+    assert stim.kept(8)[1] is stim.kept(8)[1]
+    assert stim.bound(8) == stim.kept(8)
+
+
+def test_an_explicit_stimulus_is_kept_as_it_is():
+    stim = reference_readers.from_vectors([(1, 0), (0, 1), (1, 1)])
+    assert stim.kept(2) == (3, stim.columns)
+    assert stim.kept(2)[1] is stim.columns
+    with pytest.raises(SimulationError, match="width 2 does not match"):
+        stim.kept(3)
+
+
+def test_a_drawn_stimulus_keys_like_an_undrawn_one():
+    drawn, fresh = Stimulus.uniform(100, seed=2), Stimulus.uniform(100, 2)
+    drawn.kept(8)
+    assert drawn == fresh and hash(drawn) == hash(fresh)
+    assert repr(drawn) == repr(fresh) == "Stimulus(count=100, columns=None, " \
+        "seed=2)"
+    assert {fresh: "hit"}[drawn] == "hit"
+
+
+def test_traces_hold_the_stimulus_columns_uncopied():
+    m9 = fixture_generate("maj9")
+    d = transform(m9, RecordConfig.checkerboard(m9, 2))
+    stim = Stimulus.uniform(400, seed=6)
+    t_des = simulate(d, stim, RngSpec(1))
+    t_orig = simulate_netlist(m9, stim)
+    cols = stim.kept(9)[1]
+    for i, x in enumerate(d.source_inputs):
+        assert t_des.wires[x] is cols[i] and t_orig.wires[x] is cols[i]
+
+
+def _edit_one_gate(n: Netlist, data) -> Netlist:
+    """n with one gate's kind swapped for another of its arity (a MUX2 has
+    its data inputs swapped)."""
+    k = data.draw(st.integers(0, len(n.gates) - 1))
+    g = n.gates[k]
+    if g.kind == "MUX2":
+        edited = Gate("MUX2", g.out, (g.ins[0], g.ins[2], g.ins[1]))
+    else:
+        kinds = ("NOT", "BUF") if len(g.ins) == 1 else (
+            "AND", "OR", "NAND", "NOR", "XOR", "XNOR")
+        kind = data.draw(st.sampled_from([x for x in kinds if x != g.kind]))
+        edited = Gate(kind, g.out, g.ins)
+    gates = n.gates[:k] + (edited,) + n.gates[k + 1:]
+    return Netlist(n.name, n.inputs, n.outputs, gates)
+
+
+def _flip_one_vector(n: Netlist, data) -> Netlist:
+    """n with one gate-driven output complemented on one input vector m
+    only, so that its first failure against n is at index m."""
+    driven = [o for o in n.outputs if o not in n.inputs]
+    if not driven:
+        return n
+    o = driven[0]
+    m = data.draw(st.integers(0, 2 ** len(n.inputs) - 1))
+    rename = {o: "flip_pre"}
+    gates = [Gate(g.kind, rename.get(g.out, g.out),
+                  tuple(rename.get(w, w) for w in g.ins)) for g in n.gates]
+    literals = []
+    for p, w in enumerate(n.inputs):
+        if not m >> p & 1:
+            gates.append(Gate("NOT", "flip_n%d" % p, (w,)))
+            w = "flip_n%d" % p
+        literals.append(w)
+    # literals[0] again: an AND needs two inputs even when n has one
+    gates.append(Gate("AND", "flip_hit", (*literals, literals[0])))
+    gates.append(Gate("XOR", o, ("flip_pre", "flip_hit")))
+    return Netlist(n.name, n.inputs, n.outputs, tuple(gates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(designs(), st.data())
+def test_chunked_verify_equals_the_one_pass_verdict(case, data):
+    """Over two chunks or more, edited originals included, the chunked
+    sweep reports what one pass over every lane does, field for field."""
+    n, cfg = case
+    d = transform(n, cfg)
+    edit = data.draw(st.sampled_from([None, _edit_one_gate,
+                                      _flip_one_vector]))
+    original = edit(n, data) if edit else n
+    total_bits = len(n.inputs) + cfg.groups
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "CHUNK_BITS", EXHAUSTIVE_BIT_LIMIT)
+        whole = verify_equivalence(original, d)
+        mp.setattr(sim, "CHUNK_BITS",
+                   data.draw(st.integers(0, total_bits - 1)))
+        chunked = verify_equivalence(original, d)
+    assert chunked == whole
+
+
+def _and_tree_with_an_or():
+    """and-tree-n 16 at G=2 with one and of the x1..x8 half made an or:
+    18 bits, first failing at index 196863 (x1..x8, __r1 and __r2 are 1)."""
+    n = fixture_generate("and-tree-n", n=16)
+    text = write_netlist(transform(n, RecordConfig.checkerboard(n, 2))
+                         .netlist)
+    assert text.count("\nand __f3_a14 ") == 1
+    text = text.replace("\nand __f3_a14 ", "\nor __f3_a14 ")
+    return n, design_from_netlist(parse_netlist(text))
+
+
+@pytest.mark.parametrize("chunk_bits", [18, 16, 14, 9, 3])
+def test_chunked_verify_reports_the_first_counterexample(monkeypatch,
+                                                        chunk_bits):
+    n, d = _and_tree_with_an_or()
+    monkeypatch.setattr(sim, "CHUNK_BITS", chunk_bits)
+    v = verify_equivalence(n, d)
+    assert (v.cases, v.mode) == (1 << 18, "exhaustive")
+    cx = v.counterexample
+    assert cx.index == 196863
+    assert cx.x == {"x%d" % k: int(k <= 8) for k in range(1, 17)}
+    assert (cx.r, cx.expected, cx.got) == ({"__r1": 1, "__r2": 1},
+                                           {"y": 0}, {"y": 1})
+
+
+def test_exhaustive_verify_at_the_bit_limit_stays_in_bounded_memory():
+    """A 500-gate source over 20 inputs at G=2 is a 22-bit sweep: the
+    chunks keep its tracemalloc peak under 100 MB."""
+    rng = random.Random(22)
+    inputs = tuple("i%d" % k for k in range(20))
+    wires, gates = list(inputs), []
+    for k in range(500):
+        kind = rng.choice(("AND", "OR", "NAND", "NOR", "XOR", "XNOR"))
+        gates.append(Gate(kind, "w%d" % k,
+                          (rng.choice(wires), rng.choice(wires))))
+        wires.append("w%d" % k)
+    n = Netlist("rand", inputs, tuple(wires[-8:]), tuple(gates))
+    d = transform(n, RecordConfig.checkerboard(n, 2))
+    tracemalloc.start()
+    try:
+        v = verify_equivalence(n, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v == sim.Verdict(1 << EXHAUSTIVE_BIT_LIMIT, "exhaustive")
+    assert peak < 100 * 2 ** 20, peak
