@@ -272,10 +272,9 @@ def verify_equivalence(original: Netlist, d: PartitionedDesign,
     if mode == "sampled":
         if samples < 1:
             raise ValueError("need at least one sample")
+        mask = (1 << samples) - 1
         stream = packed_bits(RngSpec(seed), samples * total_bits)
-        cols = [(stream >> (p * samples)) & ((1 << samples) - 1)
-                for p in range(total_bits)]
+        cols = [(stream >> (p * samples)) & mask for p in range(total_bits)]
         return Verdict(samples, mode,
-                       _first_failure(original, d, cols, (1 << samples) - 1,
-                                      0))
+                       _first_failure(original, d, cols, mask, 0))
     raise ValueError("mode must be 'exhaustive' or 'sampled'")
