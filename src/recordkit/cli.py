@@ -229,7 +229,7 @@ def cmd_ft_sim(args) -> int:
         trace.to_csv(args.csv)
     doc = {"cycles": len(trace.committed),
            "steps": len(trace.steps),
-           "replays": sum(1 for s in trace.steps if s.phase == 2),
+           "replays": len(trace.steps) - len(trace.committed),
            "committed_equals_reference": trace.clean,
            "permanent_fault_suspected": trace.permanent_fault_suspected}
     _write_json(args.report, doc)

@@ -32,8 +32,9 @@ cone. Clean phase-1 spans, no-op forces included, are committed in bulk
 from that pass, and the protocol steps one at a time only at faults,
 miscompares and replays, so multi-fault plans, replay chains and the
 replay-limit flag keep the per-step semantics. Calls on one design,
-stimulus and seed share one fault-free pass, and its committed and
-reference rows are copied into each trace. A trace keeps each clean span
+stimulus and seed share one fault-free pass. Every output row a trace
+holds is read-only, so the traces of that pass share its committed and
+reference rows; dict(row) is a mutable copy. A trace keeps each clean span
 as one entry and builds the span's FTSteps on the first read of its
 steps; len(steps) builds none, so a caller that reads only the committed
 stream never pays for them.
@@ -212,7 +213,8 @@ class _Steps(Sequence):
     """ft_simulate's steps, kept as its record: an FTStep per step taken on
     its own, and a (first step, first lane, end lane, rows) entry per clean
     phase-1 span. Its length builds nothing; the first other read builds
-    the FTStep list once and keeps it, so a step read stays one object."""
+    the FTStep list once and keeps it, so a step read stays one object and
+    a span step's committed is the same row as trace.committed[lc]."""
 
     def __init__(self, record: list, r_bits: Tuple[int, ...]):
         self._record = record
@@ -278,10 +280,25 @@ class FTTrace:
                 w.writerow(row)
 
 
+class _Row(dict):
+    """An {output: bit} row of a trace: read-only, so calls may share it."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a trace row is read-only; copy it with dict(row)")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 def _rows(outputs: Sequence[str], words: Sequence[int], count: int) -> tuple:
-    """Each lane's {output: bit} row; equal rows share one dict."""
+    """Each lane's {output: bit} row; equal rows share one _Row."""
     rows = list(zip(*(unpack(w, count) for w in words)))
-    shared = {row: dict(zip(outputs, row)) for row in set(rows)}
+    shared = {row: _Row(zip(outputs, row)) for row in set(rows)}
     return tuple(map(shared.__getitem__, rows))
 
 
@@ -342,7 +359,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                     end = lane
                     break
             if end > lc:
-                rows = list(map(dict.copy, selected_rows[lc:end]))
+                rows = selected_rows[lc:end]
                 committed[lc:end] = rows
                 record.append((step, lc, end, rows))
                 step += end - lc
@@ -359,7 +376,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
         row = [(v[w] >> lc) & 1 for w in ft._reads]
         r, mis = row[:2]
         if phase == 1:
-            m = dict(zip(outputs, row[2:votes]))
+            m = _Row(zip(outputs, row[2:votes]))
             if mis:
                 record.append(FTStep(step, 1, lc, 1, r, 1, None, m))
                 phase = 2
@@ -369,7 +386,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
                 lc += 1
         else:
             # replay of the saved logical cycle lc with its saved bit
-            vote = dict(zip(outputs, row[votes:]))
+            vote = _Row(zip(outputs, row[votes:]))
             committed[lc] = vote
             if mis:
                 replay_faults += 1
@@ -382,5 +399,5 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
             lc += 1
         step += 1
 
-    return FTTrace(_Steps(record, r_bits), committed,
-                   list(map(dict.copy, ref_rows)), suspected_at)
+    return FTTrace(_Steps(record, r_bits), committed, list(ref_rows),
+                   suspected_at)

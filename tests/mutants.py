@@ -52,6 +52,9 @@ FITTING = ["tests/test_netlist.py::test_run_keeps_a_fitting_word_and_masks_"
            "any_other"]
 CHUNKS = [SIM + "test_chunked_verify_reports_the_first_counterexample",
           SIM + "test_chunked_verify_equals_the_one_pass_verdict"]
+ROWS = [FT + "test_trace_rows_are_read_only",
+        FT + "test_calls_on_one_memo_share_their_rows",
+        FT + "test_trace_round_trips_through_pickle_and_deepcopy"]
 FT_WIRING = [FT + "test_twin_mux_mirrors_selected_exhaustively",
              FT + "test_fault_free_run_clean",
              FT + "test_each_output_comparator_sets_e",
@@ -133,6 +136,14 @@ MUTANTS = [
      "range(step + 1, step + 1 + end - lc)", SPANS),
     ("ft-span-len-one", "ftrecord.py", "else e[2] - e[1]", "else 1", SPANS),
     ("ft-span-drop-stepped", "ftrecord.py", "steps.append(e)", "pass", SPANS),
+    # ft_simulate: every row a trace holds is a read-only _Row
+    ("ft-row-setitem", "ftrecord.py",
+     "__setitem__ = __delitem__ = __ior__ = _read_only",
+     "__delitem__ = __ior__ = _read_only", ROWS),
+    ("ft-rows-plain", "ftrecord.py", "{row: _Row(zip(outputs, row))",
+     "{row: dict(zip(outputs, row))", ROWS),
+    ("ft-vote-plain", "ftrecord.py", "vote = _Row(zip(outputs, row[votes:]))",
+     "vote = dict(zip(outputs, row[votes:]))", ROWS),
     # every force reruns: the outputs are the same, only the work differs
     ("ft-always-rerun", "ftrecord.py",
      "return (wires[w] >> lane) & 1 != value", "return True",

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import FrozenInstanceError, asdict
 from functools import lru_cache
 
@@ -704,17 +706,102 @@ def test_memo_hit_draws_no_stimulus(monkeypatch):
     assert len(calls) > drawn
 
 
-def test_memo_never_aliases_a_returned_trace():
+ROW_WRITES = (("__setitem__", ("y", 0)), ("__delitem__", ("y",)),
+              ("__ior__", ({"y": 0},)), ("clear", ()), ("pop", ("y",)),
+              ("popitem", ()), ("setdefault", ("z", 0)),
+              ("update", ({"y": 0},)))
+
+
+def test_trace_rows_are_read_only():
     _, ft = _ft_maj9()
     stim, rng = Stimulus.uniform(40, seed=2), RngSpec(3)
     plan = _plan_with_replays()
     trace = ft_simulate(ft, stim, rng, plan)
-    trace.reference[0]["y"] ^= 1
-    trace.committed[0]["y"] ^= 1
+    buffered = [s.buffered for s in trace.steps if s.buffered is not None]
+    votes = [s.committed for s in trace.steps if s.phase == 2]
+    assert buffered and votes
+    for row in (trace.committed[0], trace.reference[0], buffered[0],
+                votes[0]):
+        before = dict(row)
+        for name, args in ROW_WRITES:
+            with pytest.raises(TypeError, match=r"dict\(row\)"):
+                getattr(row, name)(*args)
+        assert row == before
+        mutable = dict(row)
+        assert type(mutable) is dict and mutable == row
+        mutable["y"] ^= 1
+        assert mutable != row
+    for row in (trace.committed + trace.reference + buffered
+                + [s.committed for s in trace.steps if s.committed]):
+        with pytest.raises(TypeError):
+            row["y"] = 0
     trace.steps[0].r ^= 1
     again = ft_simulate(ft, stim, rng, plan)
     assert again == ft_simulate(_ft_maj9()[1], stim, rng, plan)
     assert again != trace
+
+
+def test_calls_on_one_memo_share_their_rows():
+    _, ft = _ft_maj9()
+    stim, rng = Stimulus.uniform(40, seed=2), RngSpec(3)
+    a = ft_simulate(ft, stim, rng)
+    b = ft_simulate(ft, stim, rng, _plan_with_replays())
+    c = ft_simulate(ft, stim, rng)
+    assert a.committed is not c.committed and a.reference is not c.reference
+    assert all(x is y for x, y in zip(a.committed, c.committed))
+    assert all(x is y for x, y in zip(a.reference, b.reference))
+    # the plan's first fault is at step 3: lanes 0..2 are one clean span
+    assert all(a.committed[i] is b.committed[i] for i in range(3))
+    assert b.steps[1].committed is b.committed[1]
+
+
+@pytest.mark.parametrize("read_steps", [False, True])
+def test_trace_round_trips_through_pickle_and_deepcopy(read_steps):
+    _, ft = _ft_maj9()
+    stim, rng = Stimulus.uniform(40, seed=2), RngSpec(3)
+    trace = ft_simulate(ft, stim, rng, _plan_with_replays())
+    if read_steps:
+        assert trace.steps[0].step == 0
+    for twin in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+        assert twin == trace and repr(twin) == repr(trace)
+        assert [asdict(s) for s in twin.steps] == [asdict(s)
+                                                   for s in trace.steps]
+        assert twin.committed[0] is not trace.committed[0]
+        with pytest.raises(TypeError):
+            twin.committed[0]["y"] = 0
+
+
+@st.composite
+def _maj9_multi_fault_plans(draw):
+    m9, ft = _oracle_design("maj9")
+    cycles = draw(st.integers(1, 40))
+    fault = st.tuples(st.integers(0, 3),
+                      st.sampled_from([g.out for g in m9.gates]),
+                      st.integers(0, 1))
+    by_step = {}
+    # a fault held over 2k steps can miscompare k replays in a row, so a
+    # hold of up to 2 * REPLAY_LIMIT + 2 steps reaches the replay limit
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, 2 * cycles))
+        held = draw(fault)
+        for step in range(start, start + draw(
+                st.integers(1, 2 * REPLAY_LIMIT + 2))):
+            by_step.setdefault(step, held)
+    plan = FaultPlan(tuple(FaultInjection(step, *f)
+                           for step, f in sorted(by_step.items())))
+    stim = Stimulus.uniform(cycles, seed=draw(st.integers(0, 2 ** 32)))
+    return ft, stim, RngSpec(draw(st.integers(0, 2 ** 64 - 1))), plan
+
+
+@settings(max_examples=100, deadline=None)
+@given(_maj9_multi_fault_plans())
+def test_steps_are_the_committed_cycles_plus_the_replays(case):
+    ft, stim, rng, plan = case
+    trace = ft_simulate(ft, stim, rng, plan)
+    steps = len(trace.steps)  # before any step is built
+    assert len(trace.committed) == stim.count
+    assert steps == len(trace.committed) + sum(s.phase == 2
+                                               for s in trace.steps)
 
 
 def test_ft_design_is_frozen():
