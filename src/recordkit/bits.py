@@ -7,17 +7,17 @@ run word-parallel over arbitrary lengths. The int does not carry its
 length: the owner of a stream does (``SimTrace.cycles`` for a trace,
 ``width * height`` for an image), and complements mask to it.
 
-This module owns every list<->packed conversion: ``pack`` (0/1 sequence to
-integer), ``unpack`` (integer to 0/1 list) and ``transpose`` (cycle-major
-stream to per-column integers). ``pack`` and ``unpack`` are a few C-level
-passes over one binary string (a 256-entry translate table, slicing,
-int<->text); ``transpose`` moves whole byte lanes of the stream with shifts
-and masks and builds no text. No Python code runs once per bit.
+This module owns every packed conversion: ``pack`` (0/1 sequence to int),
+``unpack`` (int to 0/1 bytes, pack's inverse on bytes) and ``transpose``
+(cycle-major stream to per-column ints). ``pack`` and ``unpack`` are a few
+C-level passes over one binary string (a 256-entry translate table,
+slicing, int<->text); ``transpose`` moves whole byte lanes of the stream
+with shifts and masks and builds no text. No Python code runs once per bit.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 _ASCII = b"01" + b"x" * 254  # bytes 0/1 to binary digits; others invalid
 _BIT = bytes.maketrans(b"01", b"\0\1")
@@ -34,9 +34,9 @@ def pack(bits: Iterable[int]) -> int:
         raise ValueError("bit sequence contains %r" % (bad,)) from None
 
 
-def unpack(value: int, n: int) -> List[int]:
-    """The low n bits of a packed integer as 0/1 ints, bit 0 first."""
-    return list(format(value, "0%db" % n)[::-1][:n].encode().translate(_BIT))
+def unpack(value: int, n: int) -> bytes:
+    """The low n bits of a packed integer as 0/1 bytes, bit 0 first."""
+    return format(value, "0%db" % n)[::-1][:n].encode().translate(_BIT)
 
 
 def transpose(stream: int, count: int, width: int) -> Tuple[int, ...]:

@@ -13,14 +13,14 @@ through the chosen variant:
             and its four edge-adjacent neighbors sit in opposite groups.
 
 Windows are processed in raster order with fresh random bits per window.
-The image is a packed bitplane, a plain int with pixel r*width+c at bit
+Every raster is bytes, one byte per pixel, from PGM read to PGM write; the
+filter works on a packed bitplane, a plain int with pixel r*width+c at bit
 r*width+c whose length width*height the caller carries, so the nine window
 inputs are nine shifted copies of that plane and each neighbor-difference
-map is the plane xored with one shifted copy; a shift replicates the
-border with row and column masks. The independent oracle is median_filter,
-a 3x3 majority by row sums in byte lanes (one byte per pixel) that shares
-nothing with the bitplane path: every call cross-checks the enhanced image
-bit for bit against it.
+map is the plane xored with one shifted copy, and a shift replicates the
+border with row and column masks. The independent oracle, median_filter,
+a 3x3 majority by row sums in the raster's byte lanes, shares nothing with
+the bitplane path: every call cross-checks the enhanced image against it.
 
 The implant runs the gradient strategy: per window it xors the visible
 encoded center against each visible encoded neighbor, an estimate of the
@@ -102,23 +102,24 @@ class DemoResult:
     report: dict
 
 
-def synthetic_scene(width: int = 64, height: int = 64) -> List[int]:
+def synthetic_scene(width: int = 64, height: int = 64) -> bytes:
     """Two filled rectangles on empty background, as 0/1 pixels."""
-    img = [0] * (width * height)
+    img = bytearray(width * height)
     for r0, r1, c0, c1 in ((8, 28, 6, 30), (34, 56, 36, 58)):
         for r in range(r0, r1):
-            for c in range(c0, c1):
-                img[r * width + c] = 1
-    return img
+            img[r * width + c0:r * width + c1] = b"\1" * (c1 - c0)
+    if len(img) != width * height:  # a row slice past the end grows img
+        raise ValueError("%dx%d is too small for the scene" % (width, height))
+    return bytes(img)
 
 
-def binarize(pixels: Sequence[int], threshold: int) -> List[int]:
+def binarize(pixels: Sequence[int], threshold: int) -> bytes:
     """0/1 pixel p >= threshold for 8-bit pixels, by one table pass."""
     table = (bytes(max(threshold, 0)) + b"\1" * 256)[:256]
-    return list(bytes(pixels).translate(table))
+    return bytes(pixels).translate(table)
 
 
-def salt_pepper(bits: Sequence[int], p: float, rng: RngSpec) -> List[int]:
+def salt_pepper(bits: Sequence[int], p: float, rng: RngSpec) -> bytes:
     """Flip each pixel independently with probability p (quantized 1/2^16).
 
     Pixel i draws stream bits 16i..16i+15, so each 64-bit word serves four
@@ -133,8 +134,8 @@ def salt_pepper(bits: Sequence[int], p: float, rng: RngSpec) -> List[int]:
         return int.from_bytes(lanes.translate(table), "little")
     hi, lo = draws[1::2], draws[0::2]
     noise = below(hi, cut_hi) | (below(hi, cut_hi + 1) & below(lo, cut_lo))
-    return list((noise ^ int.from_bytes(bytes(bits), "little"))
-                .to_bytes(n, "little"))
+    flipped = noise ^ int.from_bytes(bytes(bits), "little")
+    return flipped.to_bytes(n, "little")
 
 
 def _check_shape(img: Sequence[int], width: int, height: int) -> None:
@@ -143,7 +144,7 @@ def _check_shape(img: Sequence[int], width: int, height: int) -> None:
                          % (len(img), width, height))
 
 
-def median_filter(img: Sequence[int], width: int, height: int) -> List[int]:
+def median_filter(img: Sequence[int], width: int, height: int) -> bytes:
     """3x3 majority oracle, the reference for every variant: 3-wide sums of
     each border-replicated row, added over the clamped rows above and below.
     Pixel i is byte lane i of an integer, so each sum is one integer add of
@@ -162,7 +163,7 @@ def median_filter(img: Sequence[int], width: int, height: int) -> List[int]:
         return sum(int.from_bytes(part, "little") for part in parts)
     h = lanes(left, row, right).to_bytes(len(row), "little")
     v = lanes(h[:width] + h[:-width], h, h[width:] + h[-width:])
-    return list(v.to_bytes(len(row), "little").translate(_MAJORITY))
+    return v.to_bytes(len(row), "little").translate(_MAJORITY)
 
 
 def _shift(plane: int, dr: int, dc: int, width: int, height: int) -> int:
@@ -244,7 +245,7 @@ def _design_for(variant: str) -> Tuple[Netlist, Optional[PartitionedDesign]]:
 class _VariantRun:
     """One variant's filtered image, its leak estimates and its run."""
 
-    enhanced: List[int]
+    enhanced: bytes
     estimates: List[int]             # 8 neighbor-difference bitplanes
     same_group: List[int]            # indices into estimates
     cross_group: List[int]
@@ -282,7 +283,7 @@ def leaked_image(run: _VariantRun, width: int, height: int) -> bytes:
     """Gray levels 0..255, one byte per pixel; the enhanced image for plain.
     Planes read as hex add one pixel per nibble (8 planes, so no carry)."""
     if run.design is None:
-        return bytes(run.enhanced).translate(_WHITE)
+        return run.enhanced.translate(_WHITE)
     votes = len(run.estimates)
     level = bytes.maketrans(b"0123456789abcdef"[:votes + 1],
                             bytes(255 * c // votes for c in range(votes + 1)))
@@ -300,8 +301,8 @@ def demo_image(cfg: ImageDemoConfig) -> DemoResult:
         width, height, _maxval, pixels = read_pgm(cfg.input_path)
         clean = binarize(pixels, cfg.threshold)
 
-    noisy = bytes(salt_pepper(clean, cfg.noise,
-                              derive(RngSpec(cfg.seed), _NOISE_TAG)))
+    noisy = salt_pepper(clean, cfg.noise,
+                        derive(RngSpec(cfg.seed), _NOISE_TAG))
     run = _run_variant(cfg.variant, noisy, width, height, cfg.seed)
 
     oracle = median_filter(noisy, width, height)
@@ -314,8 +315,7 @@ def demo_image(cfg: ImageDemoConfig) -> DemoResult:
     paths = {name: str(out_dir / ("%s.pgm" % name))
              for name in ("original", "enhanced", "leaked")}
     write_pgm(paths["original"], width, height, noisy.translate(_WHITE))
-    write_pgm(paths["enhanced"], width, height,
-              bytes(oracle).translate(_WHITE))
+    write_pgm(paths["enhanced"], width, height, oracle.translate(_WHITE))
     leaked = leaked_image(run, width, height)
     write_pgm(paths["leaked"], width, height, leaked)
 

@@ -216,7 +216,7 @@ class _Steps(Sequence):
     the FTStep list once and keeps it, so a step read stays one object and
     a span step's committed is the same row as trace.committed[lc]."""
 
-    def __init__(self, record: list, r_bits: Tuple[int, ...]):
+    def __init__(self, record: list, r_bits: bytes):
         self._record = record
         self._r_bits = r_bits
 
@@ -326,7 +326,7 @@ def ft_simulate(ft: FTDesign, stim: Stimulus, rng: RngSpec,
         ft._memo[stim, rng] = entry = (
             _rows(outputs, [ref[o] for o in outputs], count),
             _rows(outputs, [wires[w] for w in ft._reads[2:votes]], count),
-            tuple(unpack(wires[ft._reads[0]], count)),
+            unpack(wires[ft._reads[0]], count),
             wires[MISCOMPARE_WIRE], wires)
     ref_rows, selected_rows, r_bits, mis_word, wires = entry
 

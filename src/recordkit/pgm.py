@@ -1,16 +1,16 @@
 """Minimal PGM I/O: P2 and P5 in (maxval up to 255), P5 out at maxval 255.
 
-An untrusted file is read in a few C-level passes: one regex for the four
-header tokens, with '#' comments anywhere; for P5 one translate that
-deletes the in-range bytes, and no byte may follow the raster; for P2 one
-comment substitution and one map of int(), walking the samples only to
-name the first one int() rejects.
-"""
+A raster is bytes, one byte per pixel, row-major. An untrusted file is read
+in a few C-level passes: one regex for the four header tokens, with '#'
+comments anywhere; for P5 one translate that deletes the in-range bytes,
+no byte may follow the raster, and the raster is the slice read; for P2
+one comment substitution, one map of int() (walking the samples only to
+name the first one int() rejects) and one bytes() after the range check."""
 
 from __future__ import annotations
 
 import re
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 # a comment runs to the line end and a token to a separator, so no shorter
 # match can start a token inside either
@@ -19,8 +19,8 @@ _HEADER = re.compile(
     (rb"(?:\s|%s)*([^\s#]+)(?![^\s#])" % _COMMENT.pattern) * 4)
 
 
-def read_pgm(path) -> Tuple[int, int, int, List[int]]:
-    """Return (width, height, maxval, pixels row-major)."""
+def read_pgm(path) -> Tuple[int, int, int, bytes]:
+    """Return (width, height, maxval, raster)."""
     with open(path, "rb") as f:
         data = f.read()
 
@@ -68,7 +68,7 @@ def read_pgm(path) -> Tuple[int, int, int, List[int]]:
                          % (len(data) - i - 1 - count, path))
     if stray:
         raise ValueError("malformed PGM: pixel out of range in %s" % path)
-    return width, height, maxval, list(raster)
+    return width, height, maxval, bytes(raster)
 
 
 def write_pgm(path, width: int, height: int, pixels: Sequence[int]) -> None:

@@ -55,6 +55,12 @@ CHUNKS = [SIM + "test_chunked_verify_reports_the_first_counterexample",
 ROWS = [FT + "test_trace_rows_are_read_only",
         FT + "test_calls_on_one_memo_share_their_rows",
         FT + "test_trace_round_trips_through_pickle_and_deepcopy"]
+DEMO = "tests/test_demo.py::"
+RASTER = DEMO + "test_raster_helpers_return_bytes_of_the_per_pixel_reference"
+MAJORITY = [DEMO + "test_median_filter_matches_brute_force", RASTER]
+NOISE = [DEMO + "test_salt_pepper_matches_per_word_reference",
+         DEMO + "test_salt_pepper_flips_strictly_below_the_cut", RASTER]
+THRESHOLD = [DEMO + "test_binarize_matches_per_pixel_threshold", RASTER]
 FT_WIRING = [FT + "test_twin_mux_mirrors_selected_exhaustively",
              FT + "test_fault_free_run_clean",
              FT + "test_each_output_comparator_sets_e",
@@ -183,6 +189,14 @@ MUTANTS = [
      "ones * (j >> (total_bits - low - 1 - p) & 1)", CHUNKS),
     ("chunk-no-early-stop", "sim.py", "            if cx is not None:\n"
      "                break\n", "", CHUNKS),
+    # the image demo's byte-lane tables: window sums 5..9 are the majority,
+    # a draw below the 16-bit cut flips its pixel, p >= threshold is white
+    ("majority-four", "demo.py", "_MAJORITY = bytes(5)",
+     "_MAJORITY = bytes(4)", MAJORITY),
+    ("noise-high-byte", "demo.py", "below(hi, cut_hi + 1)",
+     "below(hi, cut_hi)", NOISE),
+    ("threshold-below", "demo.py", "bytes(max(threshold, 0))",
+     "bytes(max(threshold - 1, 0))", THRESHOLD),
 ]
 
 

@@ -271,7 +271,8 @@ def test_criterion_9_image_demo(tmp_path):
                                 derive(RngSpec(seed), _NOISE_TAG))
             oracle = median_filter(noisy, 64, 64)
             _w, _h, _m, pixels = read_pgm(res.enhanced_path)
-            enhanced_ok = enhanced_ok and pixels == [255 * p for p in oracle]
+            enhanced_ok = enhanced_ok and \
+                pixels == bytes(255 * p for p in oracle)
         ordering_ok = ordering_ok and (
             scores["plain"]["structural"] > scores["record1"]["structural"]
             > scores["record2"]["structural"])

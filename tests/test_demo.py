@@ -29,7 +29,7 @@ def test_pgm_p5_roundtrip(tmp_path):
     write_pgm(p, 8, 8, pixels[:64])
     w, h, maxval, back = read_pgm(p)
     assert (w, h, maxval) == (8, 8, 255)
-    assert back == pixels[:64]
+    assert back == bytes(pixels[:64])
 
 
 def test_pgm_p2_read(tmp_path):
@@ -37,14 +37,14 @@ def test_pgm_p2_read(tmp_path):
     p.write_text("P2\n# comment\n3 2\n255\n0 128 255\n10 20 30\n")
     w, h, maxval, pixels = read_pgm(p)
     assert (w, h) == (3, 2)
-    assert pixels == [0, 128, 255, 10, 20, 30]
+    assert pixels == bytes([0, 128, 255, 10, 20, 30])
 
 
 def test_pgm_p5_with_header_comment(tmp_path):
     p = tmp_path / "img.pgm"
     p.write_bytes(b"P5\n# made by hand\n2 2\n255\n\x00\xff\x80\x01")
     w, h, maxval, pixels = read_pgm(p)
-    assert pixels == [0, 255, 128, 1]
+    assert pixels == bytes([0, 255, 128, 1])
 
 
 def test_pgm_malformed(tmp_path):
@@ -126,7 +126,7 @@ def test_pgm_accepts_what_int_accepts(tmp_path):
     and samples past the raster are read but not range-checked."""
     p = tmp_path / "img.pgm"
     p.write_bytes(b"P2 2 2 15 +3 1_0 0 15 -1 99")
-    assert read_pgm(p) == (2, 2, 15, [3, 10, 0, 15])
+    assert read_pgm(p) == (2, 2, 15, bytes([3, 10, 0, 15]))
 
 
 _SPACE = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\x0b", b"\x0c",
@@ -184,6 +184,8 @@ def _matches_reference(data: bytes) -> bool:
             f.write(data)
         got = _outcome(read_pgm, path)
         want = _outcome(reference_readers.read_pgm, path)
+    if want[0] is not ValueError:  # the reference's raster is a list
+        want = want[:3] + (bytes(want[3]),)
     tokens, i = [], 0
     for _ in range(4):  # the header tokens, as the reference walks them
         m = _TOKEN.match(data, i)
@@ -256,14 +258,14 @@ def test_salt_pepper_rate_and_determinism():
     flips = sum(noisy)
     assert 350 <= flips <= 650  # wide band around 500
     assert salt_pepper(img, 0.05, RngSpec(3)) == noisy
-    assert salt_pepper(img, 0.0, RngSpec(3)) == img
+    assert salt_pepper(img, 0.0, RngSpec(3)) == bytes(img)
 
 
 def _scalar_salt_pepper(bits, p, rng):
     """Per-word reference: four 16-bit draws per oracle word, low first."""
     cut = int(p * 65536)
     draws = ((w >> k) & 0xFFFF for w in words(rng) for k in (0, 16, 32, 48))
-    return [b ^ (draw < cut) for b, draw in zip(bits, draws)]
+    return bytes(b ^ (draw < cut) for b, draw in zip(bits, draws))
 
 
 # 256, 255 and 257 (/65536) are the edges of the byte-split compare: a
@@ -293,9 +295,10 @@ def test_salt_pepper_flips_strictly_below_the_cut():
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 255), max_size=300), st.integers(-2, 258))
+@example([127, 128, 129], 128)  # both sides of the cut
 def test_binarize_matches_per_pixel_threshold(pixels, threshold):
-    assert demo.binarize(pixels, threshold) == [
-        1 if p >= threshold else 0 for p in pixels]
+    assert demo.binarize(pixels, threshold) == bytes(
+        1 if p >= threshold else 0 for p in pixels)
 
 
 def test_edge_prediction_and_f1():
@@ -307,6 +310,22 @@ def test_edge_prediction_and_f1():
     assert f1_score(pred, bits.pack([0, 1, 0, 0])) == 0.0
     assert f1_score(bits.pack([1, 1, 0, 0]), bits.pack([1, 0, 1, 0])) \
         == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("w, h", [(64, 64), (128, 128), (58, 56), (20, 200)])
+def test_synthetic_scene_matches_per_pixel_rectangles(w, h):
+    """Pixels (r, c) of rows 8..27 x columns 6..29 and rows 34..55 x columns
+    36..57 are 1, counted on the linear index r*w + c as the scene is."""
+    ones = {r * w + c for r0, r1, c0, c1 in ((8, 28, 6, 30), (34, 56, 36, 58))
+            for r in range(r0, r1) for c in range(c0, c1)}
+    assert synthetic_scene(w, h) == bytes(int(i in ones)
+                                          for i in range(w * h))
+
+
+@pytest.mark.parametrize("w, h", [(57, 56), (58, 55), (8, 8)])
+def test_synthetic_scene_rejects_a_size_that_cuts_it_off(w, h):
+    with pytest.raises(ValueError, match="%dx%d is too small" % (w, h)):
+        synthetic_scene(w, h)
 
 
 def test_geometric_edges_rectangle():
@@ -415,7 +434,7 @@ def test_demo_raises_when_decode_disagrees_with_oracle(tmp_path, capsys,
 
     def one_pixel_flipped(*args):
         run = real(*args)
-        run.enhanced[0] ^= 1
+        run.enhanced = bytes([run.enhanced[0] ^ 1]) + run.enhanced[1:]
         return run
 
     monkeypatch.setattr(demo, "_run_variant", one_pixel_flipped)
@@ -446,10 +465,11 @@ NEIGHBORS = [o for o in OFFSETS if o != (0, 0)]
 
 
 @st.composite
-def _images(draw):
+def _images(draw, top=1):
     w = draw(st.integers(1, 9))
     h = draw(st.integers(1, 9))
-    img = draw(st.lists(st.integers(0, 1), min_size=w * h, max_size=w * h))
+    img = draw(st.lists(st.integers(0, top), min_size=w * h,
+                        max_size=w * h))
     return img, w, h
 
 
@@ -487,14 +507,15 @@ def _brute_majority(img, w, h):
 def test_median_filter_matches_brute_force(case):
     img, w, h = case
     got = median_filter(img, w, h)
-    assert type(got) is list
-    assert got == _brute_majority(img, w, h)
+    assert type(got) is bytes
+    assert got == bytes(_brute_majority(img, w, h))
 
 
 def test_median_filter_matches_brute_force_128x128():
     rng = random.Random(24)
     img = [rng.getrandbits(1) for _ in range(128 * 128)]
-    assert median_filter(img, 128, 128) == _brute_majority(img, 128, 128)
+    assert median_filter(img, 128, 128) \
+        == bytes(_brute_majority(img, 128, 128))
 
 
 def test_median_filter_shares_nothing_with_the_bitplane_path(monkeypatch):
@@ -508,12 +529,39 @@ def test_median_filter_shares_nothing_with_the_bitplane_path(monkeypatch):
     rng = random.Random(5)
     for w, h in ((1, 1), (3, 1), (1, 4), (5, 7), (16, 16)):
         img = [rng.getrandbits(1) for _ in range(w * h)]
-        assert median_filter(img, w, h) == _brute_majority(img, w, h)
+        assert median_filter(img, w, h) == bytes(_brute_majority(img, w, h))
 
 
 def test_median_filter_rejects_a_non_bit_pixel():
     with pytest.raises(ValueError, match="pixel 2 is not 0 or 1"):
         median_filter([0, 1, 2, 1], 2, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_images(255), st.sampled_from([list, bytes]), st.integers(0, 256),
+       st.sampled_from([0, 0.015, 0.5, 257 / 65536]), st.integers(0, 2 ** 16))
+def test_raster_helpers_return_bytes_of_the_per_pixel_reference(
+        case, kind, threshold, rate, seed):
+    """read_pgm (P2 and P5), binarize, salt_pepper and median_filter return
+    bytes equal to their per-pixel references, from list or bytes input."""
+    img, w, h = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.pgm")
+        for magic, raster in ((b"P5", bytes(img)),
+                              (b"P2", " ".join(map(str, img)).encode())):
+            with open(path, "wb") as f:
+                f.write(b"%s %d %d 255\n%s" % (magic, w, h, raster))
+            got = read_pgm(path)
+            assert type(got[3]) is bytes and got == (w, h, 255, bytes(img))
+    binary = demo.binarize(kind(img), threshold)
+    assert type(binary) is bytes
+    assert binary == bytes(1 if p >= threshold else 0 for p in img)
+    flat = list(binary)
+    noisy = salt_pepper(kind(flat), rate, RngSpec(seed))
+    assert type(noisy) is bytes
+    assert noisy == _scalar_salt_pepper(flat, rate, RngSpec(seed))
+    got = median_filter(kind(flat), w, h)
+    assert type(got) is bytes and got == bytes(_brute_majority(flat, w, h))
 
 
 @pytest.mark.parametrize("helper", [median_filter, window_stimulus,
@@ -553,7 +601,7 @@ def test_neighbor_differences_match_per_pixel_compare(case):
     img, w, h = case
     maps = neighbor_differences(img, w, h)
     assert all(0 <= m < 1 << (w * h) for m in maps)
-    got = [bits.unpack(m, w * h) for m in maps]
+    got = [list(bits.unpack(m, w * h)) for m in maps]
     assert got == _reference_differences(img, w, h)
 
 
@@ -568,7 +616,7 @@ def test_edge_prediction_matches_vote_counts(case, picked):
     ref = _reference_differences(img, w, h)
     votes = [sum(ref[k][i] for k in picked) for i in range(w * h)]
     assert bits.unpack(edge_prediction(chosen), w * h) \
-        == [int(v >= 2) for v in votes]
+        == bytes(int(v >= 2) for v in votes)
 
 
 def _f1_per_pixel(pred, truth):
