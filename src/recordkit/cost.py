@@ -2,12 +2,14 @@
 toggle-count switching activity.
 
 These are structural estimates, not synthesis results, from one fixed
-per-kind table (``_COST``) with no settable coefficients. The published
-reference ratios for an ASIC evaluation of this scheme (area 2.4x, dynamic
-power 3.4x, leakage power 2.19x, delay increase at most 11%) are attached
-to every report as an informational comparison; only replication-dominated
-quantities (area, zone area, depth delta) are stable enough for the proxy
-to bracket, so dynamic power and delay percentage are reported unscored.
+per-kind table (``_COST``) with no settable coefficients. Every report
+carries reference ratios (area 2.4x, dynamic power 3.4x, leakage power
+2.19x, delay increase at most 11%) as an informational comparison. They
+are quoted as the results of an ASIC evaluation of this scheme, but their
+source cannot be checked in this repository: ``PAPER.md`` holds only the
+paper's abstract. Only replication-dominated quantities (area, zone area,
+depth delta) are stable enough for the proxy to bracket, so dynamic power
+and delay percentage are reported unscored.
 The leakage proxy is the transistor count, so a report's ``leakage``
 figures are its ``area`` figures by construction.
 
@@ -18,9 +20,9 @@ consumer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
+from ._record import Record
 from .netlist import Gate, Netlist
 from .recordize import PartitionedDesign
 from .sim import SimTrace, check_interface
@@ -75,23 +77,27 @@ def depth(n: Netlist, outputs: Optional[Iterable[str]] = None) -> float:
                default=0.0)
 
 
-@dataclass
-class ActivityReport:
+class ActivityReport(Record):
     """Toggles between consecutive cycles, in all and weighted by area."""
 
-    total_toggles: int
-    weighted_activity: float
+    def __init__(self, total_toggles: int, weighted_activity: float):
+        self.total_toggles = total_toggles
+        self.weighted_activity = weighted_activity
 
 
 def switching(t: SimTrace) -> ActivityReport:
     """Transitions between consecutive cycles, weighted by driver area.
 
     Only gate-driven wires carry weight; the toggles of each distinct word
-    object, found by identity, are counted once.
+    object, found by identity, are counted once. Every wire word must fit
+    in t.cycles bits, as simulate guarantees: a bit above them is counted
+    as toggles, unmasked.
     """
     if t.cycles < 2:
         raise ValueError("switching needs at least 2 cycles")
-    transition_mask = (1 << (t.cycles - 1)) - 1
+    # bit c of s ^ (s >> 1) is a toggle between cycles c and c + 1, except
+    # bit cycles - 1: that is s's own last bit, taken off again
+    last = t.cycles - 1
     total = 0
     weighted = 0.0
     # id(stream) -> toggle count; t holds every stream alive for the loop
@@ -103,8 +109,8 @@ def switching(t: SimTrace) -> ActivityReport:
         s = t.wires[g.out]
         count = toggles_at.get(id(s))
         if count is None:
-            count = toggles_at[id(s)] = ((s ^ (s >> 1))
-                                         & transition_mask).bit_count()
+            count = toggles_at[id(s)] = ((s ^ (s >> 1)).bit_count()
+                                         - (s >> last))
         total += count
         weighted += count * a
     return ActivityReport(total, weighted)
@@ -114,17 +120,20 @@ def _ratio(num: float, den: float) -> Optional[float]:  # None: undefined
     return num / den if den else None
 
 
-@dataclass
-class CostReport:
+class CostReport(Record):
     """Area, depth and switching activity of a source and its design."""
 
-    area_original: float
-    area_transformed: float
-    area_untrusted: float
-    depth_original: float
-    depth_transformed: float
-    activity_original: float
-    activity_transformed: float
+    def __init__(self, area_original: float, area_transformed: float,
+                 area_untrusted: float, depth_original: float,
+                 depth_transformed: float, activity_original: float,
+                 activity_transformed: float):
+        self.area_original = area_original
+        self.area_transformed = area_transformed
+        self.area_untrusted = area_untrusted
+        self.depth_original = depth_original
+        self.depth_transformed = depth_transformed
+        self.activity_original = activity_original
+        self.activity_transformed = activity_transformed
 
     @property
     def area_ratio(self) -> Optional[float]:

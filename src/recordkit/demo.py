@@ -43,11 +43,11 @@ Scoring, defined here and used by the acceptance checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .bits import pack, unpack
 from .fixtures import make_maj9
 from .jsontext import dumps
@@ -70,36 +70,39 @@ _WHITE = bytes.maketrans(b"\0\1", b"\0\xff")  # 0/1 pixels to 0/255 bytes
 _MAJORITY = bytes(5) + b"\1" * 5 + bytes(246)  # window sums 5..9 to 1
 
 
-@dataclass
-class ImageDemoConfig:
+class ImageDemoConfig(Record):
     """Settings of one image-demo run, checked when constructed."""
 
-    out_dir: str
-    input_path: Optional[str] = None
-    variant: str = "record1"
-    threshold: int = 128
-    noise: float = 0.015
-    seed: int = 0
-    report_path: Optional[str] = None
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
+    def __init__(self, out_dir: str, input_path: Optional[str] = None,
+                 variant: str = "record1", threshold: int = 128,
+                 noise: float = 0.015, seed: int = 0,
+                 report_path: Optional[str] = None):
+        if variant not in VARIANTS:
             raise ValueError("variant must be one of %s" % (VARIANTS,))
-        if not 0 <= self.threshold <= 255:
+        if not 0 <= threshold <= 255:
             raise ValueError("threshold must be in 0..255")
-        if not 0 <= self.noise < 1:
+        if not 0 <= noise < 1:
             raise ValueError("noise probability must be in [0, 1)")
+        self.out_dir = out_dir
+        self.input_path = input_path
+        self.variant = variant
+        self.threshold = threshold
+        self.noise = noise
+        self.seed = seed
+        self.report_path = report_path
 
 
-@dataclass
-class DemoResult:
+class DemoResult(Record):
     """Paths of the written images, the leak scores and the report."""
 
-    original_path: str
-    enhanced_path: str
-    leaked_path: str
-    scores: Dict[str, Optional[float]]
-    report: dict
+    def __init__(self, original_path: str, enhanced_path: str,
+                 leaked_path: str, scores: Dict[str, Optional[float]],
+                 report: dict):
+        self.original_path = original_path
+        self.enhanced_path = enhanced_path
+        self.leaked_path = leaked_path
+        self.scores = scores
+        self.report = report
 
 
 def synthetic_scene(width: int = 64, height: int = 64) -> bytes:
@@ -241,16 +244,20 @@ def _design_for(variant: str) -> Tuple[Netlist, Optional[PartitionedDesign]]:
     return f, transform(f, RecordConfig.checkerboard(f, groups))
 
 
-@dataclass
-class _VariantRun:
+class _VariantRun(Record):
     """One variant's filtered image, its leak estimates and its run."""
 
-    enhanced: bytes
-    estimates: List[int]             # 8 neighbor-difference bitplanes
-    same_group: List[int]            # indices into estimates
-    cross_group: List[int]
-    trace: Optional[SimTrace]
-    design: Optional[PartitionedDesign]
+    def __init__(self, enhanced: bytes,
+                 estimates: List[int],  # 8 neighbor-difference bitplanes
+                 same_group: List[int],  # indices into estimates
+                 cross_group: List[int], trace: Optional[SimTrace],
+                 design: Optional[PartitionedDesign]):
+        self.enhanced = enhanced
+        self.estimates = estimates
+        self.same_group = same_group
+        self.cross_group = cross_group
+        self.trace = trace
+        self.design = design
 
 
 def _run_variant(variant: str, noisy: Sequence[int], width: int, height: int,

@@ -53,11 +53,11 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .bits import unpack
 from .netlist import Gate, Netlist, open_text
 from .recordize import (COMPARE_PREFIX, MISCOMPARE_WIRE, TWIN_SELECT_PREFIX,
@@ -74,14 +74,13 @@ class FaultPlanError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class FTDesign:
+class FTDesign(Record, frozen=True):
     """The twin-augmented design and the source netlist it was built from.
     Its twin, comparator and vote wires are read off recordize's reserved
     names, like every other wire role of the design."""
 
-    design: PartitionedDesign
-    source: Netlist
+    def __init__(self, design: PartitionedDesign, source: Netlist):
+        self.__dict__.update(design=design, source=source)
 
     @cached_property
     def fault_sites(self) -> FrozenSet[str]:
@@ -131,24 +130,19 @@ def transform_ft(n: Netlist, cfg: RecordConfig) -> FTDesign:
     return FTDesign(PartitionedDesign(netlist), n)
 
 
-@dataclass(frozen=True)
-class FaultInjection:
+class FaultInjection(Record, frozen=True):
     """Force one replica-internal wire to a value for one protocol step."""
 
-    cycle: int
-    replica: int
-    wire: str
-    value: int
+    def __init__(self, cycle: int, replica: int, wire: str, value: int):
+        self.__dict__.update(cycle=cycle, replica=replica, wire=wire,
+                             value=value)
 
 
-@dataclass
-class FaultPlan:
+class FaultPlan(Record):
     """The fault injections of one run, at most one per protocol step."""
 
-    injections: Tuple[FaultInjection, ...] = ()
-
-    def __post_init__(self):
-        self.injections = tuple(self.injections)
+    def __init__(self, injections: Tuple[FaultInjection, ...] = ()):
+        self.injections = tuple(injections)
 
     def validate(self, ft: FTDesign) -> None:
         seen_cycles = set()
@@ -195,18 +189,23 @@ class FaultPlan:
             return cls.from_json(json.load(f))
 
 
-@dataclass(slots=True)
-class FTStep:
+class FTStep(Record):
     """One protocol step: phase, logical cycle, flags and outputs held."""
 
-    step: int
-    phase: int
-    logical_cycle: int
-    e: int
-    r: int
-    miscompare: int
-    committed: Optional[Dict[str, int]]
-    buffered: Optional[Dict[str, int]]
+    __slots__ = ("step", "phase", "logical_cycle", "e", "r", "miscompare",
+                 "committed", "buffered")
+
+    def __init__(self, step: int, phase: int, logical_cycle: int, e: int,
+                 r: int, miscompare: int, committed: Optional[Dict[str, int]],
+                 buffered: Optional[Dict[str, int]]):
+        self.step = step
+        self.phase = phase
+        self.logical_cycle = logical_cycle
+        self.e = e
+        self.r = r
+        self.miscompare = miscompare
+        self.committed = committed
+        self.buffered = buffered
 
 
 class _Steps(Sequence):
@@ -250,14 +249,17 @@ class _Steps(Sequence):
         return repr(self._steps)
 
 
-@dataclass
-class FTTrace:
+class FTTrace(Record):
     """A run's steps, its committed and reference outputs, any suspicion."""
 
-    steps: Sequence[FTStep]
-    committed: List[Dict[str, int]]
-    reference: List[Dict[str, int]]
-    suspected_at_step: Optional[int] = None
+    def __init__(self, steps: Sequence[FTStep],
+                 committed: List[Dict[str, int]],
+                 reference: List[Dict[str, int]],
+                 suspected_at_step: Optional[int] = None):
+        self.steps = steps
+        self.committed = committed
+        self.reference = reference
+        self.suspected_at_step = suspected_at_step
 
     @property
     def permanent_fault_suspected(self) -> bool:

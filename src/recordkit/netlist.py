@@ -50,10 +50,11 @@ from __future__ import annotations
 import re
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
+
+from ._record import Record
 
 WIRE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 _NAMES_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_.]*\n)*\Z")
@@ -96,16 +97,11 @@ class NetlistError(Exception):
         super().__init__(loc + message)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Gate:
+class Gate(Record, frozen=True):
     """One gate, and the source line it came from, which is not compared."""
 
-    kind: str
-    out: str
-    ins: Tuple[str, ...]
-    zone: str = TRUSTED
-    replica: Optional[int] = None
-    line: Optional[int] = field(default=None, compare=False, repr=False)
+    __slots__ = ("kind", "out", "ins", "zone", "replica", "line")
+    _fields = __slots__[:5]  # the source line is not compared
 
     def __init__(self, kind: str, out: str, ins: Tuple[str, ...],
                  zone: str = TRUSTED, replica: Optional[int] = None,
@@ -117,24 +113,25 @@ class Gate:
         _set_replica(self, replica)
         _set_line(self, line)
 
+    def __reduce__(self):
+        return Gate, (self.kind, self.out, self.ins, self.zone, self.replica,
+                      self.line)
 
-# Each slot's own setter, bound once: it stores a field directly, where a
-# frozen dataclass's generated __init__ calls object.__setattr__ per field.
+
+# Each slot's own setter, bound once: it stores a field past the frozen
+# record's __setattr__.
 _set_kind, _set_out, _set_ins, _set_zone, _set_replica, _set_line = (
     Gate.kind.__set__, Gate.out.__set__, Gate.ins.__set__,
     Gate.zone.__set__, Gate.replica.__set__, Gate.line.__set__)
 
 
-@dataclass(frozen=True)
-class Netlist:
+class Netlist(Record, frozen=True):
     """A named module's ports and gates, validated when constructed."""
 
-    name: str
-    inputs: Tuple[str, ...]
-    outputs: Tuple[str, ...]
-    gates: Tuple[Gate, ...]
-
-    def __post_init__(self):
+    def __init__(self, name: str, inputs: Tuple[str, ...],
+                 outputs: Tuple[str, ...], gates: Tuple[Gate, ...]):
+        self.__dict__.update(name=name, inputs=inputs, outputs=outputs,
+                             gates=gates)
         validate(self)
 
     @cached_property

@@ -44,12 +44,12 @@ a failed check raises NetlistError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
+from ._record import Record
 from .netlist import Gate, Netlist, NetlistError, UNTRUSTED, gate_text
 
 RESERVED_PREFIX = "__"
@@ -89,20 +89,15 @@ def _reject_reserved(n: Netlist) -> None:
                                "prefix" % (w, RESERVED_PREFIX))
 
 
-@dataclass(frozen=True)
-class RecordConfig:
+class RecordConfig(Record, frozen=True):
     """Which inputs are randomized, how many random bits, and the grouping;
     frozen and read-only so that no caller can change a design's config."""
 
-    randomized_inputs: Tuple[str, ...]
-    groups: int = 1
-    group_assignment: Mapping[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "randomized_inputs",
-                           tuple(self.randomized_inputs))
-        object.__setattr__(self, "group_assignment",
-                           MappingProxyType(dict(self.group_assignment)))
+    def __init__(self, randomized_inputs: Tuple[str, ...], groups: int = 1,
+                 group_assignment: Mapping[str, int] = MappingProxyType({})):
+        self.__dict__.update(
+            randomized_inputs=tuple(randomized_inputs), groups=groups,
+            group_assignment=MappingProxyType(dict(group_assignment)))
 
     def validate(self, n: Netlist) -> None:
         if not self.randomized_inputs:
@@ -155,8 +150,7 @@ class RecordConfig:
                 "assignment": dict(self.group_assignment)}
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(Record, frozen=True):
     """Every wire role of a design, read off its netlist in one pass over
     the gates. Copy k's gates in netlist order, its bus (the wire feeding
     each source input), the wire carrying each source output, and the wires
@@ -164,20 +158,25 @@ class Layout:
     and drives. The cut is every wire that an untrusted gate reads and no
     untrusted gate drives; the harness is every trusted gate."""
 
-    random_wires: Tuple[str, ...]
-    source_inputs: Tuple[str, ...]
-    encoded_outputs: Tuple[str, ...]
-    decoded_outputs: Tuple[str, ...]
-    source_outputs: Tuple[str, ...]
-    config: RecordConfig
-    untrusted: Tuple[Gate, ...]   # every copy's gates, in netlist order
-    copies: Tuple[Tuple[Gate, ...], ...]
-    buses: Tuple[Mapping[str, str], ...]
-    copy_outputs: Tuple[Mapping[str, str], ...]
-    reads: Tuple[FrozenSet[str], ...]
-    drives: Tuple[FrozenSet[str], ...]
-    cut: FrozenSet[str]
-    harness: Tuple[Gate, ...]
+    def __init__(self, random_wires: Tuple[str, ...],
+                 source_inputs: Tuple[str, ...],
+                 encoded_outputs: Tuple[str, ...],
+                 decoded_outputs: Tuple[str, ...],
+                 source_outputs: Tuple[str, ...], config: RecordConfig,
+                 untrusted: Tuple[Gate, ...],  # every copy's, netlist order
+                 copies: Tuple[Tuple[Gate, ...], ...],
+                 buses: Tuple[Mapping[str, str], ...],
+                 copy_outputs: Tuple[Mapping[str, str], ...],
+                 reads: Tuple[FrozenSet[str], ...],
+                 drives: Tuple[FrozenSet[str], ...], cut: FrozenSet[str],
+                 harness: Tuple[Gate, ...]):
+        self.__dict__.update(
+            random_wires=random_wires, source_inputs=source_inputs,
+            encoded_outputs=encoded_outputs, decoded_outputs=decoded_outputs,
+            source_outputs=source_outputs, config=config,
+            untrusted=untrusted, copies=copies, buses=buses,
+            copy_outputs=copy_outputs, reads=reads, drives=drives, cut=cut,
+            harness=harness)
 
     @staticmethod
     def is_design(n: Netlist) -> bool:
@@ -296,15 +295,13 @@ class Layout:
                    tuple(harness))
 
 
-@dataclass(frozen=True)
-class PartitionedDesign:
+class PartitionedDesign(Record, frozen=True):
     """A transformed netlist, and nothing beside it. Construction reads its
     Layout and checks closure; the role attributes are views of layout, and
     copy k's bus and output wires are layout.buses[k] and copy_outputs[k]."""
 
-    netlist: Netlist
-
-    def __post_init__(self):
+    def __init__(self, netlist: Netlist):
+        self.__dict__["netlist"] = netlist
         self.layout  # reading it runs every reserved-name check, in order
         partition_check(self)
 

@@ -17,21 +17,19 @@ definition lives in the tests as the oracle this is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 MASK64 = (1 << 64) - 1
 _INCREMENT = 0x9E3779B97F4A7C15
 
 
-@dataclass(frozen=True)
-class RngSpec:
+class RngSpec(Record, frozen=True):
     """Seed for the SplitMix64 bit stream driving the random inputs."""
 
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.seed <= MASK64:
+    def __init__(self, seed: int = 0):
+        if not 0 <= seed <= MASK64:
             raise ValueError("seed must be an unsigned 64-bit integer")
+        self.__dict__["seed"] = seed
 
 
 def _mixed_slots(start: int, count: int) -> int:

@@ -28,10 +28,10 @@ order is reported, the same one a single pass would find.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, Optional, Tuple
 
+from ._record import Record
 from .bits import transpose, unpack
 from .netlist import Netlist, open_text
 from .recordize import PartitionedDesign
@@ -51,8 +51,7 @@ class SimulationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Stimulus:
+class Stimulus(Record, frozen=True):
     """Per-cycle primary-input vectors: explicit rows or a uniform spec.
 
     Uniform stimuli draw bits cycle-major (all of cycle 0's inputs before
@@ -63,15 +62,12 @@ class Stimulus:
     spec are the same key.
     """
 
-    count: int
-    columns: Optional[Tuple[int, ...]] = None
-    seed: int = 0
-    _drawn: Dict[int, Tuple[int, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.count < 1:
+    def __init__(self, count: int, columns: Optional[Tuple[int, ...]] = None,
+                 seed: int = 0):
+        if count < 1:
             raise ValueError("need at least one cycle")
+        self.__dict__.update(count=count, columns=columns, seed=seed,
+                             _drawn={})
 
     @classmethod
     def uniform(cls, count: int, seed: int = 0) -> "Stimulus":
@@ -117,13 +113,13 @@ class Stimulus:
         return self.count, self._drawn[width]
 
 
-@dataclass
-class SimTrace:
+class SimTrace(Record):
     """Full per-cycle wire valuation, packed one integer per wire."""
 
-    netlist: Netlist
-    cycles: int
-    wires: Dict[str, int]
+    def __init__(self, netlist: Netlist, cycles: int, wires: Dict[str, int]):
+        self.netlist = netlist
+        self.cycles = cycles
+        self.wires = wires
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as f:
@@ -149,10 +145,17 @@ def r_columns(rng: RngSpec, cycles: int, groups: int) -> Tuple[int, ...]:
 
 def exhaustive_columns(k: int) -> Tuple[int, ...]:
     """The k binary counter columns over 2^k lanes: lane j carries bit p of
-    j in column p, so lane j holds the input vector whose bit p is input p."""
-    ones = (1 << (1 << k)) - 1  # column p: 2^p zeros, 2^p ones, repeated
-    return tuple((((1 << b) - 1) << b) * (ones // ((1 << 2 * b) - 1))
-                 for b in (1 << p for p in range(k)))
+    j in column p, so lane j holds the input vector whose bit p is input p.
+    Column p is 2^p zeros then 2^p ones, doubled until it spans the lanes."""
+    lanes = 1 << k
+    cols = []
+    for b in (1 << p for p in range(k)):
+        c, w = ((1 << b) - 1) << b, 2 * b
+        while w < lanes:
+            c |= c << w
+            w <<= 1
+        cols.append(c)
+    return tuple(cols)
 
 
 def simulate(d: PartitionedDesign, stim: Stimulus, rng: RngSpec) -> SimTrace:
@@ -175,24 +178,22 @@ def simulate_netlist(n: Netlist, stim: Stimulus) -> SimTrace:
     return SimTrace(n, count, wires)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record, frozen=True):
     """A failing case: its index, inputs, random bits and both outputs."""
 
-    index: int
-    x: Dict[str, int]
-    r: Dict[str, int]
-    expected: Dict[str, int]
-    got: Dict[str, int]
+    def __init__(self, index: int, x: Dict[str, int], r: Dict[str, int],
+                 expected: Dict[str, int], got: Dict[str, int]):
+        self.__dict__.update(index=index, x=x, r=r, expected=expected,
+                             got=got)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record, frozen=True):
     """How many cases a check ran, in which mode, and the first failure."""
 
-    cases: int
-    mode: str
-    counterexample: Optional[Counterexample] = None
+    def __init__(self, cases: int, mode: str,
+                 counterexample: Optional[Counterexample] = None):
+        self.__dict__.update(cases=cases, mode=mode,
+                             counterexample=counterexample)
 
     @property
     def passed(self) -> bool:

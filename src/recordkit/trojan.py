@@ -38,12 +38,12 @@ byte-identical reports of a trace of the design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import cycle, repeat
 from math import log2
 from operator import lshift
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .recordize import PartitionedDesign
 from .rng import RngSpec
 from .sim import SimTrace, Stimulus, exhaustive_columns, simulate
@@ -53,12 +53,12 @@ class LeakError(Exception):
     pass
 
 
-@dataclass
-class LeakTrace:
+class LeakTrace(Record):
     """Untrusted-zone projection of a trace, as seen by the implant."""
 
-    cycles: int
-    wires: Dict[str, int]
+    def __init__(self, cycles: int, wires: Dict[str, int]):
+        self.cycles = cycles
+        self.wires = wires
 
     def __contains__(self, wire: str) -> bool:
         return wire in self.wires
@@ -146,30 +146,28 @@ def mutual_information(a: int, b: int, n: int) -> float:
     return _mi_counts((a & b).bit_count(), a.bit_count(), b.bit_count(), n)
 
 
-@dataclass(frozen=True)
-class PairMI:
+class PairMI(Record, frozen=True):
     """MI in bits between two tapped wires' xor and their sources' xor."""
 
-    a: str
-    b: str
-    mi: float
+    def __init__(self, a: str, b: str, mi: float):
+        self.__dict__.update(a=a, b=b, mi=mi)
 
 
-@dataclass(frozen=True)
-class StrategyScore:
+class StrategyScore(Record, frozen=True):
     """A named guessing strategy and the share of cycles it got right."""
 
-    name: str
-    accuracy: float
+    def __init__(self, name: str, accuracy: float):
+        self.__dict__.update(name=name, accuracy=accuracy)
 
 
-@dataclass
-class LeakReport:
+class LeakReport(Record):
     """Per-wire and per-pair mutual information plus strategy accuracies."""
 
-    wire_mi: Dict[str, Dict[str, Dict[str, float]]]
-    pairs: List[PairMI]
-    strategies: List[StrategyScore]
+    def __init__(self, wire_mi: Dict[str, Dict[str, Dict[str, float]]],
+                 pairs: List[PairMI], strategies: List[StrategyScore]):
+        self.wire_mi = wire_mi
+        self.pairs = pairs
+        self.strategies = strategies
 
     def to_json(self) -> dict:
         return {
@@ -264,29 +262,28 @@ def leak_report(d: PartitionedDesign, t: SimTrace,
     return LeakReport(wire_mi, pair_list, strategies)
 
 
-@dataclass(frozen=True)
-class TriggerSpec:
+class TriggerSpec(Record, frozen=True):
     """Single-cycle pattern match over replica 0's input bus."""
 
-    watched: Tuple[str, ...]
-    pattern: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.watched) != len(self.pattern):
+    def __init__(self, watched: Tuple[str, ...], pattern: Tuple[int, ...]):
+        if len(watched) != len(pattern):
             raise ValueError("pattern width %d does not match %d watched "
-                             "wires" % (len(self.pattern), len(self.watched)))
-        for b in self.pattern:
+                             "wires" % (len(pattern), len(watched)))
+        for b in pattern:
             if b not in (0, 1):
                 raise ValueError("pattern bits must be 0 or 1")
+        self.__dict__.update(watched=watched, pattern=pattern)
 
 
-@dataclass
-class TriggerStats:
+class TriggerStats(Record):
     """A trigger's cycle count, its firing cycles and its analytic rate."""
 
-    cycles: int
-    fired: int  # bit c set when the pattern matched in cycle c
-    analytic_rate: float
+    def __init__(self, cycles: int,
+                 fired: int,  # bit c set when the pattern matched in cycle c
+                 analytic_rate: float):
+        self.cycles = cycles
+        self.fired = fired
+        self.analytic_rate = analytic_rate
 
     @property
     def count(self) -> int:

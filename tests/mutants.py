@@ -61,6 +61,9 @@ MAJORITY = [DEMO + "test_median_filter_matches_brute_force", RASTER]
 NOISE = [DEMO + "test_salt_pepper_matches_per_word_reference",
          DEMO + "test_salt_pepper_flips_strictly_below_the_cut", RASTER]
 THRESHOLD = [DEMO + "test_binarize_matches_per_pixel_threshold", RASTER]
+RECORDS = "tests/test_records.py::"
+GATE = ["tests/test_netlist.py::test_parse_smallest_module",
+        RECORDS + "test_record[Gate]"]
 FT_WIRING = [FT + "test_twin_mux_mirrors_selected_exhaustively",
              FT + "test_fault_free_run_clean",
              FT + "test_each_output_comparator_sets_e",
@@ -100,10 +103,9 @@ MUTANTS = [
     ("closure-raw-reason", "recordize.py", "            elif w in raw:",
      "            elif False:", CLOSURE),
     # switching: a toggle is counted between cycles c and c + 1 < cycles
-    ("switching-mask-wide", "cost.py", "(1 << (t.cycles - 1)) - 1",
-     "(1 << t.cycles) - 1", SWITCHING),
-    ("switching-mask-narrow", "cost.py", "(1 << (t.cycles - 1)) - 1",
-     "(1 << (t.cycles - 2)) - 1", SWITCHING),
+    ("switching-last-kept", "cost.py", "- (s >> last))", ")", SWITCHING),
+    ("switching-last-narrow", "cost.py", "last = t.cycles - 1",
+     "last = t.cycles - 2", SWITCHING),
     # bits.transpose: the byte-lane gather
     ("transpose-lane-next", "bits.py", "lanes[b >> 3]",
      "lanes[((b >> 3) + 1) % width]", TRANSPOSE),
@@ -197,6 +199,20 @@ MUTANTS = [
      "below(hi, cut_hi)", NOISE),
     ("threshold-below", "demo.py", "bytes(max(threshold, 0))",
      "bytes(max(threshold - 1, 0))", THRESHOLD),
+    # the record base: a frozen record refuses assignment; equality, hash
+    # and repr leave hidden state out; copy and pickle keep all of it
+    ("record-unfrozen", "_record.py",
+     "        cls.__setattr__ = _refuse_assignment\n", "",
+     [RECORDS + "test_record"]),
+    ("gate-line-compared", "netlist.py", "_fields = __slots__[:5]",
+     "_fields = __slots__", GATE),
+    ("stimulus-drawn-compared", "sim.py", "    def __init__(self, count: int,",
+     '    _fields = ("count", "columns", "seed", "_drawn")\n\n'
+     "    def __init__(self, count: int,",
+     [RECORDS + "test_record[Stimulus]",
+      SIM + "test_a_drawn_stimulus_keys_like_an_undrawn_one"]),
+    ("gate-state-line-dropped", "netlist.py", "self.replica,\n"
+     "                      self.line)", "self.replica)", GATE),
 ]
 
 

@@ -16,7 +16,8 @@ from recordkit.fixtures import fixture_generate
 from recordkit.ftrecord import FaultInjection, FaultPlan, ft_simulate, transform_ft
 from recordkit.netlist import Gate, Netlist, NetlistError, parse_netlist
 from recordkit.pgm import read_pgm
-from recordkit.recordize import RecordConfig, transform, untrusted_zone_text
+from recordkit.recordize import (PartitionedDesign, RecordConfig, transform,
+                                 untrusted_zone_text)
 from recordkit.rng import RngSpec, derive
 from recordkit.sim import Stimulus, simulate, simulate_netlist, verify_equivalence
 from recordkit.cost import area, depth, switching
@@ -143,10 +144,9 @@ def test_criterion_5_partition_closure():
                 gates[i] = Gate(g.kind, g.out, (wire,) + g.ins[1:], g.zone,
                                 g.replica)
                 break
-        from dataclasses import replace
         try:
-            replace(d, netlist=Netlist(d.netlist.name, d.netlist.inputs,
-                                       d.netlist.outputs, tuple(gates)))
+            PartitionedDesign(Netlist(d.netlist.name, d.netlist.inputs,
+                                      d.netlist.outputs, tuple(gates)))
             mutations.append(0)
         except NetlistError as e:  # one "'<gate>' reads ..." per violation
             mutations.append(str(e).count(" reads "))

@@ -2,7 +2,7 @@
 construction.
 
 ``partition_check`` is called once, at the end of
-``PartitionedDesign.__post_init__``, so every design object, however it is
+``PartitionedDesign.__init__``, so every design object, however it is
 built, has passed it exactly once, and no module keeps or reads a verdict
 of its own.
 """
@@ -35,7 +35,7 @@ def test_no_partition_check_call_outside_recordize():
     cls = next(n for n in trees["recordize.py"].body
                if getattr(n, "name", None) == "PartitionedDesign")
     init = next(n for n in cls.body
-                if getattr(n, "name", None) == "__post_init__")
+                if getattr(n, "name", None) == "__init__")
     assert len(found) == 1, found
     fname, line = found[0]
     assert fname == "recordize.py" and init.lineno <= line <= init.end_lineno

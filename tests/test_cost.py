@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 import reference_metrics
 from hypothesis import given, settings, strategies as st
@@ -11,7 +9,7 @@ from recordkit.cost import (REFERENCE_RATIOS, _gate_area, area, cost_report,
                             depth, switching)
 from recordkit.fixtures import fixture_generate
 from recordkit.ftrecord import transform_ft
-from recordkit.netlist import _KINDS, parse_netlist
+from recordkit.netlist import _KINDS, Gate, Netlist, parse_netlist
 from recordkit.recordize import RecordConfig, transform
 from recordkit.rng import RngSpec
 from recordkit.sim import SimTrace, Stimulus, simulate, simulate_netlist
@@ -96,8 +94,9 @@ def test_property_depth_and_area_equal_the_generator_forms(n, data):
     dependency order, with random zones and output lists."""
     zones = data.draw(st.lists(st.sampled_from(["trusted", "untrusted"]),
                                min_size=len(n.gates), max_size=len(n.gates)))
-    n = replace(n, gates=tuple(replace(g, zone=z)
-                               for g, z in zip(n.gates, zones)))
+    n = Netlist(n.name, n.inputs, n.outputs, tuple(
+        Gate(g.kind, g.out, g.ins, z, g.replica, g.line)
+        for g, z in zip(n.gates, zones)))
     wires = [*n.inputs, *(g.out for g in n.gates)]
     outputs = data.draw(st.lists(st.sampled_from(wires), max_size=4))
     _assert_depth_and_area_equal_the_generator_forms(n, outputs)

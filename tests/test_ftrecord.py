@@ -1,6 +1,6 @@
 import copy
 import pickle
-from dataclasses import FrozenInstanceError, asdict
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
 import pytest
@@ -22,6 +22,11 @@ from recordkit.ftrecord import (REPLAY_LIMIT, FaultInjection, FaultPlan,
                                 ft_simulate, transform_ft)
 from recordkit.sim import Stimulus, simulate
 from recordkit.trojan import leak_report
+
+
+def _step_fields(s):
+    """Every field of an FTStep, in order."""
+    return tuple(getattr(s, f) for f in FTStep.__slots__)
 
 
 def _ft_maj9():
@@ -96,11 +101,11 @@ def test_rejects_two_groups():
 def test_transform_ft_validates_and_wraps_one_netlist(monkeypatch):
     m9 = fixture_generate("maj9")
     calls = []
-    validate, post_init = netlist.validate, PartitionedDesign.__post_init__
+    validate, init = netlist.validate, PartitionedDesign.__init__
     monkeypatch.setattr(netlist, "validate",
                         lambda n: calls.append(n.name) or validate(n))
-    monkeypatch.setattr(PartitionedDesign, "__post_init__",
-                        lambda d: calls.append(d) or post_init(d))
+    monkeypatch.setattr(PartitionedDesign, "__init__",
+                        lambda d, n: calls.append(d) or init(d, n))
     ft = transform_ft(m9, RecordConfig.checkerboard(m9, 1))
     assert calls == ["maj9_record1_ft", ft.design]
 
@@ -480,7 +485,8 @@ def test_word_parallel_matches_scalar_oracle(case):
     got = ft_simulate(ft, stim, rng, plan)
     want = _scalar_ft_simulate(ft, stim, rng, plan)
     assert len(got.steps) == len(want.steps)  # before any step is built
-    assert [asdict(s) for s in got.steps] == [asdict(s) for s in want.steps]
+    assert list(map(_step_fields, got.steps)) \
+        == list(map(_step_fields, want.steps))
     assert got.committed == want.committed
     assert got.reference == want.reference
     assert got.permanent_fault_suspected == want.permanent_fault_suspected
@@ -582,7 +588,8 @@ def _counted_evaluate(monkeypatch):
 
 
 def _same_trace(got, want):
-    assert [asdict(s) for s in got.steps] == [asdict(s) for s in want.steps]
+    assert list(map(_step_fields, got.steps)) \
+        == list(map(_step_fields, want.steps))
     assert got.committed == want.committed
     assert got.reference == want.reference
     assert got.suspected_at_step == want.suspected_at_step
@@ -764,8 +771,8 @@ def test_trace_round_trips_through_pickle_and_deepcopy(read_steps):
         assert trace.steps[0].step == 0
     for twin in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
         assert twin == trace and repr(twin) == repr(trace)
-        assert [asdict(s) for s in twin.steps] == [asdict(s)
-                                                   for s in trace.steps]
+        assert list(map(_step_fields, twin.steps)) \
+            == list(map(_step_fields, trace.steps))
         assert twin.committed[0] is not trace.committed[0]
         with pytest.raises(TypeError):
             twin.committed[0]["y"] = 0

@@ -12,7 +12,6 @@ import json
 import os
 import random
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -23,8 +22,8 @@ from recordkit.cost import cost_report
 from recordkit.demo import (ImageDemoConfig, demo_image, salt_pepper,
                             synthetic_scene)
 from recordkit.fixtures import fixture_generate
-from recordkit.ftrecord import (FaultInjection, FaultPlan, ft_simulate,
-                                transform_ft)
+from recordkit.ftrecord import (FaultInjection, FaultPlan, FTStep,
+                                ft_simulate, transform_ft)
 from recordkit.netlist import write_netlist
 from recordkit.pgm import write_pgm
 from recordkit.recordize import RecordConfig, transform
@@ -263,7 +262,8 @@ def _artifact(key: str):
         return write_netlist(
             transform_ft(n, RecordConfig.checkerboard(n, 1)).design.netlist)
     if parts[0] == "ft_simulate":
-        return _json([asdict(s) for s in _maj9_ft_trace().steps])
+        return _json([{f: getattr(s, f) for f in FTStep.__slots__}
+                      for s in _maj9_ft_trace().steps])
     if parts[0] == "leak_report":
         n = _fixture(parts[1])
         d = transform(n, RecordConfig.checkerboard(n, int(parts[2][1:])))

@@ -4,7 +4,7 @@ import pickle
 import random
 import re
 import weakref
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError
 from unittest.mock import patch
 
 import pytest
@@ -28,19 +28,19 @@ def test_parse_smallest_module():
     g = n.gates[0]
     assert g == Gate("NOT", "y", ("a",)) and g.line == 4
     # the gate record: slotted and frozen; its line is neither compared,
-    # hashed nor shown, and replace, copy and pickle keep it
+    # hashed nor shown, and the constructor, copy and pickle keep it
     assert not hasattr(g, "__dict__")
     with pytest.raises(FrozenInstanceError):
         g.out = "z"
     assert hash(g) == hash(Gate("NOT", "y", ("a",)))
     assert repr(g) == ("Gate(kind='NOT', out='y', ins=('a',), "
                        "zone='trusted', replica=None)")
-    assert replace(g, out="z") == Gate("NOT", "z", ("a",))
-    assert replace(g, out="z").line == 4
+    moved = Gate(g.kind, "z", g.ins, g.zone, g.replica, g.line)
+    assert moved == Gate("NOT", "z", ("a",)) and moved.line == 4
     for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
         assert twin == g and twin.line == 4
     # each form sets all six fields, each to its own value
-    names = [f.name for f in fields(Gate)]
+    names = list(Gate.__slots__)
     values = ("AND", "y", ("a", "b"), "untrusted", 2, 7)
     for built in (Gate(*values), Gate(**dict(zip(names, values)))):
         assert tuple(getattr(built, f) for f in names) == values
@@ -390,7 +390,8 @@ def stuck_at(n, wire, value):
     """n with ``wire``'s gate replaced by a constant ``value``, keeping its
     zone and replica: a fault oracle that a plain ``run`` evaluates."""
     return Netlist(n.name, n.inputs, n.outputs, tuple(
-        replace(g, kind="CONST%d" % value, ins=()) if g.out == wire else g
+        Gate("CONST%d" % value, g.out, (), g.zone, g.replica, g.line)
+        if g.out == wire else g
         for g in n.gates))
 
 

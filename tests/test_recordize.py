@@ -1,6 +1,6 @@
 import random
 import re
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
 import pytest
@@ -128,7 +128,7 @@ def test_partition_check_flags_untrusted_read(groups, wire, reason):
     m9 = fixture_generate("maj9")
     d = transform(m9, RecordConfig.checkerboard(m9, groups))
     with pytest.raises(NetlistError) as e:
-        replace(d, netlist=_rewire_first_replica_gate(d, wire))
+        PartitionedDesign(_rewire_first_replica_gate(d, wire))
     assert str(e.value) == ("partition closure violated: '__f0_t0' reads "
                             "%s %r" % (reason, wire))
 
@@ -463,14 +463,16 @@ def test_encoder_off_its_pad_is_rejected(old, new, message):
 
 
 def test_config_is_read_off_the_netlist_not_stored():
-    assert [f.name for f in fields(PartitionedDesign)] == ["netlist"]
     m9 = fixture_generate("maj9")
     d = transform(m9, RecordConfig.checkerboard(m9, 1))
+    assert d._fields == ("netlist",) and set(vars(d)) == {"netlist",
+                                                          "layout"}
     with pytest.raises(TypeError):
-        replace(d, config=RecordConfig(("x1",), 1, {"x1": 1}))
+        PartitionedDesign(d.netlist, config=RecordConfig(("x1",), 1,
+                                                         {"x1": 1}))
     with pytest.raises(TypeError):
-        replace(d, rng=RngSpec(5))
-    assert replace(d).config == d.config
+        PartitionedDesign(d.netlist, rng=RngSpec(5))
+    assert PartitionedDesign(d.netlist).config == d.config
 
 
 def test_no_violating_design_can_be_constructed():
@@ -479,7 +481,8 @@ def test_no_violating_design_can_be_constructed():
     n = _rewire_first_replica_gate(d, "x2")
     message = ("partition closure violated: '__f0_t0' reads raw randomized "
                "input 'x2'")
-    for build in (lambda: replace(d, netlist=n), lambda: PartitionedDesign(n),
+    for build in (lambda: PartitionedDesign(netlist=n),
+                  lambda: PartitionedDesign(n),
                   lambda: design_from_netlist(n)):
         with pytest.raises(NetlistError) as e:
             build()

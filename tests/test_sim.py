@@ -178,7 +178,7 @@ def test_r_columns_bit_c_of_column_i_is_stream_bit_c_width_plus_i(count,
             assert col >> c & 1 == raw >> c * width + i & 1, (c, i)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 5])
+@pytest.mark.parametrize("k", range(13))
 def test_exhaustive_columns_lane_j_is_vector_j(k):
     cols = exhaustive_columns(k)
     assert len(cols) == k
@@ -186,6 +186,16 @@ def test_exhaustive_columns_lane_j_is_vector_j(k):
         assert [(c >> j) & 1 for c in cols] == [(j >> p) & 1
                                                 for p in range(k)]
     assert all(c < 1 << (1 << k) for c in cols)
+
+
+def test_exhaustive_columns_equal_the_division_formula():
+    """Column p is 2^p zeros then 2^p ones, repeated: the block times the
+    repunit in base 2^(2^(p+1)), one long division per column."""
+    for k in range(17):
+        ones = (1 << (1 << k)) - 1
+        assert exhaustive_columns(k) == tuple(
+            (((1 << b) - 1) << b) * (ones // ((1 << 2 * b) - 1))
+            for b in (1 << p for p in range(k))), k
 
 
 def test_verify_and2_exhaustive():

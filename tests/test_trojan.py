@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 import reference_metrics
@@ -12,8 +11,9 @@ from recordkit import trojan
 from recordkit.bits import pack
 from recordkit.fixtures import fixture_generate
 from recordkit.ftrecord import transform_ft
-from recordkit.netlist import Gate, NetlistError, parse_netlist
-from recordkit.recordize import RecordConfig, replica_wire, transform
+from recordkit.netlist import Gate, Netlist, NetlistError, parse_netlist
+from recordkit.recordize import (PartitionedDesign, RecordConfig,
+                                 replica_wire, transform)
 from recordkit.rng import RngSpec, packed_bits
 from recordkit.sim import SimTrace, Stimulus, simulate
 from recordkit.trojan import (LeakError, TriggerSpec, leak_report,
@@ -60,7 +60,8 @@ def test_tap_rejects_closure_violation_in_every_view(wire):
     g = gates[k]
     gates[k] = Gate(g.kind, g.out, (wire,) + g.ins[1:], g.zone, g.replica)
     with pytest.raises(NetlistError) as e:
-        replace(d, netlist=replace(d.netlist, gates=tuple(gates)))
+        PartitionedDesign(Netlist(d.netlist.name, d.netlist.inputs,
+                                  d.netlist.outputs, tuple(gates)))
     assert str(e.value).startswith("partition closure violated: ")
     assert "%r reads" % g.out in str(e.value) and repr(wire) in str(e.value)
 
